@@ -31,6 +31,23 @@ run_leg() {
   echo "=== [${leg}] OK ==="
 }
 
+# The bench half of the gated legs: configure the plain tree, build one
+# bench target and run its quick gate.
+#   run_bench_gate <leg> <target> <gate description> <bench args...>
+run_bench_gate() {
+  local leg="$1" target="$2" gate="$3"
+  shift 3
+  local tree="build-ci-plain"
+  echo "=== [${leg}] configure ==="
+  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DNAGANO_SANITIZE="" > /dev/null
+  echo "=== [${leg}] build ==="
+  cmake --build "${tree}" -j "${JOBS}" --target "${target}" -- -k > /dev/null
+  echo "=== [${leg}] ${gate} ==="
+  "${tree}/bench/${target}" "$@"
+  echo "=== [${leg}] OK ==="
+}
+
 leg_plain() { run_leg plain "" ""; }
 # Shares the plain tree: a quick run warms the cache for a later full run.
 leg_quick() { run_leg plain "" "-L unit"; }
@@ -68,15 +85,9 @@ leg_durability() { run_leg asan "address,undefined" "-L durability"; }
 leg_flashcrowd() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L flashcrowd"
-  local tree="build-ci-plain"
-  echo "=== [flashcrowd] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [flashcrowd] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target flash_crowd -- -k > /dev/null
-  echo "=== [flashcrowd] smoke gate vs BENCH_flashcrowd.json ==="
-  "${tree}/bench/flash_crowd" --quick --baseline=BENCH_flashcrowd.json
-  echo "=== [flashcrowd] OK ==="
+  run_bench_gate flashcrowd flash_crowd \
+    "smoke gate vs BENCH_flashcrowd.json" \
+    --quick --baseline=BENCH_flashcrowd.json
 }
 # Fragments leg: the composition-plan suites (plan cache, fragment DUP
 # properties, shared-fragment stampedes) raced under TSan — plan patching
@@ -88,15 +99,7 @@ leg_flashcrowd() {
 leg_fragments() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L fragments"
-  local tree="build-ci-plain"
-  echo "=== [fragments] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [fragments] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target update_latency -- -k > /dev/null
-  echo "=== [fragments] fanout-bytes quick gate ==="
-  "${tree}/bench/update_latency" --quick
-  echo "=== [fragments] OK ==="
+  run_bench_gate fragments update_latency "fanout-bytes quick gate" --quick
 }
 # Sharding leg: the sharded-storage / parallel-recovery suites raced under
 # TSan (parallel shard replay fans WAL streams across a thread pool, and the
@@ -109,15 +112,7 @@ leg_fragments() {
 leg_sharding() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L sharding"
-  local tree="build-ci-plain"
-  echo "=== [sharding] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [sharding] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target recovery_time -- -k > /dev/null
-  echo "=== [sharding] parallel-recovery quick gate ==="
-  "${tree}/bench/recovery_time" --quick
-  echo "=== [sharding] OK ==="
+  run_bench_gate sharding recovery_time "parallel-recovery quick gate" --quick
 }
 # Dispatch leg: the dispatcher-tier suites (weighted P2C routing, advisor
 # health, drain, failover, rolling upgrade) raced under TSan — the proxy
@@ -130,30 +125,17 @@ leg_sharding() {
 leg_dispatch() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L dispatch"
-  local tree="build-ci-plain"
-  echo "=== [dispatch] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [dispatch] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target failover_availability -- -k > /dev/null
-  echo "=== [dispatch] real-TCP availability quick gate ==="
-  "${tree}/bench/failover_availability" --quick
-  echo "=== [dispatch] OK ==="
+  run_bench_gate dispatch failover_availability \
+    "real-TCP availability quick gate" --quick
 }
 # Throughput smoke: one short cache-hit sweep against the committed
 # baseline (BENCH_throughput.json). The bench exits non-zero if the
 # single-reactor hit rate regresses more than 20% below the baseline or
 # if a cache-hit response copies its body. Shares the plain tree.
 leg_throughput() {
-  local tree="build-ci-plain"
-  echo "=== [throughput] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [throughput] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target throughput_server -- -k > /dev/null
-  echo "=== [throughput] smoke sweep vs BENCH_throughput.json ==="
-  "${tree}/bench/throughput_server" --quick --baseline=BENCH_throughput.json
-  echo "=== [throughput] OK ==="
+  run_bench_gate throughput throughput_server \
+    "smoke sweep vs BENCH_throughput.json" \
+    --quick --baseline=BENCH_throughput.json
 }
 
 case "${1:-all}" in

@@ -35,17 +35,18 @@ void RunningStat::Merge(const RunningStat& other) {
   n_ = total;
 }
 
-Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0) {}
-
 size_t Histogram::BucketFor(double value) {
-  if (value <= 0.0) return 0;
-  // Octave = floor(log2(value)) clamped to [0, kOctaves); sub-bucket is the
-  // linear position within the octave.
+  // Octave = floor(log2(value)) - kMinExponent; the sub-bucket is the linear
+  // position within the octave. Values outside the covered range land in
+  // the first or last bucket rather than borrowing a sub-bucket from a
+  // foreign octave.
+  if (!(value >= std::ldexp(1.0, kMinExponent))) return 0;  // also NaN
   int exp = 0;
   const double mant = std::frexp(value, &exp);  // value = mant * 2^exp, mant in [0.5,1)
-  int octave = exp - 1;                         // floor(log2(value))
-  if (octave < 0) octave = 0;
-  if (octave >= kOctaves) octave = kOctaves - 1;
+  const int octave = exp - 1 - kMinExponent;
+  if (octave >= kOctaves) {
+    return static_cast<size_t>(kOctaves) * kSubBuckets - 1;
+  }
   const int sub = std::min(kSubBuckets - 1,
                            static_cast<int>((mant - 0.5) * 2.0 * kSubBuckets));
   return static_cast<size_t>(octave) * kSubBuckets + static_cast<size_t>(sub);
@@ -54,7 +55,8 @@ size_t Histogram::BucketFor(double value) {
 double Histogram::BucketUpperBound(size_t index) {
   const size_t octave = index / kSubBuckets;
   const size_t sub = index % kSubBuckets;
-  const double base = std::ldexp(1.0, static_cast<int>(octave));  // 2^octave
+  // 2^(octave + kMinExponent): the octave's lower edge.
+  const double base = std::ldexp(1.0, static_cast<int>(octave) + kMinExponent);
   return base * (1.0 + static_cast<double>(sub + 1) / kSubBuckets);
 }
 
@@ -67,7 +69,11 @@ void Histogram::Add(double value) {
   }
   ++count_;
   sum_ += value;
-  ++buckets_[BucketFor(value)];
+  const size_t index = BucketFor(value);
+  if (index >= buckets_.size()) {
+    buckets_.resize((index / kSubBuckets + 1) * kSubBuckets, 0);
+  }
+  ++buckets_[index];
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -81,7 +87,12 @@ void Histogram::Merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
+  }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
 }
 
 double Histogram::Percentile(double q) const {

@@ -35,12 +35,12 @@ class RunningStat {
 };
 
 // Histogram over non-negative values with geometrically growing buckets
-// (HdrHistogram-style, base-2 with linear sub-buckets). Percentile error is
-// bounded by the sub-bucket resolution (~1.6%).
+// (HdrHistogram-style, base-2 with linear sub-buckets). Octaves run from
+// 2^-10 to 2^40, so in milliseconds the resolution reaches down to ~1 us.
+// Within that range percentile error is bounded by the sub-bucket
+// resolution (~1.6%); smaller values read back as at most ~2^-10.
 class Histogram {
  public:
-  Histogram();
-
   void Add(double value);
   void Merge(const Histogram& other);
 
@@ -59,11 +59,14 @@ class Histogram {
  private:
   static constexpr int kSubBucketBits = 6;  // 64 linear sub-buckets / octave
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
-  static constexpr int kOctaves = 40;       // covers up to ~2^40
+  static constexpr int kMinExponent = -10;  // lowest octave starts at 2^-10
+  static constexpr int kOctaves = 50;       // 2^-10 up to 2^40
 
   static size_t BucketFor(double value);
   static double BucketUpperBound(size_t index);
 
+  // Grown an octave at a time up to the highest one used, so an empty or
+  // narrow-range histogram stays small.
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -46,7 +46,8 @@ Status DispatcherOptions::Validate() const {
     return InvalidArgumentError("EWMA alphas must be in (0, 1]");
   }
   if (drain_grace < 0 || drain_deadline <= 0) {
-    return InvalidArgumentError("drain_grace/* deadline */ must be sane");
+    return InvalidArgumentError(
+        "drain_grace must be >= 0 and drain_deadline > 0");
   }
   return Status::Ok();
 }
@@ -154,7 +155,7 @@ Dispatcher::Dispatcher(std::vector<BackendAddress> backends,
   }
 
   server_ = std::make_unique<http::HttpServer>(
-      [this](const http::HttpRequest& request, http::ConnectionContext& ctx) {
+      [this](http::HttpRequest& request, http::ConnectionContext& ctx) {
         return Proxy(request, ctx);
       },
       options_.http);
@@ -269,7 +270,7 @@ Result<http::HttpResponse> Dispatcher::Forward(
   return result;
 }
 
-http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
+http::HttpResponse Dispatcher::Proxy(http::HttpRequest& request,
                                      http::ConnectionContext& ctx) {
   requests_->Increment();
   if (request.Path() == "/dispatchz") return DispatchzPage();
@@ -279,12 +280,12 @@ http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
   thread_local Rng rng(options_.seed + 0x9e3779b97f4a7c15ULL *
                                            (1 + thread_counter.fetch_add(1)));
 
-  // The forwarded request: hop-by-hop connection management stays between
-  // dispatcher and backend, so the client's Connection header must not leak
-  // through (a "Connection: close" would tear down the pooled socket).
-  http::HttpRequest forwarded = request;
-  forwarded.headers.erase("Connection");
-  forwarded.headers.erase("Keep-Alive");
+  // The request is forwarded as parsed, minus the hop-by-hop headers:
+  // connection management stays between dispatcher and backend, so the
+  // client's Connection header must not leak through (a "Connection:
+  // close" would tear down the pooled socket).
+  request.headers.erase("Connection");
+  request.headers.erase("Keep-Alive");
 
   auto lease = std::static_pointer_cast<Lease>(ctx.user);
   if (lease != nullptr) {
@@ -322,7 +323,7 @@ http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
     Backend& b = *backends_[lease->backend];
     b.inflight.fetch_add(1, std::memory_order_acq_rel);
     const TimeNs t0 = SteadyNow();
-    Result<http::HttpResponse> result = Forward(b, *lease->client, forwarded);
+    Result<http::HttpResponse> result = Forward(b, *lease->client, request);
     const TimeNs elapsed = SteadyNow() - t0;
     b.inflight.fetch_sub(1, std::memory_order_acq_rel);
 

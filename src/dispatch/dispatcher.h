@@ -192,7 +192,9 @@ class Dispatcher {
   struct Backend;
   struct Lease;
 
-  http::HttpResponse Proxy(const http::HttpRequest& request,
+  // Forwards the request in place: strips its hop-by-hop headers and
+  // sends it on without a copy.
+  http::HttpResponse Proxy(http::HttpRequest& request,
                            http::ConnectionContext& ctx);
   Result<http::HttpResponse> Forward(Backend& backend,
                                      http::HttpClient& client,

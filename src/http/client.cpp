@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace nagano::http {
 namespace {
@@ -130,13 +131,13 @@ Result<HttpResponse> HttpClient::RoundtripOnce(const HttpRequest& request) {
   }
   last_sent_ = sent;
 
-  ResponseParser parser;
+  parser_.Reset();  // bytes left from an earlier exchange answer nothing
   char buf[16 * 1024];
   for (;;) {
-    if (auto response = parser.Next()) {
+    if (auto response = parser_.Next()) {
       if (reused) ++reuses_;
       used_ = true;
-      return *response;
+      return std::move(*response);
     }
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n < 0) {
@@ -152,7 +153,7 @@ Result<HttpResponse> HttpClient::RoundtripOnce(const HttpRequest& request) {
       return UnavailableError("connection closed mid-response");
     }
     last_received_ += static_cast<size_t>(n);
-    if (Status s = parser.Feed(std::string_view(buf, size_t(n))); !s.ok()) {
+    if (Status s = parser_.Feed(std::string_view(buf, size_t(n))); !s.ok()) {
       Close();
       return s;
     }

@@ -75,6 +75,8 @@ class HttpClient {
   uint16_t port_;
   Options options_;
   int fd_ = -1;
+  // Kept across exchanges so its buffers are reused, not reallocated.
+  ResponseParser parser_;
   bool used_ = false;  // a roundtrip completed on the current connection
   uint64_t connects_ = 0;
   uint64_t reuses_ = 0;

@@ -1,14 +1,25 @@
 #include "http/message.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
+#include <stdexcept>
 
 namespace nagano::http {
 namespace {
 
-char ToLower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+// ASCII-only case folding: header names are tokens, so no locale applies.
+char FoldCase(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
+bool FoldedLess(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const char x = FoldCase(a[i]);
+    const char y = FoldCase(b[i]);
+    if (x != y) return x < y;
+  }
+  return a.size() < b.size();
 }
 
 std::string_view TrimOws(std::string_view s) {
@@ -20,7 +31,7 @@ std::string_view TrimOws(std::string_view s) {
 bool IEquals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (ToLower(a[i]) != ToLower(b[i])) return false;
+    if (FoldCase(a[i]) != FoldCase(b[i])) return false;
   }
   return true;
 }
@@ -42,7 +53,7 @@ Status ParseHeaders(std::string_view block, HeaderMap& out) {
     if (name.find(' ') != std::string_view::npos) {
       return InvalidArgumentError("whitespace in header name");
     }
-    out[std::string(name)] = std::string(TrimOws(line.substr(colon + 1)));
+    out[name] = TrimOws(line.substr(colon + 1));
   }
   return Status::Ok();
 }
@@ -58,6 +69,19 @@ size_t HeaderBlockSize(const HeaderMap& headers, bool skip_content_length) {
   return total;
 }
 
+// Room for "Content-Length: " + a 20-digit size_t + CRLF.
+using LengthLineBuffer = char[48];
+
+// Formats "Content-Length: N\r\n" into `buf` and returns it.
+std::string_view ContentLengthLine(size_t length, LengthLineBuffer& buf) {
+  constexpr std::string_view kName = "Content-Length: ";
+  char* p = std::copy(kName.begin(), kName.end(), buf);
+  p = std::to_chars(p, buf + sizeof(buf) - 2, length).ptr;
+  *p++ = '\r';
+  *p++ = '\n';
+  return {buf, static_cast<size_t>(p - buf)};
+}
+
 void AppendHeaders(const HeaderMap& headers, bool skip_content_length,
                    std::string& out) {
   for (const auto& [name, value] : headers) {
@@ -71,16 +95,52 @@ void AppendHeaders(const HeaderMap& headers, bool skip_content_length,
 
 }  // namespace
 
-bool CaseInsensitiveLess::operator()(const std::string& a,
-                                     const std::string& b) const {
-  return std::lexicographical_compare(
-      a.begin(), a.end(), b.begin(), b.end(),
-      [](char x, char y) { return ToLower(x) < ToLower(y); });
+std::vector<HeaderMap::value_type>::iterator HeaderMap::LowerBound(
+    std::string_view name) {
+  return std::lower_bound(entries_.begin(), entries_.end(), name,
+                          [](const value_type& entry, std::string_view key) {
+                            return FoldedLess(entry.first, key);
+                          });
 }
 
-std::string HttpRequest::Path() const {
-  const size_t q = target.find('?');
-  return q == std::string::npos ? target : target.substr(0, q);
+std::string& HeaderMap::operator[](std::string_view name) {
+  // Headers arrive one at a time (a parsed head's lines, a handler's
+  // Content-Type then X-Cache, a proxy's routing header): start with room
+  // for a typical set instead of regrowing per header.
+  constexpr size_t kTypicalHeaders = 8;
+  if (entries_.capacity() == 0) entries_.reserve(kTypicalHeaders);
+  auto it = LowerBound(name);
+  if (it == entries_.end() || !IEquals(it->first, name)) {
+    it = entries_.emplace(it, std::string(name), std::string());
+  }
+  return it->second;
+}
+
+const std::string& HeaderMap::at(std::string_view name) const {
+  const auto it = find(name);
+  if (it == end()) throw std::out_of_range("no header " + std::string(name));
+  return it->second;
+}
+
+HeaderMap::const_iterator HeaderMap::find(std::string_view name) const {
+  // Linear: a message has a handful of headers, and the length check
+  // rejects most of them before a byte is folded.
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (IEquals(it->first, name)) return it;
+  }
+  return entries_.end();
+}
+
+size_t HeaderMap::erase(std::string_view name) {
+  const auto it = find(name);
+  if (it == end()) return 0;
+  entries_.erase(it);
+  return 1;
+}
+
+std::string_view HttpRequest::Path() const {
+  const std::string_view t(target);
+  return t.substr(0, t.find('?'));
 }
 
 std::optional<std::string> HttpRequest::QueryParam(std::string_view key) const {
@@ -114,12 +174,9 @@ bool HttpRequest::KeepAlive() const {
 std::string HttpRequest::Serialize() const {
   const bool needs_length =
       !body.empty() || method == "POST" || method == "PUT";
-  std::string length_line;
-  if (needs_length) {
-    length_line = "Content-Length: ";
-    length_line += std::to_string(body.size());
-    length_line += "\r\n";
-  }
+  LengthLineBuffer buf;
+  const std::string_view length_line =
+      needs_length ? ContentLengthLine(body.size(), buf) : std::string_view();
   std::string out;
   out.reserve(method.size() + 1 + target.size() + 1 + version.size() + 2 +
               HeaderBlockSize(headers, needs_length) + length_line.size() + 2 +
@@ -173,16 +230,18 @@ HttpResponse HttpResponse::ServiceUnavailable(std::string message) {
 
 void HttpResponse::SerializeHeaders(std::string& out,
                                     std::string_view extra_lines) const {
-  const std::string status_str = std::to_string(status);
+  char status_buf[16];
+  const char* status_end =
+      std::to_chars(status_buf, status_buf + sizeof(status_buf), status).ptr;
+  const std::string_view status_str(
+      status_buf, static_cast<size_t>(status_end - status_buf));
   // header_ref (the cache's pre-serialized entity prefix) already carries
   // Content-Length; otherwise compute one from the entity, overriding any
   // stale map entry (e.g. a parsed response being re-serialized).
-  std::string length_line;
-  if (header_ref == nullptr) {
-    length_line = "Content-Length: ";
-    length_line += std::to_string(BodySize());
-    length_line += "\r\n";
-  }
+  LengthLineBuffer length_buf;
+  const std::string_view length_line =
+      header_ref == nullptr ? ContentLengthLine(BodySize(), length_buf)
+                            : std::string_view();
   out.reserve(out.size() + version.size() + 1 + status_str.size() + 1 +
               reason.size() + 2 + extra_lines.size() +
               HeaderBlockSize(headers, true) +
@@ -248,9 +307,9 @@ Status FillStartLine(HttpRequest& msg, std::string_view line) {
   if (!tok[2].starts_with("HTTP/")) {
     return InvalidArgumentError("bad HTTP version");
   }
-  msg.method = std::string(tok[0]);
-  msg.target = std::string(tok[1]);
-  msg.version = std::string(tok[2]);
+  msg.method = tok[0];
+  msg.target = tok[1];
+  msg.version = tok[2];
   return Status::Ok();
 }
 
@@ -267,9 +326,9 @@ Status FillStartLine(HttpResponse& msg, std::string_view line) {
       status < 100 || status > 599) {
     return InvalidArgumentError("bad status code");
   }
-  msg.version = std::string(tok[0]);
+  msg.version = tok[0];
   msg.status = status;
-  msg.reason = std::string(tok[2]);
+  msg.reason = tok[2];
   return Status::Ok();
 }
 
@@ -277,52 +336,94 @@ Status FillStartLine(HttpResponse& msg, std::string_view line) {
 
 template <typename Message>
 Status MessageParser<Message>::Feed(std::string_view bytes) {
-  buffer_.append(bytes);
-  return TryParse();
+  if (head_.empty()) return Consume(bytes);
+  // Finish the buffered head first; its blank line may straddle the
+  // previous Feed, so the search backs up three bytes.
+  const size_t scan_from = head_.size() < 3 ? 0 : head_.size() - 3;
+  head_.append(bytes);
+  const size_t head_end = head_.find("\r\n\r\n", scan_from);
+  if (head_end == std::string::npos) {
+    if (head_.size() > kMaxHeaderBytes) {
+      return ResourceExhaustedError("header block too large");
+    }
+    return Status::Ok();
+  }
+  // Parse out of a local so head_ is free to buffer the next partial head.
+  const std::string held = std::move(head_);
+  head_.clear();
+  const std::string_view rest(held);
+  if (Status s = ParseHead(rest.substr(0, head_end)); !s.ok()) return s;
+  return Consume(rest.substr(head_end + 4));
 }
 
 template <typename Message>
-Status MessageParser<Message>::TryParse() {
+Status MessageParser<Message>::Consume(std::string_view bytes) {
   for (;;) {
-    const size_t header_end = buffer_.find("\r\n\r\n");
-    if (header_end == std::string::npos) {
-      if (buffer_.size() > kMaxHeaderBytes) {
+    if (partial_) {
+      const size_t take = std::min(body_remaining_, bytes.size());
+      partial_->body.append(bytes.data(), take);
+      bytes.remove_prefix(take);
+      body_remaining_ -= take;
+      if (body_remaining_ > 0) return Status::Ok();
+      ready_.push_back(std::move(*partial_));
+      partial_.reset();
+    }
+    if (bytes.empty()) return Status::Ok();
+    const size_t head_end = bytes.find("\r\n\r\n");
+    if (head_end == std::string_view::npos) {
+      if (bytes.size() > kMaxHeaderBytes) {
         return ResourceExhaustedError("header block too large");
       }
+      head_.assign(bytes);
       return Status::Ok();
     }
-
-    const std::string_view head(buffer_.data(), header_end);
-    const size_t line_end = head.find("\r\n");
-    const std::string_view start_line =
-        line_end == std::string_view::npos ? head : head.substr(0, line_end);
-
-    Message msg;
-    if (Status s = FillStartLine(msg, start_line); !s.ok()) return s;
-    const std::string_view header_block =
-        line_end == std::string_view::npos ? std::string_view{}
-                                           : head.substr(line_end + 2);
-    if (Status s = ParseHeaders(header_block, msg.headers); !s.ok()) return s;
-
-    size_t body_len = 0;
-    if (auto it = msg.headers.find("Content-Length"); it != msg.headers.end()) {
-      const auto [ptr, ec] = std::from_chars(
-          it->second.data(), it->second.data() + it->second.size(), body_len);
-      if (ec != std::errc{} || ptr != it->second.data() + it->second.size()) {
-        return InvalidArgumentError("bad Content-Length");
-      }
-      if (body_len > kMaxBodyBytes) {
-        return ResourceExhaustedError("body too large");
-      }
-    }
-
-    const size_t total = header_end + 4 + body_len;
-    if (buffer_.size() < total) return Status::Ok();  // need more bytes
-
-    msg.body = buffer_.substr(header_end + 4, body_len);
-    buffer_.erase(0, total);
-    ready_.push_back(std::move(msg));
+    if (Status s = ParseHead(bytes.substr(0, head_end)); !s.ok()) return s;
+    bytes.remove_prefix(head_end + 4);
   }
+}
+
+template <typename Message>
+Status MessageParser<Message>::ParseHead(std::string_view head) {
+  const size_t line_end = head.find("\r\n");
+  const std::string_view start_line =
+      line_end == std::string_view::npos ? head : head.substr(0, line_end);
+  Message msg;
+  if (Status s = FillStartLine(msg, start_line); !s.ok()) return s;
+  const std::string_view header_block =
+      line_end == std::string_view::npos ? std::string_view{}
+                                         : head.substr(line_end + 2);
+  if (Status s = ParseHeaders(header_block, msg.headers); !s.ok()) return s;
+
+  size_t body_len = 0;
+  if (auto it = msg.headers.find("Content-Length"); it != msg.headers.end()) {
+    const auto [ptr, ec] = std::from_chars(
+        it->second.data(), it->second.data() + it->second.size(), body_len);
+    if (ec != std::errc{} || ptr != it->second.data() + it->second.size()) {
+      return InvalidArgumentError("bad Content-Length");
+    }
+    if (body_len > kMaxBodyBytes) {
+      return ResourceExhaustedError("body too large");
+    }
+  }
+  if (body_len == 0) {
+    ready_.push_back(std::move(msg));
+    return Status::Ok();
+  }
+  // Reserve what a peer has declared, up to a bound: a lying Content-Length
+  // must not buy a 64 MiB allocation before its bytes arrive.
+  constexpr size_t kMaxEagerReserve = 1024 * 1024;
+  msg.body.reserve(std::min(body_len, kMaxEagerReserve));
+  partial_ = std::move(msg);
+  body_remaining_ = body_len;
+  return Status::Ok();
+}
+
+template <typename Message>
+void MessageParser<Message>::Reset() {
+  head_.clear();
+  partial_.reset();
+  body_remaining_ = 0;
+  ready_.clear();
 }
 
 template <typename Message>

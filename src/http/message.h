@@ -5,22 +5,48 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 
 namespace nagano::http {
 
-// Case-insensitive header map (header names are case-insensitive per RFC).
-struct CaseInsensitiveLess {
-  bool operator()(const std::string& a, const std::string& b) const;
+// Header map with case-insensitive names (RFC 7230). A message carries a
+// handful of headers, so they live in one flat vector kept sorted by ASCII
+// case-folded name — the order the serializer writes them in. Lookups take
+// a string_view and fold only ASCII letters, so no locale is consulted and
+// no key string is built. Assigning through [] to a name already present
+// in any case keeps the first spelling and replaces the value (last value
+// wins). Iteration is read-only so the order cannot be broken.
+class HeaderMap {
+ public:
+  using value_type = std::pair<std::string, std::string>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  // The value for `name`, inserted empty in sorted position if absent.
+  std::string& operator[](std::string_view name);
+  // The value for `name`; throws std::out_of_range if absent.
+  const std::string& at(std::string_view name) const;
+  const_iterator find(std::string_view name) const;
+  size_t count(std::string_view name) const { return find(name) != end(); }
+  // Removes `name`; returns the number of entries removed (0 or 1).
+  size_t erase(std::string_view name);
+
+  size_t size() const { return entries_.size(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+ private:
+  // First entry whose name does not sort before `name`.
+  std::vector<value_type>::iterator LowerBound(std::string_view name);
+
+  std::vector<value_type> entries_;
 };
-using HeaderMap = std::map<std::string, std::string, CaseInsensitiveLess>;
 
 struct HttpRequest {
   std::string method;   // "GET", "POST", ...
@@ -29,8 +55,9 @@ struct HttpRequest {
   HeaderMap headers;
   std::string body;
 
-  // Path without the query string; "/day/7" for the target above.
-  std::string Path() const;
+  // Path without the query string; "/day/7" for the target above. A view
+  // into `target`, valid while the request is unchanged.
+  std::string_view Path() const;
   // Value of a query parameter, or nullopt.
   std::optional<std::string> QueryParam(std::string_view key) const;
   bool KeepAlive() const;
@@ -99,21 +126,29 @@ struct HttpResponse {
                         std::string_view extra_lines = {}) const;
 };
 
-// Incremental parser: feed bytes as they arrive; a complete message is
-// surfaced once per Feed cycle. Handles pipelined messages (leftover bytes
-// stay buffered).
+// Incremental parser: feed bytes as they arrive; complete messages queue up
+// for Next(). Handles pipelined messages. A message's head is parsed once,
+// when its blank line arrives; body bytes then go straight into the
+// message's body, which Next() hands over by move. Only an incomplete head
+// is ever buffered.
 template <typename Message>
 class MessageParser {
  public:
-  // Appends bytes. Returns an error on malformed input (the connection
+  // Consumes bytes. Returns an error on malformed input (the connection
   // should be dropped).
   Status Feed(std::string_view bytes);
 
   // Extracts the next complete message, if any.
   std::optional<Message> Next();
 
-  // Bytes currently buffered (for tests / flow control).
-  size_t buffered() const { return buffer_.size(); }
+  // Bytes held for messages not yet complete (for tests / flow control).
+  size_t buffered() const {
+    return head_.size() + (partial_ ? partial_->body.size() : 0);
+  }
+
+  // Drops every buffered byte and queued message, keeping the storage for
+  // reuse (a client reusing one parser across exchanges).
+  void Reset();
 
   // Maximum header block / body sizes; exceeding either is a parse error
   // (defense against unbounded memory growth from a bad peer).
@@ -121,9 +156,15 @@ class MessageParser {
   static constexpr size_t kMaxBodyBytes = 64 * 1024 * 1024;
 
  private:
-  Status TryParse();
+  // Consumes `bytes` from a message boundary or from inside partial_'s body.
+  Status Consume(std::string_view bytes);
+  // Parses one head (start line + headers, without the blank line) into a
+  // message that is queued, or held as partial_ until its body arrives.
+  Status ParseHead(std::string_view head);
 
-  std::string buffer_;
+  std::string head_;                // an incomplete head, across Feed calls
+  std::optional<Message> partial_;  // head parsed, body still arriving
+  size_t body_remaining_ = 0;       // bytes partial_ still needs
   std::vector<Message> ready_;
 };
 

@@ -122,6 +122,8 @@ struct HttpServer::Reactor {
   // reactor's thread so header assembly is an append of a span.
   time_t date_second = -1;
   std::string date_line;
+
+  TimeNs next_sweep = 0;  // earliest wall-clock time of the next idle sweep
 };
 
 Status HttpServer::Options::Validate() const {
@@ -313,14 +315,20 @@ void HttpServer::Stop() {
     r->listen_fd = r->epoll_fd = r->wake_fd = -1;
     r->next_robin = 0;
     r->date_second = -1;
+    r->next_sweep = 0;
   }
 }
 
 void HttpServer::ReactorLoop(Reactor& r) {
   constexpr int kMaxEvents = 64;
+  // The idle sweep scans the whole connection table, so a busy reactor runs
+  // it at this period rather than after every epoll batch; epoll_wait's
+  // timeout gives an idle reactor the same period.
+  constexpr TimeNs kSweepInterval = 100 * kMillisecond;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_relaxed)) {
-    const int n = ::epoll_wait(r.epoll_fd, events, kMaxEvents, 100);
+    const int n = ::epoll_wait(r.epoll_fd, events, kMaxEvents,
+                               static_cast<int>(kSweepInterval / kMillisecond));
     if (n < 0) {
       if (errno == EINTR) continue;
       LOG_ERROR("epoll_wait (reactor %zu): %s", r.index, std::strerror(errno));
@@ -352,7 +360,11 @@ void HttpServer::ReactorLoop(Reactor& r) {
       }
     }
     if (options_.idle_timeout > 0) {
-      SweepIdle(r, RealClock::Instance().Now());
+      const TimeNs now = RealClock::Instance().Now();
+      if (now >= r.next_sweep) {
+        SweepIdle(r, now);
+        r.next_sweep = now + kSweepInterval;
+      }
     }
   }
 }
@@ -512,6 +524,10 @@ void HttpServer::HandleReadable(Reactor& r, Connection& conn) {
         EnqueueResponse(r, conn, std::move(bad));
         break;
       }
+      // A short read drained the socket. Epoll is level-triggered, so
+      // bytes (or the peer's FIN) arriving later are reported again; a
+      // second read here would only return EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n == 0) {  // peer closed
@@ -542,10 +558,11 @@ bool HttpServer::ProcessParsedRequests(Reactor& r, Connection& conn) {
     requests_->Increment();
     r.requests->Increment();
     if (conn.served++ > 0) keepalive_reuses_->Increment();
+    const bool keep_alive = request->KeepAlive();
     HttpResponse response = context_handler_ != nullptr
                                 ? context_handler_(*request, conn.context)
                                 : handler_(*request);
-    if (!request->KeepAlive()) {
+    if (!keep_alive) {
       response.headers["Connection"] = "close";
       conn.close_after_flush = true;
     }

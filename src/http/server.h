@@ -82,9 +82,12 @@ class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
   // Context-aware variant: also receives the connection's mutable context
-  // (the streaming-proxy hook — see ConnectionContext).
+  // (the streaming-proxy hook — see ConnectionContext). The request is the
+  // handler's to consume: the server has read what it needs from it (the
+  // keep-alive decision) before the call, so a proxy may rewrite it and
+  // forward it without a copy.
   using ContextHandler =
-      std::function<HttpResponse(const HttpRequest&, ConnectionContext&)>;
+      std::function<HttpResponse(HttpRequest&, ConnectionContext&)>;
 
   struct Options : OptionsBase {
     std::string bind_address = "127.0.0.1";

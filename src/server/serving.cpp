@@ -561,7 +561,11 @@ http::HttpResponse HttpFrontEnd::HandleAdmin(std::string_view path) {
     r.reason = report.ok ? "OK" : "Service Unavailable";
     r.headers["Content-Type"] = "text/plain; charset=utf-8";
     if (report.ok) {
-      r.body = "ok\n";
+      // Probed every advisor pass: served by shared reference, so a
+      // hit-only run's body-copy count stays zero.
+      static const std::shared_ptr<const std::string> kHealthy =
+          std::make_shared<const std::string>("ok\n");
+      r.body_ref = kHealthy;
     } else {
       for (const std::string& problem : report.problems) {
         r.body += problem;
@@ -586,11 +590,14 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
     r.reason = "Method Not Allowed";
     return r;
   }
-  const std::string path = request.Path();  // Path() returns by value
+  const std::string_view path = request.Path();
   if (admin_registry_ != nullptr &&
       (path == "/metrics" || path == "/healthz" || path == "/statusz")) {
     http::HttpResponse r = HandleAdmin(path);
-    if (request.method == "HEAD") r.body.clear();
+    if (request.method == "HEAD") {
+      r.body.clear();
+      r.body_ref = nullptr;
+    }
     return r;
   }
   const TimeNs deadline =
@@ -599,7 +606,7 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
   // aliased into the cached object (the zero-copy hit path); generated
   // pages arrive moved into outcome.body either way.
   ServeOutcome outcome =
-      program_->Serve(request.Path(), /*include_body=*/false, deadline);
+      program_->Serve(path, /*include_body=*/false, deadline);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
     if (outcome.body_ref != nullptr || !outcome.body_chunks.empty()) {

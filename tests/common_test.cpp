@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -260,6 +261,41 @@ TEST(HistogramTest, PercentileWithinBucketError) {
   for (double q : {0.5, 0.9, 0.99}) {
     const double exact = values[static_cast<size_t>(q * (values.size() - 1))];
     EXPECT_NEAR(h.Percentile(q), exact, exact * 0.05) << "q=" << q;
+  }
+}
+
+// Property: across the whole covered range — sub-unit values included —
+// the reported percentile is within 2% of the exact sample percentile.
+TEST(HistogramTest, LogUniformPercentilesWithinTwoPercent) {
+  for (const uint64_t seed : {7u, 19u, 101u}) {
+    Histogram h;
+    Rng rng(seed);
+    std::vector<double> values;
+    for (int i = 0; i < 50000; ++i) {
+      const double x = std::pow(10.0, -3.0 + 9.0 * rng.NextDouble());
+      values.push_back(x);
+      h.Add(x);
+    }
+    std::sort(values.begin(), values.end());
+    // p1 and p10 sit below 1.0, where the histogram once had no octaves.
+    for (const double q : {0.01, 0.1, 0.5, 0.99}) {
+      const size_t rank =
+          static_cast<size_t>(q * static_cast<double>(values.size() - 1));
+      const double exact = values[rank];
+      EXPECT_NEAR(h.Percentile(q), exact, exact * 0.02)
+          << "seed=" << seed << " q=" << q;
+    }
+  }
+}
+
+// A sub-unit sample reads back near itself, not from a foreign octave
+// (0.085 once read back as ~1.375).
+TEST(HistogramTest, SubUnitValuesKeepTheirOctave) {
+  for (const double x : {0.085, 0.0012, 0.5, 0.999}) {
+    Histogram h;
+    h.Add(x);
+    h.Add(2.0 * x);  // keeps max() from capping the answer
+    EXPECT_NEAR(h.Percentile(0.0), x, x * 0.02) << x;
   }
 }
 

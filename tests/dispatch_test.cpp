@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -479,6 +480,46 @@ TEST(DispatcherClusterTest, RollingUpgradeServesByteIdenticalPages) {
   // The restarted backends really did leave and rejoin rotation.
   EXPECT_GE(cluster.dispatcher().stats().drains, 2u);
 
+  cluster.Stop();
+}
+
+// The zero-copy hit path holds end to end with the advisor probing: the
+// /healthz answers are served by reference too, so a cluster serving only
+// cache hits materializes no response body anywhere.
+TEST(DispatcherClusterTest, ProbedHitOnlyClusterCopiesNoBodies) {
+  const std::string wal_root = MakeWalTempDir();
+  ASSERT_FALSE(wal_root.empty());
+  metrics::MetricRegistry registry;
+  ClusterOptions options = SmallClusterOptions(wal_root);
+  options.backends = 2;
+  options.metrics.registry = &registry;
+  DispatcherCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto sum = [&registry](std::string_view name) {
+    double total = 0;
+    for (const metrics::Sample& sample : registry.Snapshot()) {
+      if (sample.name == name) total += sample.value;
+    }
+    return total;
+  };
+
+  HttpClient client("127.0.0.1", cluster.port());
+  const std::vector<std::string> pages = {"/day/1", "/event/1", "/sport/1"};
+  uint64_t reads = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    auto r = client.Get(pages[reads++ % pages.size()]);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_EQ(r.value().status, 200);
+    EXPECT_EQ(r.value().headers.at("X-Cache"), "HIT");
+  }
+  // At a 10 ms probe interval the advisor has probed each backend many
+  // times; every HTTP request beyond the proxied reads is a probe.
+  EXPECT_EQ(cluster.dispatcher().stats().probe_failures, 0u);
+  const double probes = sum("nagano_http_requests_total") - 2.0 * double(reads);
+  EXPECT_GE(probes, 10.0);
+  EXPECT_EQ(sum("nagano_http_body_copies_total"), 0.0);
   cluster.Stop();
 }
 

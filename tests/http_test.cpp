@@ -9,6 +9,7 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,6 +246,193 @@ TEST(ResponseParserTest, BadStatusRejected) {
   EXPECT_FALSE(parser.Feed("HTTP/1.1 9999 Weird\r\n\r\n").ok());
   ResponseParser parser2;
   EXPECT_FALSE(parser2.Feed("HTTP/1.1 abc Oops\r\n\r\n").ok());
+}
+
+// --- parser: split-invariance, header semantics, golden bytes -------------------
+
+// Everything a parse produced, in one comparable string.
+std::string Describe(const HttpRequest& m) {
+  std::string out = m.method + "|" + m.target + "|" + m.version + "|";
+  for (const auto& [name, value] : m.headers) out += name + "=" + value + ";";
+  return out + "|" + m.body;
+}
+
+std::string Describe(const HttpResponse& m) {
+  std::string out =
+      m.version + "|" + std::to_string(m.status) + "|" + m.reason + "|";
+  for (const auto& [name, value] : m.headers) out += name + "=" + value + ";";
+  return out + "|" + m.body;
+}
+
+// Feeds `pieces` in order and describes every message that came out.
+template <typename Parser>
+std::vector<std::string> ParsePieces(
+    const std::vector<std::string_view>& pieces) {
+  Parser parser;
+  std::vector<std::string> out;
+  for (const std::string_view piece : pieces) {
+    const Status s = parser.Feed(piece);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    while (auto m = parser.Next()) out.push_back(Describe(*m));
+  }
+  EXPECT_EQ(parser.buffered(), 0u);
+  return out;
+}
+
+// The fixture parses identically whole, byte by byte, and split in two at
+// every offset.
+template <typename Parser>
+void ExpectSplitInvariant(const std::string& wire, size_t messages) {
+  const std::vector<std::string> whole = ParsePieces<Parser>({wire});
+  ASSERT_EQ(whole.size(), messages);
+  std::vector<std::string_view> bytes;
+  for (size_t i = 0; i < wire.size(); ++i) {
+    bytes.push_back(std::string_view(wire).substr(i, 1));
+  }
+  EXPECT_EQ(ParsePieces<Parser>(bytes), whole) << "byte by byte";
+  for (size_t cut = 1; cut < wire.size(); ++cut) {
+    const std::string_view v(wire);
+    ASSERT_EQ(ParsePieces<Parser>({v.substr(0, cut), v.substr(cut)}), whole)
+        << "split at " << cut;
+  }
+}
+
+// Bigger than the 16 KiB read buffer of the server and the client, so on a
+// socket the body always spans several reads.
+const std::string& BigBody() {
+  static const std::string body = [] {
+    std::string b;
+    for (int i = 0; b.size() < 20000; ++i) {
+      b += "row " + std::to_string(i) + "\n";
+    }
+    return b;
+  }();
+  return body;
+}
+
+TEST(ParserFixtureTest, RequestsParseIdenticallyAtEverySplit) {
+  ExpectSplitInvariant<RequestParser>(
+      "GET /day/7?lang=en HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n", 1);
+  ExpectSplitInvariant<RequestParser>(
+      "POST /feed HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\n"
+      "hello world",
+      1);
+  // A pipelined pair.
+  ExpectSplitInvariant<RequestParser>(
+      "GET /a HTTP/1.1\r\nHost: x\r\n\r\n"
+      "GET /b HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+      2);
+  // A large body, then a pipelined request behind it.
+  ExpectSplitInvariant<RequestParser>(
+      "POST /bulk HTTP/1.1\r\nContent-Length: " +
+          std::to_string(BigBody().size()) + "\r\n\r\n" + BigBody() +
+          "GET /after HTTP/1.1\r\nHost: x\r\n\r\n",
+      2);
+}
+
+TEST(ParserFixtureTest, ResponsesParseIdenticallyAtEverySplit) {
+  ExpectSplitInvariant<ResponseParser>(
+      "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nX-Cache: HIT\r\n"
+      "Content-Length: 5\r\n\r\nhello",
+      1);
+  // A pipelined pair, the first without a body.
+  ExpectSplitInvariant<ResponseParser>(
+      "HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n"
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\ngone",
+      2);
+  ExpectSplitInvariant<ResponseParser>(
+      "HTTP/1.1 200 OK\r\nContent-Length: " +
+          std::to_string(BigBody().size()) + "\r\nX-Cache: HIT\r\n\r\n" +
+          BigBody(),
+      1);
+}
+
+TEST(ParserFixtureTest, RepeatedHeaderLastValueWins) {
+  RequestParser parser;
+  ASSERT_TRUE(parser
+                  .Feed("GET / HTTP/1.1\r\nX-Dup: first\r\nHost: h\r\n"
+                        "x-dup: second\r\n\r\n")
+                  .ok());
+  auto req = parser.Next();
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->headers.size(), 2u);
+  EXPECT_EQ(req->headers.at("X-Dup"), "second");
+  // The first spelling is the one kept (and later serialized).
+  EXPECT_EQ(req->headers.find("x-dup")->first, "X-Dup");
+}
+
+TEST(ParserFixtureTest, MixedCaseLookupsMatch) {
+  ResponseParser parser;
+  ASSERT_TRUE(parser
+                  .Feed("HTTP/1.1 200 OK\r\ncontent-TYPE: text/plain\r\n"
+                        "X-NAGANO-version: 7\r\nContent-Length: 0\r\n\r\n")
+                  .ok());
+  auto resp = parser.Next();
+  ASSERT_TRUE(resp.has_value());
+  for (const char* name :
+       {"Content-Type", "content-type", "CONTENT-TYPE", "cOnTeNt-TyPe"}) {
+    EXPECT_EQ(resp->headers.count(name), 1u) << name;
+    EXPECT_EQ(resp->headers.at(name), "text/plain") << name;
+  }
+  EXPECT_EQ(resp->headers.at("x-nagano-version"), "7");
+  EXPECT_EQ(resp->headers.find("X-Nagano-Versio"), resp->headers.end());
+  EXPECT_EQ(resp->headers.erase("X-NAGANO-VERSION"), 1u);
+  EXPECT_EQ(resp->headers.count("X-Nagano-Version"), 0u);
+  EXPECT_THROW(resp->headers.at("X-Nagano-Version"), std::out_of_range);
+}
+
+// Pins the serialized bytes: header order is case-insensitive name order,
+// a later differently-cased assignment keeps the first spelling, and a
+// stale Content-Length in the map gives way to the computed one. The
+// expected strings are the output of the std::map-based serializer this
+// one replaced.
+TEST(ParserFixtureTest, SerializeHeadersGoldenBytes) {
+  HttpResponse r = HttpResponse::Ok("hello");
+  r.headers["x-nagano-backend"] = "b1";
+  r.headers["X-Cache"] = "MISS";
+  r.headers["Retry-After"] = "5";
+  r.headers["X_Under"] = "u";
+  r.headers["X-CACHE"] = "HIT";
+  r.headers["Content-Length"] = "999";
+  std::string head;
+  r.SerializeHeaders(head, "Date: Thu, 06 Aug 2026 00:00:00 GMT\r\n");
+  EXPECT_EQ(head,
+            "HTTP/1.1 200 OK\r\n"
+            "Date: Thu, 06 Aug 2026 00:00:00 GMT\r\n"
+            "Content-Type: text/html\r\n"
+            "Retry-After: 5\r\n"
+            "X-Cache: HIT\r\n"
+            "x-nagano-backend: b1\r\n"
+            "X_Under: u\r\n"
+            "Content-Length: 5\r\n"
+            "\r\n");
+
+  HttpResponse cached;
+  cached.status = 503;
+  cached.reason = "Service Unavailable";
+  cached.headers["Content-Type"] = "text/plain";
+  cached.header_ref = std::make_shared<const std::string>(
+      "Content-Length: 3\r\nX-Nagano-Version: 12\r\n");
+  cached.body_ref = std::make_shared<const std::string>("abc");
+  EXPECT_EQ(cached.Serialize(),
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Length: 3\r\nX-Nagano-Version: 12\r\n"
+            "\r\nabc");
+
+  HttpRequest req;
+  req.method = "POST";
+  req.target = "/feed?x=1";
+  req.headers["Host"] = "nagano";
+  req.headers["connection"] = "close";
+  req.headers["Content-Length"] = "1";
+  req.body = "payload";
+  EXPECT_EQ(req.Serialize(),
+            "POST /feed?x=1 HTTP/1.1\r\n"
+            "connection: close\r\n"
+            "Host: nagano\r\n"
+            "Content-Length: 7\r\n"
+            "\r\npayload");
 }
 
 // Round-trip property: serialize then parse reproduces the message.
@@ -772,6 +960,50 @@ TEST(WriteStallTest, SlowClientFloodBoundedWithoutStarvingFastClients) {
             static_cast<uint64_t>(kFlooders + 20));
 
   for (int fd : flood_fds) ::close(fd);
+  server.Stop();
+}
+
+// --- idle sweep ------------------------------------------------------------------
+
+// The sweep runs on a timer, not after every epoll batch; a connection that
+// keeps the reactor busy must not keep an idle neighbour alive.
+TEST(IdleSweepTest, IdleConnectionReapedWhileReactorBusy) {
+  HttpServer::Options options;
+  options.reactors = 1;
+  options.idle_timeout = 150 * kMillisecond;
+  HttpServer server(RouteAb, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int idle_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(idle_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // Keep the one reactor busy with back-to-back requests until the sweep
+  // has reaped the silent connection.
+  HttpClient busy("127.0.0.1", server.port());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  uint64_t served = 0;
+  while (server.stats().idle_closed == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    auto resp = busy.Get("/a");
+    ASSERT_TRUE(resp.ok());
+    ++served;
+  }
+  EXPECT_EQ(server.stats().idle_closed, 1u);
+  EXPECT_GT(served, 0u);
+
+  // The server closed the idle socket: the client reads EOF.
+  char byte;
+  EXPECT_EQ(::read(idle_fd, &byte, 1), 0);
+  ::close(idle_fd);
+  // The busy connection was active throughout and is still open.
+  EXPECT_EQ(busy.connects(), 1u);
   server.Stop();
 }
 
