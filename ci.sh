@@ -8,7 +8,8 @@
 #   ./ci.sh plain      # one leg: plain | asan | tsan | chaos | durability
 #                      #          | throughput | flashcrowd | fragments
 #                      #          | sharding | dispatch
-#   ./ci.sh quick      # fast pre-push check: plain build, unit tests only
+#   ./ci.sh quick      # fast pre-push check: plain build, unit tests only,
+#                      # then the MEM residency check (memory_footprint)
 #
 # Each leg configures its own build tree (build-ci-*) so the matrices never
 # contaminate each other or the developer's ./build.
@@ -50,7 +51,12 @@ run_bench_gate() {
 
 leg_plain() { run_leg plain "" ""; }
 # Shares the plain tree: a quick run warms the cache for a later full run.
-leg_quick() { run_leg plain "" "-L unit"; }
+# The MEM bench exits non-zero if any prefetched object is not resident
+# (the cache has no replacement policy; every page must fit).
+leg_quick() {
+  run_leg plain "" "-L unit"
+  run_bench_gate quick memory_footprint "MEM residency check"
+}
 leg_asan()  { run_leg asan "address,undefined" ""; }
 # TSan halts the run on the first data race (halt_on_error) so a race can
 # never scroll by as a warning in a passing job.

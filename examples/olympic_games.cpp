@@ -122,14 +122,11 @@ int main(int argc, char** argv) {
     ++rows;
   }
 
-  const auto cache = site.cache().stats();
   const auto trigger = site.trigger_monitor().stats();
   std::printf("\ngames totals: hit rate %.2f%%, %" PRIu64
-              " pages refreshed in place, %" PRIu64
-              " invalidations, %" PRIu64 " evictions\n",
+              " pages refreshed in place, %" PRIu64 " invalidations\n",
               100.0 * site.page_server().stats().CacheHitRate(),
-              trigger.objects_updated, trigger.objects_invalidated,
-              cache.evictions);
+              trigger.objects_updated, trigger.objects_invalidated);
   std::printf("update latency: %s ms\n",
               trigger.update_latency_ms.Summary().c_str());
 

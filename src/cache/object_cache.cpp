@@ -1,7 +1,6 @@
 #include "cache/object_cache.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <iterator>
 
@@ -54,9 +53,8 @@ Status ObjectCache::Options::Validate() const {
 }
 
 ObjectCache::ObjectCache(Options options)
-    : capacity_bytes_(ValidateOrDie(options, "ObjectCache::Options")
-                          .capacity_bytes),
-      retain_stale_(options.retain_stale),
+    : retain_stale_(ValidateOrDie(options, "ObjectCache::Options")
+                        .retain_stale),
       clock_(options.clock ? options.clock : &RealClock::Instance()),
       faults_(options.faults) {
   const size_t n = options.shards;
@@ -72,8 +70,6 @@ ObjectCache::ObjectCache(Options options)
                               "entries refreshed without invalidation");
   invalidations_ =
       scope.GetCounter("nagano_cache_invalidations_total", "entries dropped");
-  evictions_ =
-      scope.GetCounter("nagano_cache_evictions_total", "LRU evictions");
   plans_patched_ = scope.GetCounter(
       "nagano_cache_plans_patched_total",
       "composition plans refreshed by fragment swap (no page re-render)");
@@ -93,13 +89,12 @@ std::shared_ptr<const CachedObject> ObjectCache::Lookup(std::string_view key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(std::string(key));
-  if (it == shard.map.end() || it->second.object->stale) {
+  if (it == shard.map.end() || it->second->stale) {
     misses_->Increment();
     return nullptr;
   }
   hits_->Increment();
-  it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.object;
+  return it->second;
 }
 
 Result<std::shared_ptr<const CachedObject>> ObjectCache::TryLookup(
@@ -117,15 +112,15 @@ std::shared_ptr<const CachedObject> ObjectCache::LookupStale(
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(std::string(key));
-  return it == shard.map.end() ? nullptr : it->second.object;
+  return it == shard.map.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const CachedObject> ObjectCache::Peek(std::string_view key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(std::string(key));
-  if (it == shard.map.end() || it->second.object->stale) return nullptr;
-  return it->second.object;
+  if (it == shard.map.end() || it->second->stale) return nullptr;
+  return it->second;
 }
 
 uint64_t ObjectCache::Put(std::string_view key, std::string body) {
@@ -151,11 +146,11 @@ uint64_t ObjectCache::Store(std::string_view key,
   auto it = shard.map.find(k);
   uint64_t version = 1;
   if (it != shard.map.end()) {
-    version = it->second.object->version + 1;
-    const size_t old_footprint = EntryFootprint(k, *it->second.object);
+    version = it->second->version + 1;
+    const size_t old_footprint = EntryFootprint(k, *it->second);
     shard.bytes -= old_footprint;
     bytes_gauge_->Add(-static_cast<double>(old_footprint));
-    if (it->second.object->stale) {
+    if (it->second->stale) {
       // Revival: the entry was logically absent, so this is an insert.
       --shard.stale;
       inserts_->Increment();
@@ -173,15 +168,9 @@ uint64_t ObjectCache::Store(std::string_view key,
   BuildEntityHeaders(*obj);
   const size_t footprint = EntryFootprint(k, *obj);
 
-  Entry& entry = shard.map[std::move(k)];
-  entry.object = std::move(obj);
-  entry.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
+  shard.map[std::move(k)] = std::move(obj);
   shard.bytes += footprint;
   bytes_gauge_->Add(static_cast<double>(footprint));
-
-  if (capacity_bytes_ != 0) {
-    EvictLocked(shard, capacity_bytes_ / shards_.size());
-  }
   return version;
 }
 
@@ -197,7 +186,7 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
     const PlanChunk& chunk = current->plan[i];
     if (!chunk.is_fragment()) continue;
     auto snapshot = Peek(chunk.fragment);
-    // A retired (invalidated/evicted) or plan-shaped fragment means the
+    // A retired (invalidated) or plan-shaped fragment means the
     // plan cannot be patched — the caller re-renders the whole page.
     if (snapshot == nullptr || snapshot->is_plan()) return 0;
     fresh[i] = std::move(snapshot);
@@ -218,7 +207,7 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
   auto it = shard.map.find(std::string(key));
   // Compare object identity: if a concurrent Put/Invalidate replaced the
   // entry since the snapshot above, that writer wins and the patch aborts.
-  if (it == shard.map.end() || it->second.object != current) return 0;
+  if (it == shard.map.end() || it->second != current) return 0;
 
   obj->version = current->version + 1;
   BuildEntityHeaders(*obj);
@@ -228,13 +217,9 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
   shard.bytes -= old_footprint;
   bytes_gauge_->Add(static_cast<double>(new_footprint) -
                     static_cast<double>(old_footprint));
-  it->second.object = std::move(obj);
-  it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
+  it->second = std::move(obj);
   updates_->Increment();
   plans_patched_->Increment();
-  if (capacity_bytes_ != 0) {
-    EvictLocked(shard, capacity_bytes_ / shards_.size());
-  }
   return current->version + 1;
 }
 
@@ -244,13 +229,13 @@ uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
   auto it = shard.map.find(std::string(key));
   // Stale-retained counts as absent: a regeneration racing the
   // invalidation must not resurrect the entry as live.
-  if (it == shard.map.end() || it->second.object->stale) return 0;
+  if (it == shard.map.end() || it->second->stale) return 0;
 
-  const size_t old_footprint = EntryFootprint(it->first, *it->second.object);
+  const size_t old_footprint = EntryFootprint(it->first, *it->second);
   shard.bytes -= old_footprint;
   auto obj = std::make_shared<CachedObject>();
   obj->body = std::move(body);
-  obj->version = it->second.object->version + 1;
+  obj->version = it->second->version + 1;
   obj->stored_at = clock_->Now();
   BuildEntityHeaders(*obj);
   const uint64_t version = obj->version;
@@ -258,35 +243,21 @@ uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
   shard.bytes += new_footprint;
   bytes_gauge_->Add(static_cast<double>(new_footprint) -
                     static_cast<double>(old_footprint));
-  it->second.object = std::move(obj);
-  it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
+  it->second = std::move(obj);
   updates_->Increment();
-
-  if (capacity_bytes_ != 0) {
-    // May evict `it` itself when the grown body blows the budget.
-    EvictLocked(shard, capacity_bytes_ / shards_.size());
-  }
   return version;
 }
 
-void ObjectCache::Pin(std::string_view key, bool pinned) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
-  if (it != shard.map.end()) it->second.pinned = pinned;
-}
-
-bool ObjectCache::InvalidateLocked(
-    Shard& shard, std::unordered_map<std::string, Entry>::iterator it) {
-  if (it->second.object->stale) return false;  // already downgraded
+bool ObjectCache::InvalidateLocked(Shard& shard, Map::iterator it) {
+  if (it->second->stale) return false;  // already downgraded
   if (retain_stale_) {
     // Downgrade to last-known-good: same body and stored_at, marked stale.
-    auto stale_copy = std::make_shared<CachedObject>(*it->second.object);
+    auto stale_copy = std::make_shared<CachedObject>(*it->second);
     stale_copy->stale = true;
-    it->second.object = std::move(stale_copy);
+    it->second = std::move(stale_copy);
     ++shard.stale;
   } else {
-    const size_t footprint = EntryFootprint(it->first, *it->second.object);
+    const size_t footprint = EntryFootprint(it->first, *it->second);
     shard.bytes -= footprint;
     bytes_gauge_->Add(-static_cast<double>(footprint));
     shard.map.erase(it);
@@ -337,35 +308,6 @@ bool ObjectCache::Contains(std::string_view key) const {
   return Peek(key) != nullptr;
 }
 
-void ObjectCache::EvictLocked(Shard& shard, size_t budget) {
-  while (shard.bytes > budget) {
-    // Smallest lru_tick among unpinned entries. Linear scan: eviction never
-    // fires in the paper configuration, so this path is cold by design.
-    auto victim = shard.map.end();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second.pinned) continue;
-      if (victim == shard.map.end() ||
-          it->second.lru_tick < victim->second.lru_tick) {
-        victim = it;
-      }
-    }
-    if (victim == shard.map.end()) return;  // everything pinned
-    const size_t footprint =
-        EntryFootprint(victim->first, *victim->second.object);
-    const bool was_stale = victim->second.object->stale;
-    shard.bytes -= footprint;
-    shard.map.erase(victim);
-    evictions_->Increment();
-    // A stale retention already left the live-entry gauge at invalidation.
-    if (was_stale) {
-      --shard.stale;
-    } else {
-      entries_gauge_->Add(-1.0);
-    }
-    bytes_gauge_->Add(-static_cast<double>(footprint));
-  }
-}
-
 CacheStats ObjectCache::stats() const {
   // Thin snapshot view over the registry cells; entries/bytes come from the
   // shard maps themselves so the legacy accessor stays exact.
@@ -375,7 +317,6 @@ CacheStats ObjectCache::stats() const {
   total.inserts = inserts_->value();
   total.updates_in_place = updates_->value();
   total.invalidations = invalidations_->value();
-  total.evictions = evictions_->value();
   total.plans_patched = plans_patched_->value();
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
@@ -397,9 +338,9 @@ ObjectCache::Snapshot() const {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
     out.reserve(out.size() + shard.map.size());
-    for (const auto& [key, entry] : shard.map) {
-      if (entry.object->stale) continue;  // consistency checks see live only
-      out.emplace_back(key, entry.object);
+    for (const auto& [key, object] : shard.map) {
+      if (object->stale) continue;  // consistency checks see live only
+      out.emplace_back(key, object);
     }
   }
   std::sort(out.begin(), out.end(),

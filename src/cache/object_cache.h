@@ -7,10 +7,9 @@
 //    locks so serving threads rarely contend.
 //  * Stale entries can be *updated in place* (the 1998 innovation) rather
 //    than invalidated, so hot pages never miss.
-//  * An LRU replacement mechanism exists but at Olympic scale every page
-//    fits in memory — "the system never had to apply a cache replacement
-//    algorithm". The eviction counter lets tests and the MEM bench assert
-//    exactly that.
+//  * No replacement policy: at Olympic scale every page fits in memory —
+//    "the system never had to apply a cache replacement algorithm". The
+//    MEM bench checks that every prefetched object stays resident.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +34,9 @@ struct CachedObject;
 // One piece of a page composition plan: either a static byte run owned by
 // the plan itself, or a reference to an independently cached fragment. A
 // fragment chunk pins the fragment's CachedObject snapshot, so the plan
-// stays serveable even if the fragment entry is replaced or evicted after
-// the plan was stored/patched. Pinned fragment snapshots are always flat
-// (never plans themselves), so bytes() is a single contiguous span.
+// stays serveable even if the fragment entry is replaced or invalidated
+// after the plan was stored/patched. Pinned fragment snapshots are always
+// flat (never plans themselves), so bytes() is a single contiguous span.
 struct PlanChunk {
   std::string text;      // static bytes (empty for fragment chunks)
   std::string fragment;  // fragment cache key (empty for static chunks)
@@ -138,7 +137,6 @@ struct CacheStats {
   uint64_t inserts = 0;
   uint64_t updates_in_place = 0;
   uint64_t invalidations = 0;
-  uint64_t evictions = 0;
   // Composition plans refreshed by PatchPlan (fragment swap without page
   // re-render) — the fragment-first DUP fast path.
   uint64_t plans_patched = 0;
@@ -156,9 +154,6 @@ class ObjectCache {
  public:
   struct Options : OptionsBase {
     size_t shards = 16;
-    // 0 = unbounded (the Olympic configuration). When bounded, Put() evicts
-    // least-recently-used unpinned entries until the new object fits.
-    size_t capacity_bytes = 0;
     // Keep invalidated entries as stale last-known-good copies instead of
     // erasing them, so degraded serving (server/serving.h) has something to
     // fall back to when regeneration fails. Stale entries are invisible to
@@ -168,8 +163,8 @@ class ObjectCache {
     // Consulted on TryLookup ({"cache", <instance>, "lookup"}). Null = off.
     fault::FaultInjector* faults = nullptr;
     // Registry + instance label for the nagano_cache_* metrics. An empty
-    // instance gets a unique auto-assigned label so two caches (fleet
-    // nodes, test fixtures) never alias each other's cells.
+    // instance gets a unique auto-assigned label so two caches (sites,
+    // test fixtures) never alias each other's cells.
     metrics::Options metrics;
 
     Status Validate() const;
@@ -198,7 +193,7 @@ class ObjectCache {
   // is retained for the key.
   std::shared_ptr<const CachedObject> LookupStale(std::string_view key) const;
 
-  // Peek without touching statistics or LRU order (used by monitoring).
+  // Peek without touching statistics (used by monitoring and the trigger).
   // Like Lookup, does not see stale-retained entries.
   std::shared_ptr<const CachedObject> Peek(std::string_view key) const;
 
@@ -214,7 +209,7 @@ class ObjectCache {
   uint64_t UpdateInPlace(std::string_view key, std::string body);
 
   // Store a composition plan (ordered static chunks + pinned fragment
-  // refs) under `key`. Same versioning and eviction semantics as Put; the
+  // refs) under `key`. Same versioning semantics as Put; the
   // entity headers are computed from the summed chunk lengths. Fragment
   // chunks must carry a non-null flat `source` snapshot.
   uint64_t PutPlan(std::string_view key, std::vector<PlanChunk> plan);
@@ -230,10 +225,6 @@ class ObjectCache {
   // fragment and patches every embedding page for the cost of a few
   // pointer swaps and an itoa.
   uint64_t PatchPlan(std::string_view key);
-
-  // Pinned entries are never evicted by the LRU (the paper's hot pages,
-  // which were "never invalidated from the cache").
-  void Pin(std::string_view key, bool pinned);
 
   // True if the key was present (and live). Under retain_stale the entry is
   // downgraded to a stale last-known-good copy instead of being erased.
@@ -252,21 +243,17 @@ class ObjectCache {
 
   // Key-sorted (key, object) snapshot across all shards. Shards are locked
   // one at a time, so the snapshot is per-shard consistent — call at
-  // quiescence for an exact image. Used by the consistency test suites and
-  // CacheFleet::AllNodesIdentical.
+  // quiescence for an exact image. Used by the consistency audits.
   std::vector<std::pair<std::string, std::shared_ptr<const CachedObject>>>
   Snapshot() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const CachedObject> object;
-    uint64_t lru_tick = 0;
-    bool pinned = false;
-  };
+  using Map =
+      std::unordered_map<std::string, std::shared_ptr<const CachedObject>>;
 
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
+    Map map;
     size_t bytes = 0;
     size_t stale = 0;  // entries currently held as stale-retained
   };
@@ -274,24 +261,18 @@ class ObjectCache {
   Shard& ShardFor(std::string_view key);
   const Shard& ShardFor(std::string_view key) const;
   // Shared insert/replace path behind Put and PutPlan: assigns the next
-  // version, stamps headers and the clock, and does the footprint/LRU
+  // version, stamps headers and the clock, and does the footprint
   // bookkeeping.
   uint64_t Store(std::string_view key, std::shared_ptr<CachedObject> obj);
-  // Evict LRU unpinned entries from `shard` until its bytes fit the
-  // per-shard budget. Caller holds the shard lock.
-  void EvictLocked(Shard& shard, size_t budget);
   // Erase or (under retain_stale) downgrade one entry. Caller holds the
   // shard lock; returns true when the entry was live before the call.
-  bool InvalidateLocked(Shard& shard,
-                        std::unordered_map<std::string, Entry>::iterator it);
+  bool InvalidateLocked(Shard& shard, Map::iterator it);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  size_t capacity_bytes_;
   bool retain_stale_;
   const Clock* clock_;
   fault::FaultInjector* faults_;
   std::string instance_;  // fault-injection site name (== metrics label)
-  std::atomic<uint64_t> lru_clock_{0};
 
   // Registry-owned cells; stats() is a thin snapshot view over them.
   // Increments happen under the owning shard's lock, so per-metric relaxed
@@ -301,7 +282,6 @@ class ObjectCache {
   metrics::Counter* inserts_;
   metrics::Counter* updates_;
   metrics::Counter* invalidations_;
-  metrics::Counter* evictions_;
   metrics::Counter* plans_patched_;
   metrics::Gauge* entries_gauge_;
   metrics::Gauge* bytes_gauge_;

@@ -73,9 +73,6 @@ struct FabricOptions : OptionsBase {
   static FabricOptions Olympic(RegionCosts costs, const Clock* clock);
 };
 
-// Old name for the options struct, kept for existing call sites.
-using FabricConfig = FabricOptions;
-
 struct RequestOutcome {
   bool served = false;
   size_t complex_index = SIZE_MAX;

@@ -106,7 +106,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
 
   cache::ObjectCache::Options cache_options;
   cache_options.shards = site->options_.cache_shards;
-  cache_options.capacity_bytes = site->options_.cache_capacity_bytes;
   cache_options.retain_stale = site->options_.retain_stale;
   cache_options.clock = site->clock_;
   cache_options.faults = site->options_.faults;
@@ -121,16 +120,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   pagegen::OlympicSite::RegisterGenerators(site->options_.olympic,
                                            site->db_.get(),
                                            site->renderer_.get());
-
-  if (site->options_.serving_nodes > 0) {
-    cache::ObjectCache::Options node_options;
-    node_options.shards = site->options_.cache_shards;
-    node_options.clock = site->clock_;
-    node_options.metrics = site_metrics;  // fleet appends "/nodeN"
-    site->fleet_ = std::make_unique<cache::CacheFleet>(
-        site->options_.serving_nodes, node_options);
-    site->options_.trigger.fleet = site->fleet_.get();
-  }
 
   db::Database* db_ptr = site->db_.get();
   site->options_.trigger.metrics = site_metrics;
@@ -154,17 +143,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   serve_options.metrics = site_metrics;
   site->page_server_ = std::make_unique<server::DynamicPageServer>(
       site->cache_.get(), site->renderer_.get(), serve_options);
-  if (site->fleet_ != nullptr) {
-    server::DynamicPageServer::Options node_serve_options = serve_options;
-    for (size_t n = 0; n < site->fleet_->size(); ++n) {
-      if (!site_metrics.instance.empty()) {
-        node_serve_options.metrics.instance =
-            site_metrics.instance + "/node" + std::to_string(n);
-      }
-      site->node_servers_.push_back(std::make_unique<server::DynamicPageServer>(
-          &site->fleet_->node(n), site->renderer_.get(), node_serve_options));
-    }
-  }
 
   return site;
 }
@@ -236,9 +214,6 @@ Result<size_t> ServingSite::PrefetchAll() {
   auto prefetch = [&](const std::string& object) -> Status {
     auto body = renderer_->RenderAndCache(object);
     if (!body.ok()) return body.status();
-    // Fleet mode: distribute the freshly composed copy to every serving
-    // node, as the SMP did to the eight UPs.
-    if (fleet_ != nullptr) fleet_->PutAll(object, body.value());
     ++cached;
     return Status::Ok();
   };
@@ -321,14 +296,6 @@ Result<size_t> ServingSite::VerifyCacheConsistency() {
   // surfaces somewhere in the sweep.
   for (const auto& [key, object] : cache_->Snapshot()) {
     if (Status s = verify_one(key, *object); !s.ok()) return s;
-  }
-  if (fleet_ != nullptr) {
-    if (!fleet_->AllNodesIdentical()) {
-      return InternalError("fleet nodes diverged");
-    }
-    for (const auto& [key, object] : fleet_->node(0).Snapshot()) {
-      if (Status s = verify_one(key, *object); !s.ok()) return s;
-    }
   }
   return checked;
 }

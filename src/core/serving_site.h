@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/fleet.h"
 #include "cache/object_cache.h"
 #include "common/clock.h"
 #include "common/fault.h"
@@ -36,11 +35,6 @@ struct SiteOptions : OptionsBase {
   trigger::TriggerOptions trigger;
   server::CostModel costs;
   size_t cache_shards = 16;
-  size_t cache_capacity_bytes = 0;  // 0 = unbounded, the paper configuration
-  // Per-node serving caches behind the composing cache (Fig. 6: eight
-  // serving UPs per SP2). 0 = single-cache mode; the trigger monitor then
-  // maintains only the composition cache.
-  size_t serving_nodes = 0;
   const Clock* clock = nullptr;     // defaults to RealClock
   // Fault injector threaded into every subsystem this site builds (db
   // commit/changes, cache lookup, trigger notify). Null = injection off.
@@ -82,7 +76,7 @@ struct SiteOptions : OptionsBase {
   // Registry + "site" label shared by every subsystem this site builds
   // (cache, trigger, renderer, serving path, ODG, database, access log).
   // An empty instance label keeps auto-assignment per subsystem, so test
-  // fixtures never alias; fleet nodes get "<instance>/nodeN".
+  // fixtures never alias.
   metrics::Options metrics;
 
   Status Validate() const;
@@ -132,11 +126,11 @@ class ServingSite {
     return last_quiesced_seqno_.load(std::memory_order_acquire);
   }
 
-  // Verifies the §6 invariant directly: every cached object (composition
-  // cache, plus every fleet node when in fleet mode) is byte-identical to a
-  // fresh render against current database state. Returns the number of
-  // objects checked, or an error naming the first stale object. Call at
-  // quiescence; concurrent feed activity makes "fresh" a moving target.
+  // Verifies the §6 invariant directly: every cached object is
+  // byte-identical to a fresh render against current database state.
+  // Returns the number of objects checked, or an error naming the first
+  // stale object. Call at quiescence; concurrent feed activity makes
+  // "fresh" a moving target.
   Result<size_t> VerifyCacheConsistency();
 
   // Prefetch (§2): render and cache every fragment then every page, so the
@@ -149,15 +143,6 @@ class ServingSite {
   server::ServeOutcome Serve(std::string_view page, bool include_body = false) {
     return page_server_->Serve(page, include_body);
   }
-
-  // Serves from a specific node's cache (fleet mode). Node misses fall
-  // back to generation exactly like the single-cache path.
-  server::ServeOutcome ServeFromNode(size_t node, std::string_view page,
-                                     bool include_body = false) {
-    return node_servers_.at(node)->Serve(page, include_body);
-  }
-  size_t serving_nodes() const { return node_servers_.size(); }
-  cache::CacheFleet* fleet() { return fleet_.get(); }
 
   // --- the scoring feed --------------------------------------------------------
   Status RecordResult(int64_t event_id, int64_t rank, int64_t athlete_id,
@@ -238,11 +223,9 @@ class ServingSite {
   std::unique_ptr<db::Database> db_;
   std::unique_ptr<odg::ObjectDependenceGraph> graph_;
   std::unique_ptr<cache::ObjectCache> cache_;
-  std::unique_ptr<cache::CacheFleet> fleet_;  // only in fleet mode
   std::unique_ptr<pagegen::PageRenderer> renderer_;
   std::unique_ptr<trigger::TriggerMonitor> trigger_;
   std::unique_ptr<server::DynamicPageServer> page_server_;
-  std::vector<std::unique_ptr<server::DynamicPageServer>> node_servers_;
 };
 
 }  // namespace nagano::core

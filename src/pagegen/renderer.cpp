@@ -288,8 +288,8 @@ Result<std::string> PageRenderer::ExtractPlan(
       plan.push_back(std::move(chunk));
       continue;
     }
-    // The fragment vanished between the resolver and here (capacity
-    // eviction) or is itself plan-shaped — inline its bytes as static text
+    // The fragment vanished between the resolver and here (a concurrent
+    // invalidation) or is itself plan-shaped — inline its bytes as static text
     // so chunk refs stay flat, single-span views.
     Result<std::string> inlined =
         source != nullptr ? Result<std::string>(source->Materialize())

@@ -519,21 +519,15 @@ ServeStats DynamicPageServer::stats() const {
 }
 
 Status FrontEndOptions::Validate() const {
-  if (Status s = http.Validate(); !s.ok()) return s;
-  if (request_deadline < 0) {
-    return InvalidArgumentError("FrontEndOptions.request_deadline must be >= 0");
-  }
-  return Status::Ok();
+  return http.Validate();
 }
 
 HttpFrontEnd::HttpFrontEnd(DynamicPageServer* program, FrontEndOptions options)
     : program_(program),
-      request_deadline_((ValidateOrDie(options, "FrontEndOptions"),
-                         options.request_deadline)),
-      clock_(options.clock ? options.clock : &RealClock::Instance()),
       server_(std::make_unique<http::HttpServer>(
           [this](const http::HttpRequest& request) { return Handle(request); },
-          std::move(options.http))) {
+          (ValidateOrDie(options, "FrontEndOptions"),
+           std::move(options.http)))) {
   assert(program_);
 }
 
@@ -600,13 +594,11 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
     }
     return r;
   }
-  const TimeNs deadline =
-      request_deadline_ > 0 ? clock_->Now() + request_deadline_ : 0;
   // include_body=false: cached sources answer with body_ref/entity_headers
   // aliased into the cached object (the zero-copy hit path); generated
-  // pages arrive moved into outcome.body either way.
-  ServeOutcome outcome =
-      program_->Serve(path, /*include_body=*/false, deadline);
+  // pages arrive moved into outcome.body either way. The per-request budget
+  // is the server's own default_deadline.
+  ServeOutcome outcome = program_->Serve(path, /*include_body=*/false);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
     if (outcome.body_ref != nullptr || !outcome.body_chunks.empty()) {

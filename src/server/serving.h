@@ -202,8 +202,7 @@ class DynamicPageServer {
 
   // Serves one page. `include_body` false lets the simulator skip the body
   // copy on its hot path. `deadline` is an absolute time on the server's
-  // clock bounding retries (0 = apply default_deadline, if any); it is the
-  // propagation target for HttpFrontEnd's per-request budget.
+  // clock bounding retries (0 = apply default_deadline, if any).
   ServeOutcome Serve(std::string_view path, bool include_body = true,
                      TimeNs deadline = 0);
 
@@ -318,11 +317,6 @@ using HealthCheck = std::function<HealthReport()>;
 
 struct FrontEndOptions : OptionsBase {
   http::HttpServer::Options http;
-  // Per-request serving budget, propagated as an absolute deadline into
-  // DynamicPageServer::Serve (bounding its retry schedule). 0 = unbounded.
-  TimeNs request_deadline = 0;
-  // Clock the deadline is computed against. nullptr = RealClock.
-  const Clock* clock = nullptr;
 
   Status Validate() const;
 };
@@ -359,8 +353,6 @@ class HttpFrontEnd {
   http::HttpResponse HandleAdmin(std::string_view path);
 
   DynamicPageServer* program_;
-  TimeNs request_deadline_;
-  const Clock* clock_;
   metrics::MetricRegistry* admin_registry_ = nullptr;  // null = admin off
   HealthCheck health_;
   std::unique_ptr<http::HttpServer> server_;

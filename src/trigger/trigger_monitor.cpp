@@ -367,25 +367,17 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
 
   auto regenerate = [&](const odg::AffectedObject& obj) -> Outcome {
     const std::string name(graph_->name(obj.id));
-    // Only refresh objects that are actually cached somewhere; uncached
-    // pages will be generated (with fresh data) on their next request.
-    const bool in_fleet =
-        options_.fleet != nullptr && options_.fleet->ContainsAnywhere(name);
-    if (!cache_->Contains(name) && !in_fleet) return Outcome::kSkipped;
+    // Only refresh objects that are actually cached; uncached pages will
+    // be generated (with fresh data) on their next request.
+    const auto cached = cache_->Peek(name);
+    if (cached == nullptr) return Outcome::kSkipped;
 
     // Fragment-first fast path: the level barrier already refreshed every
     // fragment this page embeds, so the plan just re-pins them and
     // recomputes its entity headers — no generator run, ~zero fanout bytes.
-    if (const auto cached = cache_->Peek(name);
-        cached != nullptr && cached->is_plan() &&
-        plan_patchable(obj, *cached) && cache_->PatchPlan(name) != 0) {
+    if (cached->is_plan() && plan_patchable(obj, *cached) &&
+        cache_->PatchPlan(name) != 0) {
       patched.fetch_add(1, std::memory_order_relaxed);
-      // Fleet nodes hold flat copies; distribution materializes once.
-      if (options_.fleet != nullptr) {
-        if (const auto fresh = cache_->Peek(name)) {
-          options_.fleet->PutAll(name, fresh->Materialize());
-        }
-      }
       propagation_latency_ms_->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
       return Outcome::kUpdated;
@@ -395,10 +387,6 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     auto body = renderer_->RenderAndCache(name);
     if (!body.ok()) return Outcome::kFailed;
     bytes_rerendered.fetch_add(body.value().size(), std::memory_order_relaxed);
-    // Fig. 6 distribution: push the fresh copy to every serving node.
-    if (options_.fleet != nullptr) {
-      options_.fleet->PutAll(name, body.value());
-    }
     // The fresh body is now what readers see: stamp commit -> cache-visible.
     propagation_latency_ms_->Observe(
         std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
@@ -471,7 +459,6 @@ void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
       propagation_latency_ms_->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
     }
-    if (options_.fleet != nullptr) options_.fleet->InvalidateAll(name);
   }
   objects_invalidated_->Increment(invalidated);
 }
@@ -491,10 +478,7 @@ void TriggerMonitor::ApplyConservative(
   }
   std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-  for (const auto& p : prefixes) {
-    invalidated += cache_->InvalidatePrefix(p);
-    if (options_.fleet != nullptr) options_.fleet->InvalidatePrefixAll(p);
-  }
+  for (const auto& p : prefixes) invalidated += cache_->InvalidatePrefix(p);
   objects_invalidated_->Increment(invalidated);
   fanout_->Observe(static_cast<double>(invalidated));
 }

@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/fleet.h"
 #include "cache/object_cache.h"
 #include "common/clock.h"
 #include "common/fault.h"
@@ -86,12 +85,6 @@ struct TriggerOptions : OptionsBase {
   // kConservative1996: table name -> cache-key prefixes to bulk-invalidate
   // when any row of that table changes. Empty map = invalidate everything.
   std::map<std::string, std::vector<std::string>> conservative_prefixes;
-
-  // Optional per-node serving caches (Fig. 6: the trigger monitor
-  // "distributed updated pages to each of the eight UP's"). When set,
-  // update-in-place pushes each regenerated body to every fleet node and
-  // invalidations propagate fleet-wide. Not owned.
-  cache::CacheFleet* fleet = nullptr;
 
   // Clock for batching latencies and propagation stamps. nullptr =
   // RealClock.

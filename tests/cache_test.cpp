@@ -130,39 +130,10 @@ TEST(CacheTest, UnboundedNeverEvicts) {
   for (int i = 0; i < 5000; ++i) {
     cache.Put("/p" + std::to_string(i), std::string(100, 'x'));
   }
-  EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(cache.size(), 5000u);
-}
-
-TEST(CacheTest, BoundedEvictsLru) {
-  ObjectCache::Options options;
-  options.shards = 1;  // deterministic shard budget
-  options.capacity_bytes = 2000;
-  ObjectCache cache(options);
-  cache.Put("/a", std::string(500, 'x'));
-  cache.Put("/b", std::string(500, 'x'));
-  cache.Put("/c", std::string(500, 'x'));
-  // Touch /a so /b is the least recently used.
-  cache.Lookup("/a");
-  cache.Put("/d", std::string(500, 'x'));  // must evict
-  EXPECT_GT(cache.stats().evictions, 0u);
-  EXPECT_LE(cache.bytes(), 2000u);
-  EXPECT_TRUE(cache.Contains("/d"));
-  EXPECT_TRUE(cache.Contains("/a"));   // recently used: survived
-  EXPECT_FALSE(cache.Contains("/b"));  // LRU victim
-}
-
-TEST(CacheTest, PinnedSurvivesEviction) {
-  ObjectCache::Options options;
-  options.shards = 1;
-  options.capacity_bytes = 1500;
-  ObjectCache cache(options);
-  cache.Put("/hot", std::string(500, 'x'));
-  cache.Pin("/hot", true);
-  for (int i = 0; i < 10; ++i) {
-    cache.Put("/cold" + std::to_string(i), std::string(500, 'x'));
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_TRUE(cache.Contains("/p" + std::to_string(i))) << i;
   }
-  EXPECT_TRUE(cache.Contains("/hot"));
 }
 
 TEST(CacheTest, StoredAtUsesClock) {

@@ -142,19 +142,20 @@ TEST(HitRateComparisonTest, DupInvalidateBetween) {
   EXPECT_GE(inval, rate96);
 }
 
-TEST(ServingSiteTest, NoEvictionsAtFullScale) {
+TEST(ServingSiteTest, PrefetchedObjectsStayResident) {
   // "All dynamic pages could be cached in memory without overflow ...
   // the system never had to apply a cache replacement algorithm."
   auto site_or = ServingSite::Create(SmallSite(trigger::CachePolicy::kDupUpdateInPlace));
   ASSERT_TRUE(site_or.ok());
   auto& site = *site_or.value();
-  ASSERT_TRUE(site.PrefetchAll().ok());
+  const auto prefetched = site.PrefetchAll();
+  ASSERT_TRUE(prefetched.ok());
   site.StartTrigger();
   workload::ResultFeed feed(&site.db(), workload::FeedOptions{}, 3);
   ASSERT_TRUE(feed.RunDay(1).ok());
   site.Quiesce();
   site.StopTrigger();
-  EXPECT_EQ(site.cache().stats().evictions, 0u);
+  EXPECT_EQ(site.cache().size(), prefetched.value());
 }
 
 // Full stack: ServingSite behind the epoll HTTP server, driven by a real

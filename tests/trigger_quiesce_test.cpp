@@ -18,7 +18,7 @@
 namespace nagano::core {
 namespace {
 
-SiteOptions SmallSite(size_t worker_threads, size_t serving_nodes = 0) {
+SiteOptions SmallSite(size_t worker_threads) {
   SiteOptions options;
   options.olympic.days = 4;
   options.olympic.num_sports = 3;
@@ -28,7 +28,6 @@ SiteOptions SmallSite(size_t worker_threads, size_t serving_nodes = 0) {
   options.olympic.initial_news_articles = 5;
   options.trigger.policy = trigger::CachePolicy::kDupUpdateInPlace;
   options.trigger.worker_threads = worker_threads;
-  options.serving_nodes = serving_nodes;
   return options;
 }
 
@@ -49,9 +48,8 @@ struct FeedDayOutcome {
 // Replays the deterministic day-1 feed (seed 42) against a fresh site and
 // verifies the §6 invariant at quiescence. Returns nullopt after recording
 // a test failure.
-std::optional<FeedDayOutcome> RunFeedDay(size_t worker_threads,
-                                         size_t serving_nodes = 0) {
-  auto site_or = ServingSite::Create(SmallSite(worker_threads, serving_nodes));
+std::optional<FeedDayOutcome> RunFeedDay(size_t worker_threads) {
+  auto site_or = ServingSite::Create(SmallSite(worker_threads));
   if (!site_or.ok()) {
     ADD_FAILURE() << site_or.status().ToString();
     return std::nullopt;
@@ -123,14 +121,6 @@ TEST(QuiesceDeterminismTest, FinalCacheContentsByteIdenticalAcrossWorkerCounts) 
   EXPECT_EQ(one->entries, eight->entries);
   EXPECT_EQ(one->content_digest, two->content_digest);
   EXPECT_EQ(one->content_digest, eight->content_digest);
-}
-
-TEST(QuiesceFleetTest, FleetNodesStayIdenticalUnderParallelUpdates) {
-  // Fleet mode at 8 workers: concurrent PutAll distribution from multiple
-  // render workers must leave every serving node byte-identical.
-  const auto outcome = RunFeedDay(/*worker_threads=*/8, /*serving_nodes=*/3);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_GT(outcome->objects_updated, 0u);
 }
 
 }  // namespace

@@ -201,6 +201,29 @@ TEST_F(TriggerTest, UncachedPagesNotRegenerated) {
 
   EXPECT_FALSE(cache_.Contains("/event/1"));
   EXPECT_EQ(monitor->stats().objects_updated, 0u);
+  EXPECT_GT(monitor->stats().objects_skipped, 0u);
+}
+
+TEST_F(TriggerTest, InvalidatedPageSkippedNotStored) {
+  // The "is it cached?" check: an affected page that was dropped from the
+  // cache counts as skipped and is never stored back by the trigger, while
+  // the cached pages around it are still refreshed.
+  Prefetch();
+  TriggerOptions options;
+  options.policy = CachePolicy::kDupUpdateInPlace;
+  auto monitor = MakeMonitor(options);
+  ASSERT_TRUE(cache_.Invalidate("/event/1"));
+
+  monitor->Start();
+  ASSERT_EQ(monitor->stats().objects_skipped, 0u);
+  ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 99.0).ok());
+  monitor->Quiesce();
+  monitor->Stop();
+
+  const auto stats = monitor->stats();
+  EXPECT_GE(stats.objects_skipped, 1u);
+  EXPECT_GT(stats.objects_updated, 0u);
+  EXPECT_EQ(cache_.Peek("/event/1"), nullptr);
 }
 
 TEST_F(TriggerTest, ParallelWorkersProduceSameResult) {
