@@ -68,7 +68,6 @@ int RunQuickRealGate() {
   options.backends = 3;
   options.wal_root = wal_tmpl;
   options.dispatch.probe_interval = 10 * kMillisecond;
-  options.dispatch.connect_timeout = 200 * kMillisecond;
   options.dispatch.drain_grace = 50 * kMillisecond;
   options.metrics.instance = "bench";
 

@@ -120,17 +120,21 @@ leg_sharding() {
     run_leg tsan "thread" "-L sharding"
   run_bench_gate sharding recovery_time "parallel-recovery quick gate" --quick
 }
-# Dispatch leg: the dispatcher-tier suites (weighted P2C routing, advisor
-# health, drain, failover, rolling upgrade) raced under TSan — the proxy
-# path is multi-reactor epoll plus an advisor thread folding live EWMAs,
-# so a race there misroutes traffic. Then the AVAIL bench's quick gate on
-# a plain tree: a live dispatcher + 3 real-TCP backends must hold >= 99%
-# availability through a hard kill and a rolling upgrade, with the clean
-# drain losing zero requests (writes BENCH_dispatch.json). Shares the tsan
-# and plain trees.
+# Dispatch leg: the dispatcher-tier suites (connection handoff, weighted
+# P2C routing, advisor health, drain, failover, rolling upgrade) raced
+# under TSan — accept threads hand sockets to backend reactors while the
+# advisor thread folds probe EWMAs, so a race there misroutes traffic. Then
+# the same suites under ASan/UBSan: a socket handed to a server that
+# KillBackend then destroys is a use-after-free TSan does not reliably
+# catch. Then the AVAIL bench's quick gate on a plain tree: a live
+# dispatcher + 3 real-TCP backends must hold >= 99% availability through a
+# hard kill and a rolling upgrade, with the clean drain losing zero
+# requests (writes BENCH_dispatch.json). Shares the tsan, asan and plain
+# trees.
 leg_dispatch() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L dispatch"
+  run_leg asan "address,undefined" "-L dispatch"
   run_bench_gate dispatch failover_availability \
     "real-TCP availability quick gate" --quick
 }

@@ -7,9 +7,10 @@
 //   1. Start the cluster; feed a few scoring results to every backend.
 //   2. Capture reference page bytes through the dispatcher.
 //   3. Under continuous keep-alive load, rolling-restart each backend:
-//      announce via /healthz (the advisor steers away), drain cleanly at
-//      the front tier, warm-restart from the WAL on the same port, catch
-//      up, reinstate.
+//      announce via /healthz (the advisor steers away), drain its
+//      connections cleanly (each closes after its next response and the
+//      client reconnects to another backend), warm-restart from the WAL on
+//      the same port, catch up, reinstate.
 //   4. Report: every request served, every byte identical, N restarts.
 //
 // Run: build/examples/dispatch_cluster
@@ -128,9 +129,11 @@ int main() {
 
   std::printf("\nbackends after the upgrade:\n");
   for (const auto& b : cluster.dispatcher().snapshots()) {
-    std::printf("  %-4s weight=%.3f requests=%llu errors=%llu\n",
+    std::printf("  %-4s weight=%.3f connections routed=%llu open=%llu "
+                "failed handoffs=%llu\n",
                 b.name.c_str(), b.weight,
                 static_cast<unsigned long long>(b.requests),
+                static_cast<unsigned long long>(b.connections),
                 static_cast<unsigned long long>(b.errors));
   }
 

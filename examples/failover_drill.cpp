@@ -18,8 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "cluster/fabric.h"
 #include "cluster/net.h"
@@ -72,7 +72,9 @@ fault::FaultRule Window(const char* site, const char* operation,
 // --- the real-TCP drill ------------------------------------------------------
 
 // 120 one-shot requests through the live dispatcher; same line format as
-// the sim Probe (per-target counts, FAILED, worst response).
+// the sim Probe (per-target counts, FAILED, worst response). Where they
+// landed is the change in each backend's routed-connection count: every
+// one-shot request is one connection.
 struct RealTotals {
   uint64_t requests = 0;
   uint64_t failed = 0;
@@ -80,7 +82,8 @@ struct RealTotals {
 
 void ProbeReal(dispatch::DispatcherCluster& cluster, const char* stage,
                RealTotals& totals) {
-  std::map<std::string, uint64_t> by_backend;
+  const std::vector<dispatch::BackendSnapshot> before =
+      cluster.dispatcher().snapshots();
   uint64_t failed = 0;
   double worst_ms = 0;
   for (int i = 0; i < 120; ++i) {
@@ -96,13 +99,16 @@ void ProbeReal(dispatch::DispatcherCluster& cluster, const char* stage,
       ++totals.failed;
       continue;
     }
-    ++by_backend[r.value().headers.at("X-Nagano-Backend")];
     worst_ms = std::max(worst_ms, ms);
   }
+  const std::vector<dispatch::BackendSnapshot> after =
+      cluster.dispatcher().snapshots();
   std::printf("%-44s", stage);
-  for (const auto& [name, count] : by_backend) {
-    std::printf(" %s:%llu", name.c_str(),
-                static_cast<unsigned long long>(count));
+  for (size_t b = 0; b < after.size(); ++b) {
+    const uint64_t routed = after[b].requests - before[b].requests;
+    if (routed == 0) continue;
+    std::printf(" %s:%llu", after[b].name.c_str(),
+                static_cast<unsigned long long>(routed));
   }
   if (failed > 0) std::printf(" FAILED:%llu", (unsigned long long)failed);
   std::printf("  (worst %.0f ms)\n", worst_ms);
@@ -125,7 +131,6 @@ int RunReal() {
   options.backends = 3;
   options.wal_root = wal_tmpl;
   options.dispatch.probe_interval = 10 * kMillisecond;
-  options.dispatch.connect_timeout = 200 * kMillisecond;
   options.dispatch.drain_grace = 50 * kMillisecond;
   options.metrics.instance = "drill";
 
@@ -140,7 +145,6 @@ int RunReal() {
   RealTotals totals;
   ProbeReal(cluster, "all healthy", totals);
 
-  (void)cluster.dispatcher().snapshots();
   if (Status s = cluster.KillBackend(0); !s.ok()) {
     std::fprintf(stderr, "kill failed: %s\n", s.ToString().c_str());
     return 1;
@@ -161,9 +165,9 @@ int RunReal() {
   ProbeReal(cluster, "everything recovered", totals);
 
   const dispatch::DispatcherStats stats = cluster.dispatcher().stats();
-  std::printf("\ndispatcher: %llu proxied, %llu failovers, %llu drains, "
-              "%llu probe failures\n",
-              static_cast<unsigned long long>(stats.requests),
+  std::printf("\ndispatcher: %llu connections routed, %llu failovers, "
+              "%llu drains, %llu probe failures\n",
+              static_cast<unsigned long long>(stats.connections),
               static_cast<unsigned long long>(stats.failovers),
               static_cast<unsigned long long>(stats.drains),
               static_cast<unsigned long long>(stats.probe_failures));

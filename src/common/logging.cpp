@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -8,7 +7,7 @@
 namespace nagano {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kMinLevel = LogLevel::kWarn;
 std::mutex g_mutex;
 
 const char* Basename(const char* path) {
@@ -29,12 +28,9 @@ char LevelChar(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
 void LogV(LogLevel level, const char* file, int line, const char* fmt,
           va_list args) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+  if (level < kMinLevel) return;
   char body[1024];
   std::vsnprintf(body, sizeof(body), fmt, args);
   std::lock_guard<std::mutex> lock(g_mutex);
@@ -43,7 +39,7 @@ void LogV(LogLevel level, const char* file, int line, const char* fmt,
 }
 
 void Log(LogLevel level, const char* file, int line, const char* fmt, ...) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+  if (level < kMinLevel) return;
   va_list args;
   va_start(args, fmt);
   LogV(level, file, line, fmt, args);

@@ -1,5 +1,5 @@
 // Minimal leveled logger. Printf-style, single global sink, mutex-guarded.
-// Benches set the level to kWarn so measurement loops stay quiet.
+// Messages below kWarn are dropped, so measurement loops stay quiet.
 #pragma once
 
 #include <cstdarg>
@@ -7,9 +7,6 @@
 namespace nagano {
 
 enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kOff };
-
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Core entry point; prefer the LOG_* macros below.
 void LogV(LogLevel level, const char* file, int line, const char* fmt,

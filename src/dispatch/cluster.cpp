@@ -98,13 +98,14 @@ Status DispatcherCluster::Start() {
   std::vector<BackendAddress> addresses;
   addresses.reserve(nodes_.size());
   for (const auto& node : nodes_) {
-    addresses.push_back({"127.0.0.1", node->port, node->name});
+    addresses.push_back(
+        {"127.0.0.1", node->port, node->name, &node->front->server()});
   }
   DispatcherOptions dispatch_options = options_.dispatch;
   dispatch_options.faults = options_.faults;
   dispatch_options.metrics.registry = registry_;
   dispatch_options.metrics.instance = instance_;
-  dispatch_options.http.reactors = options_.front_reactors;
+  dispatch_options.accept_threads = options_.front_reactors;
   dispatcher_ =
       std::make_unique<Dispatcher>(std::move(addresses), dispatch_options);
   if (Status s = dispatcher_->Start(); !s.ok()) return s;
@@ -150,9 +151,11 @@ void DispatcherCluster::QuiesceAll() {
 Status DispatcherCluster::KillBackend(size_t i) {
   if (i >= nodes_.size()) return InvalidArgumentError("no such backend");
   Node& node = *nodes_[i];
-  if (node.site == nullptr || node.front == nullptr) {
-    return FailedPreconditionError(node.name + " is already down");
+  if (!started_ || node.site == nullptr || node.front == nullptr) {
+    return FailedPreconditionError(node.name + " is not serving");
   }
+  // No handoff may reach the server once it is destroyed.
+  if (Status s = dispatcher_->Detach(i); !s.ok()) return s;
   node.front->Stop();
   node.front.reset();
   node.site->StopTrigger();
@@ -168,6 +171,9 @@ Status DispatcherCluster::ReviveBackend(size_t i) {
     return FailedPreconditionError(node.name + " is not down");
   }
   if (Status s = StartNode(node, /*warm=*/true); !s.ok()) return s;
+  if (Status s = dispatcher_->Attach(i, &node.front->server()); !s.ok()) {
+    return s;
+  }
   if (Status s = dispatcher_->Reinstate(i); !s.ok()) return s;
   return dispatcher_->WaitHealthy(i, 5 * kSecond);
 }
@@ -185,17 +191,19 @@ Status DispatcherCluster::RollingRestart(size_t i) {
   std::this_thread::sleep_for(
       std::chrono::nanoseconds(2 * options_.dispatch.probe_interval));
 
-  // 2. Clean drain at the front tier — pinned keep-alive connections finish
-  //    their in-flight requests; none are aborted.
+  // 2. Clean drain — every connection handed to the node closes after its
+  //    next response (or once idle) and reconnects elsewhere; none fails.
   if (Status s = dispatcher_->Drain(i); !s.ok()) {
     node.site->SetDraining(false);
     (void)dispatcher_->Reinstate(i);
     return s;
   }
 
-  // 3. Take the node down. The WAL handle closes with the site's pipeline
+  // 3. Take the node down, detached first so no handoff reaches the
+  //    destroyed server. The WAL handle closes with the site's pipeline
   //    stopped, leaving a clean (or deliberately torn, under fault
   //    injection) log for recovery.
+  if (Status s = dispatcher_->Detach(i); !s.ok()) return s;
   node.site->StopTrigger();
   node.front->Stop();
   node.front.reset();
@@ -209,6 +217,9 @@ Status DispatcherCluster::RollingRestart(size_t i) {
   }
 
   // 5. Back into rotation.
+  if (Status s = dispatcher_->Attach(i, &node.front->server()); !s.ok()) {
+    return s;
+  }
   if (Status s = dispatcher_->Reinstate(i); !s.ok()) return s;
   if (Status s = dispatcher_->WaitHealthy(i, 5 * kSecond); !s.ok()) return s;
   ++restarts_;

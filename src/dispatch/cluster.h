@@ -7,10 +7,13 @@
 // Dispatcher in front, SP2 frames behind — and the harness the rolling-
 // upgrade drill runs on: RollingRestart(i) announces the drain through the
 // backend's own /healthz (ServingSite::SetDraining -> the advisor steers
-// new connections away), drains the front tier cleanly (zero aborted
-// in-flight requests), warm-restarts the backend from its WAL on the same
+// new connections away), drains the backend's connections cleanly (zero
+// failed requests), warm-restarts the backend from its WAL on the same
 // port, waits for catch-up, and reinstates it — while the other backends
-// keep answering every request.
+// keep answering every request. The dispatcher hands each client
+// connection to a backend's HTTP server in-process, so the harness
+// detaches a node's server from the dispatcher before destroying it and
+// attaches the new one when the node comes back.
 //
 // Feed discipline: there is no replication tree between the backends; the
 // harness itself fans each scoring commit out to every node
@@ -45,10 +48,10 @@ struct ClusterOptions : OptionsBase {
   // Root for the per-backend WAL directories: <wal_root>/b<k>. Required —
   // warm restart recovers each node from its own log.
   std::string wal_root;
-  // Reactors for the dispatcher front end (backends run one reactor each).
+  // Accept threads for the dispatcher (backends run one reactor each).
   size_t front_reactors = 1;
-  // Dispatcher knobs (probe cadence, drain grace, failover budget...). The
-  // http options and backend list are filled in by the harness.
+  // Dispatcher knobs (probe cadence, drain grace...). The accept threads
+  // and backend list are filled in by the harness.
   DispatcherOptions dispatch;
   // Injector shared by the dispatcher tier and every backend pipeline.
   fault::FaultInjector* faults = nullptr;
@@ -89,21 +92,23 @@ class DispatcherCluster {
 
   // The rolling-upgrade step for one backend:
   //   1. SetDraining(true): its /healthz fails, the advisor steers away.
-  //   2. Dispatcher::Drain(i): pinned connections finish, zero aborts.
-  //   3. Stop the front end and pipeline; note the WAL watermark.
+  //   2. Dispatcher::Drain(i): its connections close after their next
+  //      response or once idle; clients reconnect elsewhere, zero fail.
+  //   3. Detach it from the dispatcher; stop the front end and pipeline.
   //   4. ServingSite::WarmRestart from the WAL, catch up to the watermark,
   //      prefetch, restart the trigger; HTTP front end back on the same
   //      port.
-  //   5. Dispatcher::Reinstate(i) + WaitHealthy.
+  //   5. Dispatcher::Attach + Reinstate(i) + WaitHealthy.
   Status RollingRestart(size_t i);
 
-  // Crash simulation: stop the backend's front end and pipeline with NO
-  // drain — in-flight proxied requests fail over, the dispatcher discovers
-  // the death through its probes (and connection errors) the way it would
-  // a real crash.
+  // Crash simulation: detach the backend and stop its front end and
+  // pipeline with NO drain — its client connections are closed and the
+  // clients' stale-socket retry reconnects through the dispatcher to a
+  // live backend; the advisor's probes see the death the way they would a
+  // real crash.
   Status KillBackend(size_t i);
-  // Warm-restarts a killed backend from its WAL (same port) and reinstates
-  // it with the dispatcher; blocks until it is routable again.
+  // Warm-restarts a killed backend from its WAL (same port), attaches and
+  // reinstates it with the dispatcher; blocks until it is routable again.
   Status ReviveBackend(size_t i);
 
   uint64_t restarts() const { return restarts_; }

@@ -113,8 +113,6 @@ Result<HttpResponse> HttpClient::RoundtripOnce(const HttpRequest& request) {
   if (Status s = EnsureConnected(); !s.ok()) return s;
 
   const std::string wire = request.Serialize();
-  last_sent_ = 0;
-  last_received_ = 0;
   size_t sent = 0;
   while (sent < wire.size()) {
     const ssize_t n = ::write(fd_, wire.data() + sent, wire.size() - sent);
@@ -129,7 +127,6 @@ Result<HttpResponse> HttpClient::RoundtripOnce(const HttpRequest& request) {
     }
     sent += static_cast<size_t>(n);
   }
-  last_sent_ = sent;
 
   parser_.Reset();  // bytes left from an earlier exchange answer nothing
   char buf[16 * 1024];
@@ -152,7 +149,6 @@ Result<HttpResponse> HttpClient::RoundtripOnce(const HttpRequest& request) {
       Close();
       return UnavailableError("connection closed mid-response");
     }
-    last_received_ += static_cast<size_t>(n);
     if (Status s = parser_.Feed(std::string_view(buf, size_t(n))); !s.ok()) {
       Close();
       return s;

@@ -1,8 +1,7 @@
 // Blocking HTTP/1.1 client with keep-alive connection reuse, used by tests,
-// examples, the live-server bench driver — and, per connection, by the
-// dispatcher tier's backend pool and advisor prober, which is why reuse is
-// observable (connects()/reuses()) and why every socket operation can carry
-// a timeout: a proxy must never let a wedged backend hold it hostage.
+// examples, the benches and the dispatcher's advisor prober. Reuse is
+// observable (connects()/reuses()), and every socket operation can carry a
+// timeout: the advisor must never let a wedged backend hold it hostage.
 #pragma once
 
 #include <cstdint>
@@ -63,9 +62,6 @@ class HttpClient {
   uint64_t connects() const { return connects_; }
   uint64_t reuses() const { return reuses_; }
   uint64_t stale_reconnects() const { return stale_reconnects_; }
-  // Wire bytes of the last completed Roundtrip (request out / response in).
-  size_t last_sent_bytes() const { return last_sent_; }
-  size_t last_received_bytes() const { return last_received_; }
 
  private:
   Status EnsureConnected();
@@ -81,8 +77,6 @@ class HttpClient {
   uint64_t connects_ = 0;
   uint64_t reuses_ = 0;
   uint64_t stale_reconnects_ = 0;
-  size_t last_sent_ = 0;
-  size_t last_received_ = 0;
 };
 
 }  // namespace nagano::http

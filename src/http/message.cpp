@@ -105,8 +105,8 @@ std::vector<HeaderMap::value_type>::iterator HeaderMap::LowerBound(
 
 std::string& HeaderMap::operator[](std::string_view name) {
   // Headers arrive one at a time (a parsed head's lines, a handler's
-  // Content-Type then X-Cache, a proxy's routing header): start with room
-  // for a typical set instead of regrowing per header.
+  // Content-Type then X-Cache): start with room for a typical set instead
+  // of regrowing per header.
   constexpr size_t kTypicalHeaders = 8;
   if (entries_.capacity() == 0) entries_.reserve(kTypicalHeaders);
   auto it = LowerBound(name);

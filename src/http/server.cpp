@@ -39,39 +39,33 @@ struct OutChunk {
   size_t size() const { return ref != nullptr ? ref->size() : owned.size(); }
 };
 
-int CreateListener(const std::string& bind_address, uint16_t port, int backlog,
-                   bool reuse_port, uint16_t* bound_port, Status* status) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    *status = InternalError(std::string("socket: ") + std::strerror(errno));
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    ::close(fd);
-    *status = UnavailableError(std::string("SO_REUSEPORT: ") +
-                               std::strerror(errno));
-    return -1;
-  }
+}  // namespace
+
+Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
+                   bool reuse_port, uint16_t* bound_port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    *status = InvalidArgumentError("bad bind address " + bind_address);
-    return -1;
+    return InvalidArgumentError("bad bind address " + bind_address);
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    *status = UnavailableError(std::string("bind: ") + std::strerror(errno));
-    return -1;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return InternalError(std::string("socket: ") + std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const char* failed = nullptr;
+  if (reuse_port &&
+      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    failed = "SO_REUSEPORT";
+  } else if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    failed = "bind";
+  } else if (::listen(fd, backlog) < 0) {
+    failed = "listen";
   }
-  if (::listen(fd, backlog) < 0) {
+  if (failed != nullptr) {
+    const std::string why = std::string(failed) + ": " + std::strerror(errno);
     ::close(fd);
-    *status = InternalError(std::string("listen: ") + std::strerror(errno));
-    return -1;
+    return UnavailableError(why);
   }
   socklen_t len = sizeof(addr);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
@@ -79,8 +73,6 @@ int CreateListener(const std::string& bind_address, uint16_t port, int backlog,
   SetNonBlocking(fd);
   return fd;
 }
-
-}  // namespace
 
 struct HttpServer::Connection {
   int fd = -1;
@@ -91,7 +83,7 @@ struct HttpServer::Connection {
   size_t front_offset = 0;
   uint64_t served = 0;       // requests answered on this connection
   TimeNs last_activity = 0;  // wall clock; drives the idle sweep
-  ConnectionContext context;  // handler-visible per-connection state
+  bool adopted = false;      // arrived through Adopt(), not a listener
   size_t pending = 0;        // queued output bytes not yet written
   bool close_after_flush = false;
   bool want_write = false;
@@ -112,10 +104,17 @@ struct HttpServer::Reactor {
   std::thread thread;
   std::unordered_map<int, Connection> connections;
 
-  // Round-robin handoff: reactor 0 pushes accepted fds here and kicks
-  // wake_fd; the owning reactor adopts them on its next loop turn.
+  // Handoff queue: reactor 0 (round-robin mode) and Adopt() push accepted
+  // fds here and kick wake_fd; the owning reactor takes them on its next
+  // loop turn. `open` (under the mutex) is true from Start() until Stop()
+  // has closed the queue, so no fd can be pushed after that.
+  struct Handoff {
+    int fd;
+    bool adopted;
+  };
   std::mutex handoff_mutex;
-  std::vector<int> handoff;
+  std::vector<Handoff> handoff;
+  bool open = false;
   size_t next_robin = 0;  // reactor 0's round-robin cursor
 
   // 1-second-granularity cached "Date: ...\r\n" line, private to this
@@ -191,11 +190,6 @@ HttpServer::HttpServer(Handler handler, Options options)
   }
 }
 
-HttpServer::HttpServer(ContextHandler handler, Options options)
-    : HttpServer(Handler(), std::move(options)) {
-  context_handler_ = std::move(handler);
-}
-
 HttpServer::~HttpServer() { Stop(); }
 
 size_t HttpServer::reactors() const { return reactors_.size(); }
@@ -205,18 +199,17 @@ Status HttpServer::StartReusePort() {
   // the same port, and the kernel spreads incoming connections across them.
   uint16_t port = options_.port;
   for (auto& r : reactors_) {
-    Status st;
     uint16_t bound = 0;
-    const int fd = CreateListener(options_.bind_address, port, options_.backlog,
-                                  /*reuse_port=*/true, &bound, &st);
-    if (fd < 0) {
+    Result<int> fd = Listen(options_.bind_address, port, options_.backlog,
+                            /*reuse_port=*/true, &bound);
+    if (!fd.ok()) {
       for (auto& prev : reactors_) {
         if (prev->listen_fd >= 0) ::close(prev->listen_fd);
         prev->listen_fd = -1;
       }
-      return st;
+      return fd.status();
     }
-    r->listen_fd = fd;
+    r->listen_fd = fd.value();
     if (r->index == 0) port = bound;
   }
   port_ = port;
@@ -224,13 +217,11 @@ Status HttpServer::StartReusePort() {
 }
 
 Status HttpServer::StartRoundRobin() {
-  Status st;
   uint16_t bound = 0;
-  const int fd = CreateListener(options_.bind_address, options_.port,
-                                options_.backlog, /*reuse_port=*/false, &bound,
-                                &st);
-  if (fd < 0) return st;
-  reactors_[0]->listen_fd = fd;
+  Result<int> fd = Listen(options_.bind_address, options_.port,
+                          options_.backlog, /*reuse_port=*/false, &bound);
+  if (!fd.ok()) return fd.status();
+  reactors_[0]->listen_fd = fd.value();
   port_ = bound;
   return Status::Ok();
 }
@@ -239,6 +230,7 @@ Status HttpServer::Start() {
   if (running_.exchange(true)) {
     return FailedPreconditionError("server already running");
   }
+  EndDrain();
 
   Status st;
   const AcceptMode want = options_.accept_mode;
@@ -280,6 +272,8 @@ Status HttpServer::Start() {
   for (auto& r : reactors_) {
     Reactor* rp = r.get();
     r->thread = std::thread([this, rp] { ReactorLoop(*rp); });
+    std::lock_guard<std::mutex> lock(r->handoff_mutex);
+    r->open = true;
   }
   return Status::Ok();
 }
@@ -299,13 +293,18 @@ void HttpServer::Stop() {
     for (auto& [fd, conn] : r->connections) {
       ::close(fd);
       connections_closed_->Increment();
+      if (conn.adopted) adopted_open_.fetch_sub(1, std::memory_order_acq_rel);
     }
     r->connections.clear();
     {
+      // Closing the queue under its lock: an Adopt() either got its fd in
+      // before this (closed here) or sees `open` false and keeps its fd.
       std::lock_guard<std::mutex> lock(r->handoff_mutex);
-      for (int fd : r->handoff) {
-        ::close(fd);
+      r->open = false;
+      for (const Reactor::Handoff& h : r->handoff) {
+        ::close(h.fd);
         connections_closed_->Increment();
+        if (h.adopted) adopted_open_.fetch_sub(1, std::memory_order_acq_rel);
       }
       r->handoff.clear();
     }
@@ -359,7 +358,7 @@ void HttpServer::ReactorLoop(Reactor& r) {
         HandleWritable(r, it->second);
       }
     }
-    if (options_.idle_timeout > 0) {
+    if (options_.idle_timeout > 0 || draining()) {
       const TimeNs now = RealClock::Instance().Now();
       if (now >= r.next_sweep) {
         SweepIdle(r, now);
@@ -370,10 +369,14 @@ void HttpServer::ReactorLoop(Reactor& r) {
 }
 
 void HttpServer::SweepIdle(Reactor& r, TimeNs now) {
+  // Drain mode tightens the bound to its idle grace.
+  TimeNs limit = options_.idle_timeout;
+  const TimeNs drain = drain_idle_.load(std::memory_order_relaxed);
+  if (drain >= 0 && (limit == 0 || drain < limit)) limit = drain;
   // Collect first: CloseConnection mutates the table.
   std::vector<int> victims;
   for (const auto& [fd, conn] : r.connections) {
-    if (now - conn.last_activity >= options_.idle_timeout) {
+    if (now - conn.last_activity >= limit) {
       victims.push_back(fd);
     }
   }
@@ -408,11 +411,11 @@ void HttpServer::AcceptNew(Reactor& r, int listen_fd) {
     }
     connections_->Increment();
     if (&target == &r) {
-      AdoptConnection(r, fd);
+      AdoptConnection(r, fd, /*adopted=*/false);
     } else {
       {
         std::lock_guard<std::mutex> lock(target.handoff_mutex);
-        target.handoff.push_back(fd);
+        target.handoff.push_back({fd, /*adopted=*/false});
       }
       const uint64_t one = 1;
       [[maybe_unused]] ssize_t n = ::write(target.wake_fd, &one, sizeof(one));
@@ -420,16 +423,35 @@ void HttpServer::AcceptNew(Reactor& r, int listen_fd) {
   }
 }
 
-void HttpServer::AdoptConnection(Reactor& r, int fd) {
-  static std::atomic<uint64_t> next_connection_id{1};
+Status HttpServer::Adopt(int fd) {
+  Reactor& r = *reactors_[adopt_cursor_.fetch_add(1, std::memory_order_relaxed) %
+                          reactors_.size()];
+  std::lock_guard<std::mutex> lock(r.handoff_mutex);
+  if (!r.open) return UnavailableError("server is not running");
+  if (!SetNonBlocking(fd)) {
+    return InvalidArgumentError(std::string("adopt: ") + std::strerror(errno));
+  }
+  connections_->Increment();
+  adopted_open_.fetch_add(1, std::memory_order_acq_rel);
+  r.handoff.push_back({fd, /*adopted=*/true});
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(r.wake_fd, &one, sizeof(one));
+  return Status::Ok();
+}
+
+void HttpServer::BeginDrain(TimeNs idle_grace) {
+  drain_idle_.store(std::max<TimeNs>(0, idle_grace), std::memory_order_relaxed);
+}
+
+void HttpServer::EndDrain() { drain_idle_.store(-1, std::memory_order_relaxed); }
+
+void HttpServer::AdoptConnection(Reactor& r, int fd, bool adopted) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   Connection& conn = r.connections[fd];
   conn.fd = fd;
   conn.last_activity = RealClock::Instance().Now();
-  conn.context.reactor = r.index;
-  conn.context.connection_id =
-      next_connection_id.fetch_add(1, std::memory_order_relaxed);
+  conn.adopted = adopted;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
@@ -437,12 +459,12 @@ void HttpServer::AdoptConnection(Reactor& r, int fd) {
 }
 
 void HttpServer::DrainHandoff(Reactor& r) {
-  std::vector<int> adopted;
+  std::vector<Reactor::Handoff> taken;
   {
     std::lock_guard<std::mutex> lock(r.handoff_mutex);
-    adopted.swap(r.handoff);
+    taken.swap(r.handoff);
   }
-  for (int fd : adopted) AdoptConnection(r, fd);
+  for (const Reactor::Handoff& h : taken) AdoptConnection(r, h.fd, h.adopted);
 }
 
 const std::string& HttpServer::DateLine(Reactor& r) {
@@ -558,11 +580,8 @@ bool HttpServer::ProcessParsedRequests(Reactor& r, Connection& conn) {
     requests_->Increment();
     r.requests->Increment();
     if (conn.served++ > 0) keepalive_reuses_->Increment();
-    const bool keep_alive = request->KeepAlive();
-    HttpResponse response = context_handler_ != nullptr
-                                ? context_handler_(*request, conn.context)
-                                : handler_(*request);
-    if (!keep_alive) {
+    HttpResponse response = handler_(*request);
+    if (!request->KeepAlive() || draining()) {
       response.headers["Connection"] = "close";
       conn.close_after_flush = true;
     }
@@ -669,7 +688,13 @@ void HttpServer::HandleWritable(Reactor& r, Connection& conn) {
 void HttpServer::CloseConnection(Reactor& r, int fd) {
   ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  if (r.connections.erase(fd) != 0) connections_closed_->Increment();
+  auto it = r.connections.find(fd);
+  if (it == r.connections.end()) return;
+  if (it->second.adopted) {
+    adopted_open_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  r.connections.erase(it);
+  connections_closed_->Increment();
 }
 
 ServerStats HttpServer::stats() const {

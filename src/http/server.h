@@ -64,30 +64,14 @@ enum class AcceptMode : uint8_t {
   kRoundRobin,
 };
 
-// Per-connection state a context-aware handler can read and mutate. The
-// context lives exactly as long as the connection and is only ever touched
-// from the owning reactor's thread, so a handler can keep per-connection
-// state in it without locks. The dispatcher tier pins its backend lease
-// (and the lease's keep-alive backend socket) in `user`, which is how
-// per-connection backend affinity survives across keep-alive requests.
-struct ConnectionContext {
-  size_t reactor = 0;        // index of the owning reactor
-  uint64_t connection_id = 0;  // process-unique, assigned at accept
-  // Handler-owned slot, released when the connection closes (on the
-  // reactor thread during normal closes, on the stopping thread at Stop()).
-  std::shared_ptr<void> user;
-};
+// A non-blocking TCP listen socket on bind_address:port (port 0 = kernel-
+// assigned; *bound_port receives the port actually bound).
+Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
+                   bool reuse_port, uint16_t* bound_port);
 
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
-  // Context-aware variant: also receives the connection's mutable context
-  // (the streaming-proxy hook — see ConnectionContext). The request is the
-  // handler's to consume: the server has read what it needs from it (the
-  // keep-alive decision) before the call, so a proxy may rewrite it and
-  // forward it without a copy.
-  using ContextHandler =
-      std::function<HttpResponse(HttpRequest&, ConnectionContext&)>;
 
   struct Options : OptionsBase {
     std::string bind_address = "127.0.0.1";
@@ -127,9 +111,6 @@ class HttpServer {
 
   explicit HttpServer(Handler handler) : HttpServer(std::move(handler), Options()) {}
   HttpServer(Handler handler, Options options);
-  explicit HttpServer(ContextHandler handler)
-      : HttpServer(std::move(handler), Options()) {}
-  HttpServer(ContextHandler handler, Options options);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -141,6 +122,30 @@ class HttpServer {
   // Closes the listeners and every connection, joins all reactors.
   // Idempotent.
   void Stop();
+
+  // Takes over a client socket that was accepted elsewhere (the dispatcher
+  // tier routes connections this way) and serves it exactly like one of
+  // its own, on the next reactor in round-robin order. It counts in
+  // connections_accepted. On success the server owns the fd; while the
+  // server is not running it returns Unavailable and the fd stays the
+  // caller's to close. Safe to call from any thread, concurrently with
+  // Stop().
+  Status Adopt(int fd);
+  // Adopted connections still open: handed in, not yet closed by either
+  // side.
+  size_t adopted_connections() const {
+    return adopted_open_.load(std::memory_order_acquire);
+  }
+
+  // Drain mode, for a server leaving rotation: from now on every response
+  // carries "Connection: close", and a connection idle for `idle_grace`
+  // is closed, so clients reconnect (elsewhere) without losing a request.
+  // EndDrain() returns to normal keep-alive serving; Start() also does.
+  void BeginDrain(TimeNs idle_grace);
+  void EndDrain();
+  bool draining() const {
+    return drain_idle_.load(std::memory_order_relaxed) >= 0;
+  }
 
   // The bound port (valid after Start()).
   uint16_t port() const { return port_; }
@@ -161,7 +166,7 @@ class HttpServer {
   Status StartRoundRobin();
   void ReactorLoop(Reactor& r);
   void AcceptNew(Reactor& r, int listen_fd);
-  void AdoptConnection(Reactor& r, int fd);
+  void AdoptConnection(Reactor& r, int fd, bool adopted);
   void DrainHandoff(Reactor& r);
   void HandleReadable(Reactor& r, Connection& conn);
   // Answers every fully parsed request queued on the connection, stopping
@@ -180,13 +185,16 @@ class HttpServer {
   const std::string& DateLine(Reactor& r);
 
   Handler handler_;
-  ContextHandler context_handler_;  // exactly one of the two handlers is set
   Options options_;
   std::string instance_;  // metrics label (reactor sites derive from it)
   uint16_t port_ = 0;
   AcceptMode resolved_mode_ = AcceptMode::kRoundRobin;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::atomic<bool> running_{false};
+  std::atomic<size_t> adopt_cursor_{0};   // Adopt()'s round-robin cursor
+  std::atomic<size_t> adopted_open_{0};
+  // Drain mode's idle grace; -1 while not draining.
+  std::atomic<TimeNs> drain_idle_{-1};
 
   // Server-wide counters are registry cells (lock-free increments from any
   // reactor), so the stats() accessor needs no lock.

@@ -341,6 +341,9 @@ class HttpFrontEnd {
   Status Start();
   void Stop();
   uint16_t port() const { return server_->port(); }
+  // The HTTP server itself, for in-process connection handoff
+  // (HttpServer::Adopt) from the dispatcher tier.
+  http::HttpServer& server() { return *server_; }
   http::ServerStats http_stats() const { return server_->stats(); }
   // Per-reactor request totals — the load-balance view (see
   // HttpServer::reactor_requests).

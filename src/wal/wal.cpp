@@ -213,14 +213,6 @@ std::string Decoder::GetString() {
 
 // --- options ----------------------------------------------------------------
 
-std::string_view SyncPolicyName(SyncPolicy policy) {
-  switch (policy) {
-    case SyncPolicy::kPerCommit: return "per-commit";
-    case SyncPolicy::kGroupCommit: return "group-commit";
-  }
-  return "?";
-}
-
 Status WalOptions::Validate() const {
   if (dir.empty()) return InvalidArgumentError("WalOptions: dir is empty");
   if (segment_bytes < kMagicLen + kFrameHeader) {

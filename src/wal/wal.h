@@ -109,8 +109,6 @@ enum class SyncPolicy : uint8_t {
                  // lose the unsynced tail but never tears committed frames
 };
 
-std::string_view SyncPolicyName(SyncPolicy policy);
-
 struct WalOptions : OptionsBase {
   std::string dir;                      // created if absent
   size_t segment_bytes = 4 * 1024 * 1024;

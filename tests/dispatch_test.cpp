@@ -1,6 +1,6 @@
-// Real-socket dispatcher tier (ISSUE 9): weighted routing, advisor health,
-// failover, connection draining, and the rolling-upgrade drill — all over
-// live TCP, wall-clock time, no sim.
+// Real-socket dispatcher tier: connection handoff, weighted routing, advisor
+// health, connection-level failover, draining, and the rolling-upgrade
+// drill — all over live TCP, wall-clock time, no sim.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -35,30 +35,38 @@ std::string MakeWalTempDir() {
   return dir == nullptr ? std::string() : std::string(dir);
 }
 
-// A raw echo-ish backend: /healthz answers 200 fast; every other path
-// answers with the backend's name (and optionally an artificial service
-// delay, the knob the weighted-balance test turns).
+// A raw echo-ish backend: every path answers with the backend's name
+// ("hello from <name>"), /healthz with "ok"; both after an optional
+// artificial service delay, the knob the weighted-balance test turns.
 class FakeBackend {
  public:
   explicit FakeBackend(std::string name, TimeNs delay = 0)
       : name_(std::move(name)), delay_(delay) {
     server_ = std::make_unique<HttpServer>([this](const HttpRequest& request) {
-      if (request.Path() == "/healthz") {
-        return HttpResponse::Ok("ok\n", "text/plain");
-      }
       if (delay_ > 0) {
         std::this_thread::sleep_for(std::chrono::nanoseconds(delay_));
       }
+      if (request.Path() == "/healthz") {
+        return HttpResponse::Ok("ok\n", "text/plain");
+      }
       served_.fetch_add(1, std::memory_order_relaxed);
-      return HttpResponse::Ok("hello from " + name_ + "\n", "text/plain");
+      return HttpResponse::Ok(Greeting(name_), "text/plain");
     });
+  }
+
+  static std::string Greeting(const std::string& name) {
+    return "hello from " + name + "\n";
   }
 
   void Start() { ASSERT_TRUE(server_->Start().ok()); }
   void Stop() { server_->Stop(); }
   uint16_t port() const { return server_->port(); }
+  HttpServer* server() { return server_.get(); }
   uint64_t served() const { return served_.load(std::memory_order_relaxed); }
   const std::string& name() const { return name_; }
+  BackendAddress address() {
+    return {"127.0.0.1", port(), name_, server_.get()};
+  }
 
  private:
   std::string name_;
@@ -67,82 +75,118 @@ class FakeBackend {
   std::unique_ptr<HttpServer> server_;
 };
 
+// The backend that answered, read from the FakeBackend body.
+std::string AnsweredBy(const HttpResponse& response) {
+  const std::string prefix = "hello from ";
+  if (response.body.rfind(prefix, 0) != 0) return "";
+  std::string name = response.body.substr(prefix.size());
+  if (!name.empty() && name.back() == '\n') name.pop_back();
+  return name;
+}
+
 DispatcherOptions FastProbeOptions() {
   DispatcherOptions options;
   options.probe_interval = 10 * kMillisecond;
   options.probe_timeout = 200 * kMillisecond;
-  options.connect_timeout = 200 * kMillisecond;
-  options.io_timeout = 1 * kSecond;
   options.drain_grace = 50 * kMillisecond;
   return options;
 }
 
-TEST(DispatcherTest, ProxiesAndPinsKeepAliveConnections) {
+TEST(DispatcherTest, HandsOffAndServesKeepAliveConnectionsDirectly) {
   FakeBackend a("alpha"), b("beta");
   a.Start();
   b.Start();
 
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "alpha"},
-                         {"127.0.0.1", b.port(), "beta"}},
-                        FastProbeOptions());
+  Dispatcher dispatcher({a.address(), b.address()}, FastProbeOptions());
   ASSERT_TRUE(dispatcher.Start().ok());
 
   HttpClient client("127.0.0.1", dispatcher.port());
-  std::string pinned_backend;
+  std::string serving_backend;
   for (int i = 0; i < 20; ++i) {
     auto r = client.Get("/page");
     ASSERT_TRUE(r.ok()) << r.status().message();
     EXPECT_EQ(r.value().status, 200);
-    const std::string backend = r.value().headers.at("X-Nagano-Backend");
-    if (pinned_backend.empty()) pinned_backend = backend;
-    // Per-connection affinity: every request on this keep-alive connection
-    // rides the same backend.
-    EXPECT_EQ(backend, pinned_backend);
+    const std::string backend = AnsweredBy(r.value());
+    if (serving_backend.empty()) serving_backend = backend;
+    // The connection belongs to one backend for its whole life.
+    EXPECT_EQ(backend, serving_backend);
   }
-  // ... over one backend-side connection (the lease's pooled client).
+  EXPECT_EQ(client.connects(), 1u);
   EXPECT_EQ(a.served() + b.served(), 20u);
 
-  DispatcherStats stats = dispatcher.stats();
-  EXPECT_GE(stats.requests, 20u);
-  EXPECT_EQ(stats.proxy_errors, 0u);
-  EXPECT_GT(stats.bytes_from_backends, 0u);
+  // One client connection accepted and routed; the backend adopted it and
+  // answered all twenty requests on it.
+  EXPECT_EQ(dispatcher.stats().connections, 1u);
+  EXPECT_EQ(dispatcher.stats().failovers, 0u);
+  const size_t index = serving_backend == "alpha" ? 0 : 1;
+  FakeBackend& owner = index == 0 ? a : b;
+  EXPECT_EQ(dispatcher.snapshot(index).requests, 1u);
+  EXPECT_EQ(dispatcher.snapshot(index).connections, 1u);
+  EXPECT_EQ(dispatcher.snapshot(1 - index).requests, 0u);
+  EXPECT_EQ(owner.server()->adopted_connections(), 1u);
 
   dispatcher.Stop();
   a.Stop();
   b.Stop();
 }
 
-TEST(DispatcherTest, DispatchzReportsBackends) {
+TEST(DispatcherTest, SnapshotsAndRegistryReportBackends) {
+  metrics::MetricRegistry registry;
   FakeBackend a("alpha");
   a.Start();
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "alpha"}},
-                        FastProbeOptions());
+  DispatcherOptions options = FastProbeOptions();
+  options.metrics.registry = &registry;
+  options.metrics.instance = "frontS";
+  Dispatcher dispatcher({a.address()}, options);
   ASSERT_TRUE(dispatcher.Start().ok());
-  auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/dispatchz");
+  auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/page");
   ASSERT_TRUE(r.ok());
-  EXPECT_NE(r.value().body.find("alpha"), std::string::npos);
-  EXPECT_NE(r.value().body.find("state=up"), std::string::npos);
+  EXPECT_EQ(AnsweredBy(r.value()), "alpha");
+
+  const std::vector<BackendSnapshot> snaps = dispatcher.snapshots();
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_EQ(snaps[0].name, "alpha");
+  EXPECT_EQ(snaps[0].port, a.port());
+  EXPECT_EQ(snaps[0].state, BackendState::kUp);
+  EXPECT_TRUE(snaps[0].healthy);
+  EXPECT_GT(snaps[0].weight, 0.0);
+  EXPECT_EQ(snaps[0].requests, 1u);
+
+  // The same per-backend state as registry cells.
+  double weight = -1, routed = -1;
+  for (const metrics::Sample& sample : registry.Snapshot()) {
+    bool alpha = false;
+    for (const auto& [key, value] : sample.labels) {
+      if (key == "backend" && value == "alpha") alpha = true;
+    }
+    if (!alpha) continue;
+    if (sample.name == "nagano_dispatch_backend_weight") weight = sample.value;
+    if (sample.name == "nagano_dispatch_backend_requests_total") {
+      routed = sample.value;
+    }
+  }
+  EXPECT_GT(weight, 0.0);
+  EXPECT_EQ(routed, 1.0);
   dispatcher.Stop();
   a.Stop();
 }
 
 TEST(DispatcherTest, WeightedBalanceConvergesOnAdvisorWeights) {
-  // One backend is an order of magnitude slower per request; the advisor's
-  // latency EWMA must push its weight — and its traffic share — down.
+  // One backend is an order of magnitude slower per request, /healthz
+  // included: the advisor's probe latency EWMA must push its weight — and
+  // its traffic share — down.
   FakeBackend fast1("fast1"), fast2("fast2");
   FakeBackend slow("slow", /*delay=*/4 * kMillisecond);
   fast1.Start();
   fast2.Start();
   slow.Start();
 
-  Dispatcher dispatcher({{"127.0.0.1", fast1.port(), "fast1"},
-                         {"127.0.0.1", fast2.port(), "fast2"},
-                         {"127.0.0.1", slow.port(), "slow"}},
+  Dispatcher dispatcher({fast1.address(), fast2.address(), slow.address()},
                         FastProbeOptions());
   ASSERT_TRUE(dispatcher.Start().ok());
 
-  // Short-lived connections: each request re-picks, so the traffic split
-  // tracks the weights rather than old pins.
+  // Short-lived connections: each request is a new connection and a new
+  // pick, so the traffic split tracks the weights.
   for (int i = 0; i < 300; ++i) {
     auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/page");
     ASSERT_TRUE(r.ok()) << r.status().message();
@@ -157,7 +201,7 @@ TEST(DispatcherTest, WeightedBalanceConvergesOnAdvisorWeights) {
   EXPECT_LT(sl.weight, f2.weight);
   EXPECT_GT(sl.latency_ewma_ms, f1.latency_ewma_ms);
   // ...and the weighted power-of-two-choices followed: each fast backend
-  // carried more traffic than the slow one.
+  // carried more connections than the slow one.
   EXPECT_GT(f1.requests, sl.requests);
   EXPECT_GT(f2.requests, sl.requests);
   EXPECT_EQ(f1.requests + f2.requests + sl.requests, 300u);
@@ -174,9 +218,7 @@ TEST(DispatcherTest, KilledBackendReroutesWithinProbeInterval) {
   b.Start();
   c.Start();
 
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "a"},
-                         {"127.0.0.1", b.port(), "b"},
-                         {"127.0.0.1", c.port(), "c"}},
+  Dispatcher dispatcher({a.address(), b.address(), c.address()},
                         FastProbeOptions());
   ASSERT_TRUE(dispatcher.Start().ok());
 
@@ -199,7 +241,7 @@ TEST(DispatcherTest, KilledBackendReroutesWithinProbeInterval) {
   }
 
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  a.Stop();  // hard kill mid-load: connections die, new connects are refused
+  a.Stop();  // hard kill mid-load: connections die, handoffs are refused
 
   // The advisor must eject the dead backend within ~one probe interval.
   const auto eject_deadline =
@@ -217,10 +259,10 @@ TEST(DispatcherTest, KilledBackendReroutesWithinProbeInterval) {
   const double total = double(ok.load() + failed.load());
   ASSERT_GT(total, 0.0);
   const double availability = double(ok.load()) / total;
-  // Request-level failover retries a failed proxy attempt on a live
-  // backend, so clients ride through the kill: >= 99% end-to-end.
+  // A client whose connection died retries once on a fresh one, which the
+  // dispatcher hands to a live backend: >= 99% end-to-end.
   EXPECT_GE(availability, 0.99) << "ok=" << ok << " failed=" << failed;
-  // The killed backend's pinned clients were rerouted, not stranded.
+  // The killed backend's clients were rerouted, not stranded.
   EXPECT_GT(dispatcher.snapshot(1).requests + dispatcher.snapshot(2).requests,
             0u);
 
@@ -229,15 +271,95 @@ TEST(DispatcherTest, KilledBackendReroutesWithinProbeInterval) {
   c.Stop();
 }
 
+TEST(DispatcherTest, HandoffToStoppedBackendFailsOverToLiveOne) {
+  FakeBackend a("alpha"), b("beta");
+  a.Start();
+  b.Start();
+  DispatcherOptions options = FastProbeOptions();
+  // The advisor stays asleep: only the failed handoff can reveal the death.
+  options.probe_interval = 60 * kSecond;
+  Dispatcher dispatcher({a.address(), b.address()}, options);
+  ASSERT_TRUE(dispatcher.Start().ok());
+  ASSERT_TRUE(dispatcher.snapshot(0).healthy);
+  a.Stop();
+
+  // Until alpha is picked once, every connection might land there.
+  for (int i = 0; i < 64 && dispatcher.stats().failovers == 0; ++i) {
+    auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/page");
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    ASSERT_EQ(r.value().status, 200);
+    EXPECT_EQ(AnsweredBy(r.value()), "beta");
+  }
+  EXPECT_EQ(dispatcher.stats().failovers, 1u);
+  EXPECT_EQ(dispatcher.stats().no_backend, 0u);
+  const BackendSnapshot alpha = dispatcher.snapshot(0);
+  EXPECT_FALSE(alpha.healthy);
+  EXPECT_EQ(alpha.errors, 1u);
+  EXPECT_EQ(alpha.requests, 0u);
+
+  dispatcher.Stop();
+  b.Stop();
+}
+
+TEST(DispatcherTest, DrainClosesKeepAliveConnectionAfterNextResponse) {
+  FakeBackend a("alpha"), b("beta");
+  a.Start();
+  b.Start();
+  DispatcherOptions options = FastProbeOptions();
+  // Long enough that the idle sweep never beats the client's next request.
+  options.drain_grace = 5 * kSecond;
+  Dispatcher dispatcher({a.address(), b.address()}, options);
+  ASSERT_TRUE(dispatcher.Start().ok());
+
+  HttpClient client("127.0.0.1", dispatcher.port());
+  auto first = client.Get("/page");
+  ASSERT_TRUE(first.ok());
+  const std::string home = AnsweredBy(first.value());
+  const size_t index = home == "alpha" ? 0 : 1;
+  FakeBackend& drained = index == 0 ? a : b;
+
+  Status drain_status = Status::Ok();
+  std::thread drainer([&] { drain_status = dispatcher.Drain(index); });
+  ASSERT_TRUE(drainer.joinable());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!drained.server()->draining() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(drained.server()->draining());
+
+  // The next response still comes from the draining backend, and tells the
+  // client to close...
+  auto last = client.Get("/page");
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(AnsweredBy(last.value()), home);
+  EXPECT_EQ(last.value().headers.at("Connection"), "close");
+  // ...so the one after reconnects through the dispatcher to the other.
+  auto moved = client.Get("/page");
+  ASSERT_TRUE(moved.ok()) << moved.status().message();
+  EXPECT_EQ(moved.value().status, 200);
+  EXPECT_NE(AnsweredBy(moved.value()), home);
+  EXPECT_EQ(client.stale_reconnects(), 0u);
+
+  drainer.join();
+  EXPECT_TRUE(drain_status.ok()) << drain_status.message();
+  EXPECT_EQ(dispatcher.snapshot(index).state, BackendState::kOut);
+  EXPECT_EQ(dispatcher.snapshot(index).connections, 0u);
+  EXPECT_EQ(dispatcher.stats().failovers, 0u);
+
+  dispatcher.Stop();
+  a.Stop();
+  b.Stop();
+}
+
 TEST(DispatcherTest, DrainCompletesWithZeroAbortedRequests) {
   FakeBackend a("a"), b("b"), c("c");
   a.Start();
   b.Start();
   c.Start();
 
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "a"},
-                         {"127.0.0.1", b.port(), "b"},
-                         {"127.0.0.1", c.port(), "c"}},
+  Dispatcher dispatcher({a.address(), b.address(), c.address()},
                         FastProbeOptions());
   ASSERT_TRUE(dispatcher.Start().ok());
 
@@ -261,19 +383,22 @@ TEST(DispatcherTest, DrainCompletesWithZeroAbortedRequests) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ASSERT_TRUE(dispatcher.Drain(0).ok());
   EXPECT_EQ(dispatcher.snapshot(0).state, BackendState::kOut);
-  EXPECT_EQ(dispatcher.snapshot(0).inflight, 0u);
+  EXPECT_EQ(dispatcher.snapshot(0).connections, 0u);
 
   // Traffic continues on the survivors; the drained backend gets none.
   const uint64_t drained_requests = dispatcher.snapshot(0).requests;
+  const uint64_t drained_served = a.served();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(dispatcher.snapshot(0).requests, drained_requests);
+  EXPECT_EQ(a.served(), drained_served);
 
   // And back: reinstate rejoins within a probe cycle. The long-lived
-  // clients stay validly pinned to the survivors (affinity is the point),
-  // so drive fresh connections — those re-enter the weighted pick and
-  // reach the reinstated backend.
+  // clients stay on the survivors (a connection keeps its backend), so
+  // drive fresh connections — those re-enter the weighted pick and reach
+  // the reinstated backend.
   ASSERT_TRUE(dispatcher.Reinstate(0).ok());
   ASSERT_TRUE(dispatcher.WaitHealthy(0, 2 * kSecond).ok());
+  EXPECT_FALSE(a.server()->draining());
   for (int i = 0; i < 60; ++i) {
     auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/page");
     ASSERT_TRUE(r.ok());
@@ -294,17 +419,17 @@ TEST(DispatcherTest, DrainCompletesWithZeroAbortedRequests) {
   c.Stop();
 }
 
-TEST(DispatcherTest, FaultSitesKillProxyAndProbePaths) {
+TEST(DispatcherTest, FaultSitesKillHandoffAndProbePaths) {
   metrics::MetricRegistry registry;
   fault::FaultPlan plan;
-  // One proxy-read kill against alpha: the response is discarded after the
-  // backend answered; the request must fail over and still succeed.
-  fault::FaultRule read_kill;
-  read_kill.subsystem = "dispatch";
-  read_kill.site = "frontA/alpha";
-  read_kill.operation = "proxy_read";
-  read_kill.max_fires = 1;
-  plan.rules.push_back(read_kill);
+  // One failed handoff to alpha: the connection must go to beta and the
+  // client must not notice.
+  fault::FaultRule handoff_kill;
+  handoff_kill.subsystem = "dispatch";
+  handoff_kill.site = "frontA/alpha";
+  handoff_kill.operation = "handoff";
+  handoff_kill.max_fires = 1;
+  plan.rules.push_back(handoff_kill);
   // A dropped advisor probe (one shot, counted, no lasting harm).
   fault::FaultRule probe_kill;
   probe_kill.subsystem = "dispatch";
@@ -324,9 +449,7 @@ TEST(DispatcherTest, FaultSitesKillProxyAndProbePaths) {
   options.faults = &faults;
   options.metrics.registry = &registry;
   options.metrics.instance = "frontA";
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "alpha"},
-                         {"127.0.0.1", b.port(), "beta"}},
-                        options);
+  Dispatcher dispatcher({a.address(), b.address()}, options);
   ASSERT_TRUE(dispatcher.Start().ok());
 
   uint64_t succeeded = 0;
@@ -335,10 +458,11 @@ TEST(DispatcherTest, FaultSitesKillProxyAndProbePaths) {
     if (r.ok() && r.value().status == 200) ++succeeded;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  // Every request survived: the proxy-read kill triggered a failover, not
-  // a client-visible error.
+  // Every request survived: the handoff kill triggered a failover, not a
+  // client-visible error.
   EXPECT_EQ(succeeded, 40u);
   EXPECT_GE(dispatcher.stats().failovers, 1u);
+  EXPECT_GE(dispatcher.snapshot(0).errors, 1u);
   EXPECT_GE(faults.injected_total(), 1u);
 
   dispatcher.Stop();
@@ -349,7 +473,7 @@ TEST(DispatcherTest, FaultSitesKillProxyAndProbePaths) {
 TEST(DispatcherTest, WindowOutageTakesBackendOutAndBack) {
   metrics::MetricRegistry registry;
   // alpha is dead for a wall-clock window starting now; the advisor must
-  // treat it as down (probes fail) and the proxy path must not use it.
+  // treat it as down (probes fail) and no connection may be handed to it.
   fault::FaultPlan plan;
   fault::FaultRule outage;
   outage.subsystem = "dispatch";
@@ -372,16 +496,14 @@ TEST(DispatcherTest, WindowOutageTakesBackendOutAndBack) {
   options.faults = &faults;
   options.metrics.registry = &registry;
   options.metrics.instance = "frontW";
-  Dispatcher dispatcher({{"127.0.0.1", a.port(), "alpha"},
-                         {"127.0.0.1", b.port(), "beta"}},
-                        options);
+  Dispatcher dispatcher({a.address(), b.address()}, options);
   ASSERT_TRUE(dispatcher.Start().ok());
 
-  // During the outage window every request lands on beta.
+  // During the outage window every connection lands on beta.
   for (int i = 0; i < 20; ++i) {
     auto r = HttpClient::FetchOnce("127.0.0.1", dispatcher.port(), "/page");
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value().headers.at("X-Nagano-Backend"), "beta");
+    EXPECT_EQ(AnsweredBy(r.value()), "beta");
   }
   EXPECT_FALSE(dispatcher.snapshot(0).healthy);
 
@@ -515,9 +637,10 @@ TEST(DispatcherClusterTest, ProbedHitOnlyClusterCopiesNoBodies) {
     EXPECT_EQ(r.value().headers.at("X-Cache"), "HIT");
   }
   // At a 10 ms probe interval the advisor has probed each backend many
-  // times; every HTTP request beyond the proxied reads is a probe.
+  // times; every HTTP request beyond the reads is a probe (a read is served
+  // by one server: the backend the dispatcher handed the connection to).
   EXPECT_EQ(cluster.dispatcher().stats().probe_failures, 0u);
-  const double probes = sum("nagano_http_requests_total") - 2.0 * double(reads);
+  const double probes = sum("nagano_http_requests_total") - 1.0 * double(reads);
   EXPECT_GE(probes, 10.0);
   EXPECT_EQ(sum("nagano_http_body_copies_total"), 0.0);
   cluster.Stop();

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -9,9 +11,11 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/object_cache.h"
@@ -528,7 +532,6 @@ TEST_F(LiveServerTest, ClientReuseAccountingAndStaleReconnect) {
   EXPECT_EQ(client.connects(), 1u);
   EXPECT_EQ(client.reuses(), 4u);
   EXPECT_EQ(client.stale_reconnects(), 0u);
-  EXPECT_GT(client.last_received_bytes(), 0u);
 
   // The server goes away and comes back (same situation as a keep-alive
   // socket expired server-side): the client's next roundtrip finds the
@@ -620,6 +623,168 @@ TEST_F(LiveServerTest, StopIsIdempotent) {
 TEST_F(LiveServerTest, PortIsKernelAssigned) {
   StartEcho();
   EXPECT_GT(server_->port(), 0);
+}
+
+// --- connection handoff and drain ---------------------------------------------------
+
+// A connected loopback TCP pair, {client end, accepted end}: the accepted
+// end stands for a socket another component accepted and hands over.
+std::pair<int, int> LoopbackPair() {
+  uint16_t port = 0;
+  Result<int> listener = Listen("127.0.0.1", 0, 4, /*reuse_port=*/false, &port);
+  EXPECT_TRUE(listener.ok());
+  if (!listener.ok()) return {-1, -1};
+  const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  pollfd pfd{listener.value(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 2000), 1);
+  const int accepted =
+      ::accept4(listener.value(), nullptr, nullptr, SOCK_CLOEXEC);
+  EXPECT_GE(accepted, 0);
+  ::close(listener.value());
+  return {client, accepted};
+}
+
+// One GET over a raw client socket.
+std::optional<HttpResponse> RawGet(int fd, const std::string& target) {
+  const std::string wire = "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
+  if (::write(fd, wire.data(), wire.size()) != ssize_t(wire.size())) {
+    return std::nullopt;
+  }
+  ResponseParser parser;
+  char buf[4096];
+  for (;;) {
+    if (auto response = parser.Next()) return response;
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return std::nullopt;
+    if (!parser.Feed(std::string_view(buf, size_t(n))).ok()) return std::nullopt;
+  }
+}
+
+// Polls `done` for up to two seconds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+TEST_F(LiveServerTest, AdoptedConnectionIsServed) {
+  StartEcho();
+  auto [client, accepted] = LoopbackPair();
+  ASSERT_GE(accepted, 0);
+  ASSERT_TRUE(server_->Adopt(accepted).ok());
+  // Counted like a connection the server accepted itself.
+  EXPECT_EQ(server_->stats().connections_accepted, 1u);
+  EXPECT_EQ(server_->adopted_connections(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    const auto response = RawGet(client, "/hello");
+    ASSERT_TRUE(response.has_value()) << i;
+    EXPECT_EQ(response->status, 200);
+    EXPECT_EQ(response->body, "world");
+  }
+  EXPECT_EQ(server_->stats().requests_served, 3u);
+  // The client hangs up; the server closes its end and stops counting it.
+  ::close(client);
+  EXPECT_TRUE(WaitFor([&] { return server_->adopted_connections() == 0; }));
+  EXPECT_EQ(server_->stats().connections_closed, 1u);
+}
+
+TEST(HttpServerTest, AdoptOnStoppedServerLeavesFdWithCaller) {
+  HttpServer server([](const HttpRequest&) { return HttpResponse::Ok(""); });
+  auto [client, accepted] = LoopbackPair();
+  ASSERT_GE(accepted, 0);
+  // Never started, then started and stopped: both refuse the fd.
+  EXPECT_EQ(server.Adopt(accepted).code(), ErrorCode::kUnavailable);
+  ASSERT_TRUE(server.Start().ok());
+  server.Stop();
+  EXPECT_EQ(server.Adopt(accepted).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(server.stats().connections_accepted, 0u);
+  EXPECT_EQ(server.adopted_connections(), 0u);
+  // The fd is still open and still the caller's to close.
+  EXPECT_NE(::fcntl(accepted, F_GETFD), -1);
+  EXPECT_EQ(::close(accepted), 0);
+  ::close(client);
+}
+
+TEST(HttpServerTest, AdoptRacingStopNeitherLeaksNorDoubleClosesAnFd) {
+  constexpr int kRounds = 10;
+  constexpr int kPairs = 16;
+  for (int round = 0; round < kRounds; ++round) {
+    HttpServer server([](const HttpRequest&) { return HttpResponse::Ok(""); });
+    ASSERT_TRUE(server.Start().ok());
+    std::vector<std::pair<int, int>> pairs;
+    for (int i = 0; i < kPairs; ++i) pairs.push_back(LoopbackPair());
+    std::vector<bool> taken(kPairs, false);
+    std::thread adopter([&] {
+      for (int i = 0; i < kPairs; ++i) {
+        taken[i] = server.Adopt(pairs[i].second).ok();
+      }
+    });
+    server.Stop();
+    adopter.join();
+    uint64_t adopted = 0;
+    for (int i = 0; i < kPairs; ++i) {
+      const auto [client, accepted] = pairs[i];
+      if (taken[i]) {
+        // The server owned it and closed it: the client sees EOF.
+        ++adopted;
+        pollfd pfd{client, POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 2000), 1) << "round " << round;
+        char byte;
+        EXPECT_EQ(::read(client, &byte, 1), 0) << "round " << round;
+      } else {
+        // Refused: still open, and still the caller's to close.
+        EXPECT_NE(::fcntl(accepted, F_GETFD), -1) << "round " << round;
+        EXPECT_EQ(::close(accepted), 0);
+      }
+      ::close(client);
+    }
+    EXPECT_EQ(server.stats().connections_accepted, adopted);
+    EXPECT_EQ(server.stats().connections_closed, adopted);
+    EXPECT_EQ(server.adopted_connections(), 0u);
+  }
+}
+
+TEST_F(LiveServerTest, DrainModeClosesAfterNextResponseAndReapsIdle) {
+  StartEcho();
+  HttpClient active("127.0.0.1", server_->port());
+  HttpClient idle("127.0.0.1", server_->port());
+  ASSERT_TRUE(idle.Get("/hello").ok());
+  auto before = active.Get("/hello");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.value().headers.count("Connection"), 0u);
+
+  server_->BeginDrain(50 * kMillisecond);
+  EXPECT_TRUE(server_->draining());
+  // The next response on a keep-alive connection tells the client to go.
+  auto during = active.Get("/hello");
+  ASSERT_TRUE(during.ok());
+  EXPECT_EQ(during.value().body, "world");
+  EXPECT_EQ(during.value().headers.at("Connection"), "close");
+  EXPECT_FALSE(active.connected());
+  // The idle connection never speaks again; the sweep closes it.
+  EXPECT_TRUE(WaitFor([&] {
+    const ServerStats stats = server_->stats();
+    return stats.connections_closed == stats.connections_accepted;
+  }));
+  EXPECT_GE(server_->stats().idle_closed, 1u);
+
+  server_->EndDrain();
+  EXPECT_FALSE(server_->draining());
+  HttpClient after("127.0.0.1", server_->port());
+  auto resumed = after.Get("/hello");
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.value().headers.count("Connection"), 0u);
 }
 
 TEST(HttpServerTest, DoubleStartRejected) {
