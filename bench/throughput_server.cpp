@@ -211,7 +211,6 @@ std::optional<SweepRun> RunSweep(size_t reactors, double seconds) {
 
   server::FrontEndOptions options;
   options.http.reactors = reactors;
-  options.http.accept_mode = http::AcceptMode::kRoundRobin;
   server::HttpFrontEnd front(&site.page_server(), std::move(options));
   if (!front.Start().ok()) return std::nullopt;
 

@@ -81,13 +81,14 @@ leg_chaos() {
 # paths, under ASan/UBSan — heap misuse in the framing/replay code is
 # exactly what a torn-tail bug would look like. Shares the asan tree.
 leg_durability() { run_leg asan "address,undefined" "-L durability"; }
-# Flash-crowd leg: the stampede/scenario/admission suites raced under TSan
-# (the coalescing fast path is pure lock/cv choreography — a race there is
+# Flash-crowd leg: the stampede/scenario suites raced under TSan (the
+# renderer's single-flight is pure lock/cv choreography — a race there is
 # a correctness bug, not noise), then the FLASH bench's quick gate against
-# the committed BENCH_flashcrowd.json: coalescing must still cut
-# renders-per-invalidation-storm >= 10x at >= 99.9% availability, and the
-# 50x-spike p99 must stay within 3x of the baseline. Shares the tsan and
-# plain trees.
+# the committed BENCH_flashcrowd.json: sharing one renderer's flight must
+# still cut renders-per-invalidation-storm >= 10x vs one renderer per herd
+# request, at >= 99.9% availability, and the quick 50x-spike p99 must
+# stay within 3x of the baseline's quick-shape p99 (spike_quick_p99_ms).
+# Shares the tsan and plain trees.
 leg_flashcrowd() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L flashcrowd"

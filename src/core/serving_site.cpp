@@ -6,9 +6,6 @@
 namespace nagano::core {
 
 Status SiteOptions::Validate() const {
-  if (cache_shards < 1) {
-    return InvalidArgumentError("SiteOptions.cache_shards must be >= 1");
-  }
   if (db_shards < 1) {
     return InvalidArgumentError("SiteOptions.db_shards must be >= 1");
   }
@@ -105,7 +102,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   site->graph_ = std::make_unique<odg::ObjectDependenceGraph>(site_metrics);
 
   cache::ObjectCache::Options cache_options;
-  cache_options.shards = site->options_.cache_shards;
   cache_options.retain_stale = site->options_.retain_stale;
   cache_options.clock = site->clock_;
   cache_options.faults = site->options_.faults;
@@ -137,8 +133,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   serve_options.retry = site->options_.retry;
   serve_options.default_deadline = site->options_.default_deadline;
   serve_options.serve_stale_on_error = site->options_.serve_stale_on_error;
-  serve_options.coalesce_renders = site->options_.coalesce_renders;
-  serve_options.max_concurrent_renders = site->options_.max_concurrent_renders;
   serve_options.clock = site->clock_;
   serve_options.metrics = site_metrics;
   site->page_server_ = std::make_unique<server::DynamicPageServer>(

@@ -34,7 +34,6 @@ struct SiteOptions : OptionsBase {
   pagegen::OlympicConfig olympic;
   trigger::TriggerOptions trigger;
   server::CostModel costs;
-  size_t cache_shards = 16;
   const Clock* clock = nullptr;     // defaults to RealClock
   // Fault injector threaded into every subsystem this site builds (db
   // commit/changes, cache lookup, trigger notify). Null = injection off.
@@ -62,11 +61,6 @@ struct SiteOptions : OptionsBase {
   server::RetryOptions retry;
   TimeNs default_deadline = 0;      // 0 = unbounded
   bool serve_stale_on_error = true;
-  // Stampede defenses (server/serving.h): single-flight coalescing of
-  // concurrent same-key misses, and a bound on renders in flight (0 = no
-  // admission control).
-  bool coalesce_renders = true;
-  size_t max_concurrent_renders = 0;
   // Fragment-first composition (pagegen::RendererOptions::compose_pages):
   // pages embedding fragments are cached as composition plans — static
   // chunks + pinned fragment refs — so a fragment commit patches every

@@ -63,15 +63,9 @@ Status DatabaseOptions::Validate() const {
 Database::Database(DatabaseOptions options)
     : clock_(options.clock ? options.clock : &RealClock::Instance()),
       faults_(options.faults),
-      shard_map_(options.shard_map),
       retention_(options.change_log_retention),
       recovery_threads_(options.recovery_threads) {
   ValidateOrDie(options, "DatabaseOptions");
-  if (shard_map_ == nullptr) {
-    // Aliasing a function-local static: no ownership, never destroyed.
-    shard_map_ = std::shared_ptr<const ShardMap>(std::shared_ptr<void>(),
-                                                 &HashShardMap::Instance());
-  }
   shards_.reserve(options.shards);
   for (size_t k = 0; k < options.shards; ++k) {
     auto shard = std::make_unique<Shard>();
@@ -416,7 +410,7 @@ Status Database::Upsert(std::string_view table, Row row) {
   change.row = std::move(row);
   change.committed_at = clock_->Now() + fate.delay;
   change.seqno = next_seqno_.load(std::memory_order_relaxed);
-  change.shard = ShardOf(change.table, change.key);
+  change.shard = ShardOf(change.key, shards());
 
   Shard& shard = *shards_[change.shard];
   std::unique_lock shard_lock(shard.mutex);
@@ -458,7 +452,7 @@ Status Database::Delete(std::string_view table, const Value& key) {
   change.op = ChangeOp::kDelete;
   change.committed_at = clock_->Now() + fate.delay;
   change.seqno = next_seqno_.load(std::memory_order_relaxed);
-  change.shard = ShardOf(change.table, change.key);
+  change.shard = ShardOf(change.key, shards());
 
   Shard& shard = *shards_[change.shard];
   std::unique_lock shard_lock(shard.mutex);
@@ -494,10 +488,10 @@ Status Database::ApplyReplicated(const ChangeRecord& change) {
         " but this store has " + std::to_string(shards()) +
         " — replicas must mirror their feed's shard layout");
   }
-  if (ShardOf(change.table, change.key) != change.shard) {
+  if (ShardOf(change.key, shards()) != change.shard) {
     return InvalidArgumentError(
-        "ApplyReplicated: shard map disagrees with the feed's placement for "
-        "key " + change.key);
+        "ApplyReplicated: this store places key " + change.key +
+        " on a different shard than the feed did");
   }
   Shard& shard = *shards_[change.shard];
   std::unique_lock shard_lock(shard.mutex);
@@ -543,7 +537,7 @@ Result<Row> Database::Get(std::string_view table, const Value& key) const {
     }
   }
   const std::string pk = KeyString(key);
-  const Shard& shard = *shards_[ShardOf(name, pk)];
+  const Shard& shard = *shards_[ShardOf(pk, shards())];
   std::shared_lock lock(shard.mutex);
   auto pit = shard.tables.find(name);
   if (pit == shard.tables.end()) {

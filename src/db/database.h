@@ -12,8 +12,8 @@
 //  * change subscriptions (ChangeSink callbacks fired on commit, optionally
 //    filtered to one shard) for push-style consumers.
 //
-// Sharding: rows are partitioned across N independent shards by a pluggable
-// ShardMap (FNV-1a of the primary key by default). Each shard owns its own
+// Sharding: rows are partitioned across N independent shards by ShardOf
+// (FNV-1a of the primary key, shard_map.h). Each shard owns its own
 // row/index partitions, its own dense change-log sequence, its own WAL
 // stream (wal/shard-<k>/) and its own checkpoint image, so Recover() can
 // replay all shards on a thread pool and a torn tail wedges one shard, not
@@ -115,9 +115,6 @@ struct DatabaseOptions : OptionsBase {
   metrics::Options metrics;
   // Number of independent shards rows are partitioned across.
   size_t shards = 1;
-  // Key placement; null = HashShardMap. Must match across replicas of the
-  // same feed — per-shard numbering mirrors record by record.
-  std::shared_ptr<const ShardMap> shard_map;
   // Durability, single-shard convenience form: one WAL stream for a
   // one-shard store. Mutually exclusive with shard_wals; requires
   // shards == 1. Not owned.
@@ -351,9 +348,6 @@ class Database {
     ShardRecovery result;
   };
 
-  uint32_t ShardOf(std::string_view table, std::string_view key) const {
-    return shard_map_->ShardOf(table, key, shards());
-  }
   Status ValidateRow(const TableSchema& schema, const Row& row) const;
   // Appends one encoded record to shard `shard`'s WAL (no-op without one).
   // Called with the commit mutex held, *before* the mutation is applied — a
@@ -377,7 +371,6 @@ class Database {
 
   const Clock* clock_;
   fault::FaultInjector* faults_;
-  std::shared_ptr<const ShardMap> shard_map_;
   const size_t retention_;
   const size_t recovery_threads_;
   std::string instance_;  // fault-injection site name (== metrics label)

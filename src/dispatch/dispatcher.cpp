@@ -142,8 +142,7 @@ Status Dispatcher::Start() {
   // routable backend.
   ProbeAll();
   Result<int> listener = http::Listen(options_.bind_address, options_.port,
-                                      /*backlog=*/128, /*reuse_port=*/false,
-                                      &port_);
+                                      /*backlog=*/128, &port_);
   if (!listener.ok()) {
     running_.store(false);
     return listener.status();

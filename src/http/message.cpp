@@ -219,15 +219,6 @@ HttpResponse HttpResponse::ServerError(std::string message) {
   return r;
 }
 
-HttpResponse HttpResponse::ServiceUnavailable(std::string message) {
-  HttpResponse r;
-  r.status = 503;
-  r.reason = "Service Unavailable";
-  r.body = std::move(message);
-  r.headers["Content-Type"] = "text/plain";
-  return r;
-}
-
 void HttpResponse::SerializeHeaders(std::string& out,
                                     std::string_view extra_lines) const {
   char status_buf[16];

@@ -111,7 +111,6 @@ struct HttpResponse {
                          std::string content_type = "text/html");
   static HttpResponse NotFound(std::string message = "not found");
   static HttpResponse ServerError(std::string message = "internal error");
-  static HttpResponse ServiceUnavailable(std::string message = "unavailable");
 
   // Sets Content-Length from the entity and serializes into one exactly
   // pre-sized string (status line, headers, blank line, body).

@@ -42,7 +42,7 @@ struct OutChunk {
 }  // namespace
 
 Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
-                   bool reuse_port, uint16_t* bound_port) {
+                   uint16_t* bound_port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -54,10 +54,7 @@ Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   const char* failed = nullptr;
-  if (reuse_port &&
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    failed = "SO_REUSEPORT";
-  } else if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     failed = "bind";
   } else if (::listen(fd, backlog) < 0) {
     failed = "listen";
@@ -98,13 +95,12 @@ struct HttpServer::Reactor {
 
   int epoll_fd = -1;
   int wake_fd = -1;
-  // Owned listen socket: every reactor in SO_REUSEPORT mode, reactor 0 only
-  // in round-robin mode, -1 otherwise.
+  // Owned listen socket: reactor 0 only, -1 on the others.
   int listen_fd = -1;
   std::thread thread;
   std::unordered_map<int, Connection> connections;
 
-  // Handoff queue: reactor 0 (round-robin mode) and Adopt() push accepted
+  // Handoff queue: reactor 0's acceptor and Adopt() push accepted
   // fds here and kick wake_fd; the owning reactor takes them on its next
   // loop turn. `open` (under the mutex) is true from Start() until Stop()
   // has closed the queue, so no fd can be pushed after that.
@@ -194,64 +190,19 @@ HttpServer::~HttpServer() { Stop(); }
 
 size_t HttpServer::reactors() const { return reactors_.size(); }
 
-Status HttpServer::StartReusePort() {
-  // The first listener resolves port 0 to a concrete port; its siblings bind
-  // the same port, and the kernel spreads incoming connections across them.
-  uint16_t port = options_.port;
-  for (auto& r : reactors_) {
-    uint16_t bound = 0;
-    Result<int> fd = Listen(options_.bind_address, port, options_.backlog,
-                            /*reuse_port=*/true, &bound);
-    if (!fd.ok()) {
-      for (auto& prev : reactors_) {
-        if (prev->listen_fd >= 0) ::close(prev->listen_fd);
-        prev->listen_fd = -1;
-      }
-      return fd.status();
-    }
-    r->listen_fd = fd.value();
-    if (r->index == 0) port = bound;
-  }
-  port_ = port;
-  return Status::Ok();
-}
-
-Status HttpServer::StartRoundRobin() {
-  uint16_t bound = 0;
-  Result<int> fd = Listen(options_.bind_address, options_.port,
-                          options_.backlog, /*reuse_port=*/false, &bound);
-  if (!fd.ok()) return fd.status();
-  reactors_[0]->listen_fd = fd.value();
-  port_ = bound;
-  return Status::Ok();
-}
-
 Status HttpServer::Start() {
   if (running_.exchange(true)) {
     return FailedPreconditionError("server already running");
   }
   EndDrain();
 
-  Status st;
-  const AcceptMode want = options_.accept_mode;
-  resolved_mode_ = AcceptMode::kRoundRobin;
-  if (want == AcceptMode::kReusePort ||
-      (want == AcceptMode::kAuto && reactors_.size() > 1)) {
-    st = StartReusePort();
-    if (st.ok()) {
-      resolved_mode_ = AcceptMode::kReusePort;
-    } else if (want == AcceptMode::kReusePort) {
-      running_ = false;
-      return st;
-    }
+  Result<int> listener = Listen(options_.bind_address, options_.port,
+                                options_.backlog, &port_);
+  if (!listener.ok()) {
+    running_ = false;
+    return listener.status();
   }
-  if (resolved_mode_ == AcceptMode::kRoundRobin) {
-    st = StartRoundRobin();
-    if (!st.ok()) {
-      running_ = false;
-      return st;
-    }
-  }
+  reactors_[0]->listen_fd = listener.value();
 
   for (auto& r : reactors_) {
     r->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -387,11 +338,9 @@ void HttpServer::SweepIdle(Reactor& r, TimeNs now) {
 }
 
 void HttpServer::AcceptNew(Reactor& r, int listen_fd) {
-  // In round-robin mode reactor 0 owns the only listener and deals accepted
-  // fds across the fleet; in reuse-port mode (and single-reactor setups)
-  // whatever the kernel delivered here stays here.
-  const bool distribute =
-      resolved_mode_ == AcceptMode::kRoundRobin && reactors_.size() > 1;
+  // Reactor 0 owns the only listener and deals accepted fds across the
+  // fleet in round-robin order.
+  const bool distribute = reactors_.size() > 1;
   for (;;) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);

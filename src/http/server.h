@@ -51,23 +51,10 @@ struct ServerStats {
   uint64_t body_copies = 0;
 };
 
-// How accepted connections reach the reactors when reactors > 1.
-enum class AcceptMode : uint8_t {
-  // Prefer one SO_REUSEPORT listen socket per reactor (the kernel spreads
-  // connections); fall back to kRoundRobin if the socket option is
-  // unavailable.
-  kAuto,
-  kReusePort,
-  // Reactor 0 owns the single listen socket and hands accepted fds to the
-  // reactors in round-robin order over eventfd wakeups. Deterministic
-  // balance — what the bench and the multi-reactor tests use.
-  kRoundRobin,
-};
-
 // A non-blocking TCP listen socket on bind_address:port (port 0 = kernel-
 // assigned; *bound_port receives the port actually bound).
 Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
-                   bool reuse_port, uint16_t* bound_port);
+                   uint16_t* bound_port);
 
 class HttpServer {
  public:
@@ -78,11 +65,12 @@ class HttpServer {
     uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
     int backlog = 128;
     // Event-loop threads. 1 reproduces the uniprocessor front end; more
-    // scale the serving hot path across cores. Each reactor is its own
-    // fault-injection site ("<instance>/r<k>" when reactors > 1) and
-    // carries its own reactor-labelled request counter.
+    // scale the serving hot path across cores: reactor 0 owns the single
+    // listen socket and deals accepted fds to the reactors in round-robin
+    // order over eventfd wakeups, the same path Adopt() uses. Each reactor
+    // is its own fault-injection site ("<instance>/r<k>" when reactors > 1)
+    // and carries its own reactor-labelled request counter.
     size_t reactors = 1;
-    AcceptMode accept_mode = AcceptMode::kAuto;
     // Close connections with no traffic for this long (wall clock; each
     // reactor wakes every 100 ms to sweep). 0 disables the sweep. This is
     // the slow-loris defense: a client that trickles bytes or never
@@ -155,15 +143,11 @@ class HttpServer {
   // throughput bench reports.
   std::vector<uint64_t> reactor_requests() const;
   size_t reactors() const;
-  // The accept mode actually in effect after Start() (kAuto resolves).
-  AcceptMode accept_mode() const { return resolved_mode_; }
 
  private:
   struct Connection;
   struct Reactor;
 
-  Status StartReusePort();
-  Status StartRoundRobin();
   void ReactorLoop(Reactor& r);
   void AcceptNew(Reactor& r, int listen_fd);
   void AdoptConnection(Reactor& r, int fd, bool adopted);
@@ -188,7 +172,6 @@ class HttpServer {
   Options options_;
   std::string instance_;  // metrics label (reactor sites derive from it)
   uint16_t port_ = 0;
-  AcceptMode resolved_mode_ = AcceptMode::kRoundRobin;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::atomic<bool> running_{false};
   std::atomic<size_t> adopt_cursor_{0};   // Adopt()'s round-robin cursor

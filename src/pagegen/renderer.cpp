@@ -16,9 +16,11 @@ constexpr std::string_view kFragMarkOpen = "\x01\x02";
 constexpr std::string_view kFragMarkClose = "\x02\x01";
 
 // How long a coalesced render waits for the leading flight before giving up
-// and rendering on its own. Only a cross-thread include cycle (two leaders
-// mutually waiting on each other's fragments) can hit this; the fallback
-// render then reports the cycle through the ordinary stack check.
+// and rendering on its own. A cross-thread include cycle (two leaders
+// mutually waiting on each other's fragments) hits this, and the fallback
+// render then reports the cycle through the ordinary stack check; so does a
+// generator slower than this, which splits its herd. A follower's wait is
+// bounded by this constant alone, not by its caller's request deadline.
 constexpr std::chrono::seconds kFlightFallback{2};
 
 RendererOptions WithMetrics(const metrics::Options& metrics_options) {
@@ -53,7 +55,8 @@ PageRenderer::PageRenderer(odg::ObjectDependenceGraph* graph,
                                    "pages stored as composition plans");
   renders_coalesced_ =
       scope.GetCounter("nagano_renderer_renders_coalesced_total",
-                       "renders adopting a concurrent flight's result");
+                       "renders that joined a concurrent flight of the same "
+                       "object");
 }
 
 void PageRenderer::RegisterExact(std::string name, PageGenerator generator) {
@@ -94,6 +97,17 @@ Result<std::string> PageRenderer::RenderAndCache(std::string_view page) {
   return RenderInternal(page, /*store=*/true, state);
 }
 
+Result<std::shared_ptr<const std::string>> PageRenderer::RenderAndCacheShared(
+    std::string_view page, bool* joined) {
+  if (joined != nullptr) *joined = false;
+  const PageGenerator* generator = FindGenerator(page);
+  if (generator == nullptr) {
+    return NotFoundError("no generator for " + std::string(page));
+  }
+  RenderState state;
+  return RenderCoalesced(std::string(page), *generator, state, joined);
+}
+
 Result<std::string> PageRenderer::RenderOnly(std::string_view page) {
   RenderState state;
   return RenderInternal(page, /*store=*/false, state);
@@ -114,10 +128,18 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
 
   // RenderOnly keeps fresh-render semantics, so only caching renders
   // coalesce.
-  if (!store || !options_.coalesce_renders) {
+  if (!store) {
     return RenderUncoalesced(page_name, *generator, store, state);
   }
+  Result<SharedBody> shared =
+      RenderCoalesced(page_name, *generator, state, /*joined=*/nullptr);
+  if (!shared.ok()) return shared.status();
+  return *shared.value();
+}
 
+Result<PageRenderer::SharedBody> PageRenderer::RenderCoalesced(
+    const std::string& page_name, const PageGenerator& generator,
+    RenderState& state, bool* joined) {
   std::shared_ptr<RenderFlight> flight;
   bool leader = false;
   {
@@ -129,12 +151,18 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
       leader = true;
     } else {
       flight = it->second;
+      renders_coalesced_->Increment();
     }
   }
 
+  const auto share = [](Result<std::string> body) -> Result<SharedBody> {
+    if (!body.ok()) return body.status();
+    return std::make_shared<const std::string>(std::move(body).value());
+  };
+
   if (leader) {
-    Result<std::string> body =
-        RenderUncoalesced(page_name, *generator, store, state);
+    Result<SharedBody> body = share(
+        RenderUncoalesced(page_name, generator, /*store=*/true, state));
     {
       // Retire the flight before publishing: late arrivals start a fresh
       // render against the now-populated cache instead of joining a
@@ -156,15 +184,14 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
     std::unique_lock<std::mutex> lock(flight->mutex);
     if (flight->cv.wait_for(lock, kFlightFallback,
                             [&] { return flight->done; })) {
-      Result<std::string> body = flight->body;
-      lock.unlock();
-      renders_coalesced_->Increment();
-      return body;
+      if (joined != nullptr) *joined = true;
+      return flight->body;
     }
   }
-  // Leader stuck (cross-thread include cycle): render independently; the
-  // stack check in the recursive render reports genuine cycles.
-  return RenderUncoalesced(page_name, *generator, store, state);
+  // Leader stuck (cross-thread include cycle, or a generator slower than
+  // the fallback): render independently; the stack check in the recursive
+  // render reports genuine cycles.
+  return share(RenderUncoalesced(page_name, generator, /*store=*/true, state));
 }
 
 Result<std::string> PageRenderer::RenderUncoalesced(

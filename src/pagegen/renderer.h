@@ -70,9 +70,11 @@ struct RendererStats {
   // Pages stored as composition plans (static chunks + fragment refs)
   // instead of flat bodies.
   uint64_t plans_stored = 0;
-  // Renders that adopted a concurrent in-flight render's result instead of
-  // running the generator again (fragment-granularity single-flight: two
-  // pages racing on one hot fragment cost one fragment render).
+  // Renders that joined a concurrent in-flight render of the same object
+  // instead of running the generator again (single-flight per object name,
+  // fragments included: two pages racing on one hot fragment cost one
+  // fragment render). Counted at join, so a leader's generator can tell how
+  // many followers are waiting on it.
   uint64_t renders_coalesced = 0;
 };
 
@@ -83,9 +85,6 @@ struct RendererOptions : OptionsBase {
   // fragment; every embedding page is patched by fragment swap. false is
   // the whole-page baseline the fanout bench compares against.
   bool compose_pages = true;
-  // Coalesce concurrent renders of the same object into one generator run
-  // (single-flight, per object name — fragments included).
-  bool coalesce_renders = true;
   metrics::Options metrics;
 
   Status Validate() const { return Status::Ok(); }
@@ -108,8 +107,19 @@ class PageRenderer {
   // Renders `page`, updates its ODG dependence edges, stores the body in
   // the cache, and returns it. Fragments referenced via {{>...}} are pulled
   // from the cache or rendered (and cached) recursively; include cycles are
-  // an error.
+  // an error. Concurrent calls for one object share a single generator run
+  // (the site's only single-flight): followers wait for the leader and
+  // return its result.
   Result<std::string> RenderAndCache(std::string_view page);
+
+  // RenderAndCache for the serving path. The body comes back shared, so a
+  // herd holds one copy of it rather than one per follower. `joined`
+  // (optional) reports whether this call rode another caller's generator
+  // run; a follower that got the leader's failure should not start a retry
+  // chain of its own. A follower waits for the leader for at most two
+  // seconds, then renders on its own.
+  Result<std::shared_ptr<const std::string>> RenderAndCacheShared(
+      std::string_view page, bool* joined = nullptr);
 
   // Render without storing — used for never-cache pages and for measuring
   // raw generation cost.
@@ -124,15 +134,21 @@ class PageRenderer {
 
   // One in-progress render that concurrent requests for the same object
   // attach to instead of running the generator again.
+  using SharedBody = std::shared_ptr<const std::string>;
+
   struct RenderFlight {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    Result<std::string> body{std::string()};  // overwritten at publish
+    Result<SharedBody> body{SharedBody()};  // overwritten at publish
   };
 
   Result<std::string> RenderInternal(std::string_view page, bool store,
                                      RenderState& state);
+  // Joins the object's flight, or leads one and runs the generator.
+  Result<SharedBody> RenderCoalesced(const std::string& page_name,
+                                     const PageGenerator& generator,
+                                     RenderState& state, bool* joined);
   // The actual generator run (no single-flight): runs the generator, splits
   // composition plans out of the flat output, syncs the ODG, and stores.
   Result<std::string> RenderUncoalesced(const std::string& page_name,

@@ -40,6 +40,9 @@ void FillCachedEntity(ServeOutcome& out,
   if (include_body) CopySharedBody(out);
 }
 
+// Seed for the backoff jitter stream (deterministic per server).
+constexpr uint64_t kBackoffSeed = 0x7365727665ULL;  // "serve"
+
 }  // namespace
 
 Status RetryOptions::Validate() const {
@@ -75,7 +78,7 @@ DynamicPageServer::DynamicPageServer(cache::ObjectCache* cache,
       options_((ValidateOrDie(options, "DynamicPageServer::Options"),
                 std::move(options))),
       clock_(options_.clock ? options_.clock : &RealClock::Instance()),
-      backoff_rng_(options_.backoff_seed) {
+      backoff_rng_(kBackoffSeed) {
   assert(cache_ && renderer_);
   const auto scope = metrics::Scope::Resolve(options_.metrics, "serve");
   static_hits_ = scope.GetCounter("nagano_serve_static_hits_total",
@@ -96,24 +99,6 @@ DynamicPageServer::DynamicPageServer(cache::ObjectCache* cache,
   deadline_exceeded_ =
       scope.GetCounter("nagano_serve_deadline_exceeded_total",
                        "retry budgets cut short by the request deadline");
-  coalesced_ = scope.GetCounter(
-      "nagano_serve_coalesced_total",
-      "requests that joined another request's in-flight render");
-  coalesce_timeouts_ = scope.GetCounter(
-      "nagano_serve_coalesce_timeout_total",
-      "coalesced waiters whose own deadline expired before the render");
-  shed_ = scope.GetCounter(
-      "nagano_serve_shed_total",
-      "requests rejected by admission control (no stale copy to soften to)");
-  shed_softened_ = scope.GetCounter(
-      "nagano_serve_shed_softened_total",
-      "admission-control sheds answered with the last-known-good stale copy");
-  renders_cancelled_ = scope.GetCounter(
-      "nagano_serve_renders_cancelled_total",
-      "coalesced renders abandoned after every participant's deadline expired");
-  coalesce_wait_ms_ = scope.GetHistogram(
-      "nagano_serve_coalesce_wait_ms",
-      "time a coalesced waiter spent blocked on the shared render");
 }
 
 void DynamicPageServer::AddStaticPage(std::string path, std::string body) {
@@ -150,21 +135,20 @@ ServeOutcome DynamicPageServer::Serve(std::string_view path, bool include_body,
   return out;
 }
 
-Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
-                                                         TimeNs deadline,
-                                                         uint32_t* retries,
-                                                         Flight* flight) {
+Status DynamicPageServer::GenerateWithRetry(
+    TimeNs deadline, uint32_t* retries,
+    const std::function<Status(bool* joined)>& render) {
   const RetryOptions& retry = options_.retry;
   TimeNs backoff = retry.initial_backoff;
   Status last = InternalError("no attempt made");
   for (uint32_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    auto body = ShouldCache(path) ? renderer_->RenderAndCache(path)
-                                  : renderer_->RenderOnly(path);
-    if (body.ok()) return body;
-    last = body.status();
+    bool joined = false;
+    last = render(&joined);
+    if (last.ok()) return last;
     // kNotFound is a stable answer and anything non-transient is a bug or
-    // a hard failure: retrying either just burns the deadline.
-    if (!IsTransient(last)) return last;
+    // a hard failure: retrying either just burns the deadline. A follower
+    // got its leader's failure; the leader's retries speak for the herd.
+    if (!IsTransient(last) || joined) return last;
     if (attempt + 1 >= retry.max_attempts) break;
 
     TimeNs pause = backoff;
@@ -174,18 +158,8 @@ Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
           1.0 - retry.jitter + 2.0 * retry.jitter * backoff_rng_.NextDouble();
       pause = static_cast<TimeNs>(static_cast<double>(pause) * scale);
     }
-    // A coalesced flight's horizon may have grown since the last attempt
-    // (new waiters joined) — refresh it before deciding whether to go on.
-    // When the horizon has passed, every participant's deadline has
-    // expired: the render is abandoned, not just this request's budget.
-    TimeNs effective = deadline;
-    if (flight != nullptr) {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      effective = flight->unbounded ? 0 : flight->horizon;
-    }
-    if (effective != 0 && clock_->Now() + pause >= effective) {
+    if (deadline != 0 && clock_->Now() + pause >= deadline) {
       deadline_exceeded_->Increment();
-      if (flight != nullptr) renders_cancelled_->Increment();
       break;
     }
     if (options_.sleep_on_backoff && pause > 0) {
@@ -221,205 +195,6 @@ ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
   return out;
 }
 
-bool DynamicPageServer::TryAdmitRender() {
-  const size_t limit = options_.max_concurrent_renders;
-  if (limit == 0) {
-    active_renders_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  size_t current = active_renders_.load(std::memory_order_relaxed);
-  while (current < limit) {
-    if (active_renders_.compare_exchange_weak(current, current + 1,
-                                              std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void DynamicPageServer::ReleaseRender() {
-  active_renders_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-ServeOutcome DynamicPageServer::Shed(std::string_view path, bool include_body,
-                                     Status why) {
-  ServeOutcome out;
-  // Stale-if-error beats rejection: a viewer with a slightly old page is
-  // better off than a viewer with a 503 (the paper's availability-first
-  // stance, extended to overload).
-  if (options_.serve_stale_on_error) {
-    if (auto stale = cache_->LookupStale(path)) {
-      stale_serves_->Increment();
-      shed_softened_->Increment();
-      out.cls = ServeClass::kDegradedStale;
-      out.cpu_cost = options_.costs.cached_dynamic;
-      out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
-      out.error = std::move(why);
-      FillCachedEntity(out, stale, include_body);
-      return out;
-    }
-  }
-  shed_->Increment();
-  out.cls = ServeClass::kRejected;
-  out.cpu_cost = options_.costs.not_found;
-  out.error = std::move(why);
-  // Retry after roughly one render's worth of queue drain.
-  out.retry_after = options_.costs.generate_dynamic;
-  return out;
-}
-
-void DynamicPageServer::CountAdopted(const ServeOutcome& outcome) {
-  switch (outcome.cls) {
-    case ServeClass::kStatic:
-      static_hits_->Increment();
-      break;
-    case ServeClass::kCacheHit:
-      cache_hits_->Increment();
-      break;
-    case ServeClass::kCacheMissGenerated:
-      cache_misses_->Increment();
-      break;
-    case ServeClass::kDegradedStale:
-      stale_serves_->Increment();
-      break;
-    case ServeClass::kNotFound:
-      not_found_->Increment();
-      break;
-    case ServeClass::kError:
-      errors_->Increment();
-      break;
-    case ServeClass::kRejected:
-      shed_->Increment();
-      break;
-  }
-}
-
-ServeOutcome DynamicPageServer::RenderCoalesced(std::string_view path,
-                                                bool include_body,
-                                                TimeNs deadline) {
-  std::string key(path);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      // Join the in-flight render; our deadline extends its horizon.
-      flight = it->second;
-      std::lock_guard<std::mutex> flight_lock(flight->mutex);
-      if (deadline == 0) {
-        flight->unbounded = true;
-      } else {
-        flight->horizon = std::max(flight->horizon, deadline);
-      }
-    } else if (TryAdmitRender()) {
-      flight = std::make_shared<Flight>();
-      if (deadline == 0) {
-        flight->unbounded = true;
-      } else {
-        flight->horizon = deadline;
-      }
-      flights_.emplace(std::move(key), flight);
-      leader = true;
-    }
-  }
-  if (flight == nullptr) {
-    return Shed(path, include_body,
-                ResourceExhaustedError("render queue full"));
-  }
-  if (leader) return LeadRender(path, include_body, deadline, flight.get());
-  return AwaitFlight(flight, path, include_body, deadline);
-}
-
-ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
-                                           bool include_body, TimeNs deadline,
-                                           Flight* flight) {
-  ServeOutcome out;
-  auto body = GenerateWithRetry(path, deadline, &out.retries, flight);
-  ReleaseRender();
-  if (body.ok()) {
-    cache_misses_->Increment();
-    out.cls = ServeClass::kCacheMissGenerated;
-    out.cpu_cost = options_.costs.generate_dynamic;
-    out.bytes = body.value().size();
-    // Serve by reference: RenderAndCache just stored the page, so alias the
-    // cached object and the whole fan-out — leader, waiters, and the HTTP
-    // write path — shares one ref-counted copy (misses are zero-copy too).
-    // A composed page arrives as per-chunk refs, same as a cache hit.
-    if (auto cached = cache_->Peek(path)) {
-      FillCachedEntity(out, cached, /*include_body=*/false);
-    } else {
-      // A concurrent invalidation dropped the entry between store and
-      // publish: wrap the rendered body so the fan-out still shares refs.
-      auto owned =
-          std::make_shared<const std::string>(std::move(body).value());
-      auto headers = std::make_shared<const std::string>(
-          "Content-Length: " + std::to_string(owned->size()) + "\r\n");
-      out.body_ref = std::move(owned);
-      out.entity_headers = std::move(headers);
-    }
-  } else if (body.status().code() == ErrorCode::kNotFound) {
-    not_found_->Increment();
-    out.cls = ServeClass::kNotFound;
-    out.cpu_cost = options_.costs.not_found;
-  } else {
-    const uint32_t retries = out.retries;
-    out = DegradeToStale(path, include_body, body.status());
-    out.retries = retries;
-  }
-  // Publish: drop the map entry first so post-completion arrivals start
-  // fresh (they normally just hit the cache), then wake the waiters.
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    flights_.erase(std::string(path));
-  }
-  {
-    std::lock_guard<std::mutex> flight_lock(flight->mutex);
-    ServeOutcome shared = out;
-    shared.body.clear();  // waiters copy from body_ref only if asked to
-    flight->outcome = std::move(shared);
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  if (include_body && out.body.empty()) CopySharedBody(out);
-  return out;
-}
-
-ServeOutcome DynamicPageServer::AwaitFlight(
-    const std::shared_ptr<Flight>& flight, std::string_view path,
-    bool include_body, TimeNs deadline) {
-  coalesced_->Increment();
-  const TimeNs wait_start = clock_->Now();
-  bool timed_out = false;
-  std::unique_lock<std::mutex> lock(flight->mutex);
-  while (!flight->done) {
-    if (deadline != 0 && clock_->Now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    // Slice the wait so a deadline (possibly on a clock nobody notifies
-    // about) is noticed promptly; publication wakes us via notify_all.
-    flight->cv.wait_for(lock, std::chrono::milliseconds(5));
-  }
-  ServeOutcome out;
-  if (!timed_out) {
-    out = flight->outcome;  // body empty; the refs are shared
-    lock.unlock();
-    CountAdopted(out);
-    if (include_body) CopySharedBody(out);
-  } else {
-    lock.unlock();
-    coalesce_timeouts_->Increment();
-    out = DegradeToStale(
-        path, include_body,
-        UnavailableError("coalesced render missed the request deadline"));
-  }
-  out.coalesced = true;
-  coalesce_wait_ms_->Observe(
-      static_cast<double>(clock_->Now() - wait_start) / 1e6);
-  return out;
-}
-
 ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
                                               bool include_body,
                                               TimeNs deadline) {
@@ -452,43 +227,53 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
   }
 
   // 3. Generate (and usually cache) the page, retrying transient failures
-  // within the deadline.
+  // within the deadline. A same-key miss herd shares one generator run: the
+  // renderer's per-object flight hands every caller the leader's body.
   if (renderer_->CanGenerate(path)) {
-    // Deadline-aware early rejection: when admission control is on and the
-    // budget is already spent, shed now instead of burning a render slot on
-    // a response nobody can use.
-    if (options_.max_concurrent_renders > 0 && deadline != 0 &&
-        clock_->Now() >= deadline) {
-      return Shed(path, include_body,
-                  UnavailableError("deadline spent before render started"));
-    }
-    if (options_.coalesce_renders && ShouldCache(path)) {
-      return RenderCoalesced(path, include_body, deadline);
-    }
-    // Uncoalesced render (coalescing off, or a personalized never-cache
-    // page): every request renders for itself but still holds a slot.
-    if (!TryAdmitRender()) {
-      return Shed(path, include_body,
-                  ResourceExhaustedError("render queue full"));
-    }
-    auto body = GenerateWithRetry(path, deadline, &out.retries);
-    ReleaseRender();
-    if (body.ok()) {
+    const bool cacheable = ShouldCache(path);
+    std::shared_ptr<const std::string> shared;  // cacheable: the herd's body
+    std::string owned;                          // never-cache: ours alone
+    const Status status = GenerateWithRetry(
+        deadline, &out.retries, [&](bool* joined) -> Status {
+          if (cacheable) {
+            auto body = renderer_->RenderAndCacheShared(path, joined);
+            if (body.ok()) shared = std::move(body).value();
+            return body.status();
+          }
+          auto body = renderer_->RenderOnly(path);
+          if (body.ok()) owned = std::move(body).value();
+          return body.status();
+        });
+    if (status.ok()) {
       cache_misses_->Increment();
       out.cls = ServeClass::kCacheMissGenerated;
       out.cpu_cost = options_.costs.generate_dynamic;
-      out.bytes = body.value().size();
-      // The freshly rendered page is ours to give away — moving it is free,
-      // so the body travels regardless of include_body (there is no shared
-      // copy the caller could reference instead).
-      out.body = std::move(body).value();
+      // Serve by reference: the render just stored the page, so alias the
+      // cached object and the whole herd — and the HTTP write path — shares
+      // one ref-counted copy. A composed page arrives as per-chunk refs,
+      // same as a cache hit.
+      std::shared_ptr<const cache::CachedObject> cached;
+      if (cacheable) cached = cache_->Peek(path);
+      if (cached != nullptr) {
+        FillCachedEntity(out, cached, include_body);
+      } else if (shared != nullptr) {
+        // A concurrent invalidation dropped the entry between store and
+        // here: serve the flight's body itself, still by reference.
+        out.bytes = shared->size();
+        out.body_ref = std::move(shared);
+        if (include_body) CopySharedBody(out);
+      } else {
+        // A never-cache page: the rendered body is ours to give away.
+        out.bytes = owned.size();
+        out.body = std::move(owned);
+      }
       return out;
     }
-    if (body.status().code() != ErrorCode::kNotFound) {
+    if (status.code() != ErrorCode::kNotFound) {
       // 4. Retries exhausted: elegant degradation — last-known-good copy
       // over a 500.
       const uint32_t retries = out.retries;
-      out = DegradeToStale(path, include_body, body.status());
+      out = DegradeToStale(path, include_body, status);
       out.retries = retries;
       return out;
     }
@@ -510,11 +295,6 @@ ServeStats DynamicPageServer::stats() const {
   s.stale_serves = stale_serves_->value();
   s.retries = retries_->value();
   s.deadline_exceeded = deadline_exceeded_->value();
-  s.coalesced = coalesced_->value();
-  s.coalesce_timeouts = coalesce_timeouts_->value();
-  s.shed = shed_->value();
-  s.shed_softened = shed_softened_->value();
-  s.renders_cancelled = renders_cancelled_->value();
   return s;
 }
 
@@ -595,9 +375,9 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
     return r;
   }
   // include_body=false: cached sources answer with body_ref/entity_headers
-  // aliased into the cached object (the zero-copy hit path); generated
-  // pages arrive moved into outcome.body either way. The per-request budget
-  // is the server's own default_deadline.
+  // aliased into the cached object (the zero-copy path, misses included);
+  // a generated never-cache page arrives moved into outcome.body. The
+  // per-request budget is the server's own default_deadline.
   ServeOutcome outcome = program_->Serve(path, /*include_body=*/false);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
@@ -619,7 +399,6 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
           outcome.cls == ServeClass::kCacheHit ? "HIT"
           : outcome.cls == ServeClass::kStatic ? "STATIC"
                                                : "MISS";
-      if (outcome.coalesced) r.headers["X-Nagano-Coalesced"] = "1";
       return r;
     }
     case ServeClass::kDegradedStale: {
@@ -633,22 +412,12 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
       std::snprintf(age, sizeof(age), "%.3f",
                     static_cast<double>(outcome.stale_age) / 1e9);
       r.headers["X-Nagano-Stale"] = age;
-      if (outcome.coalesced) r.headers["X-Nagano-Coalesced"] = "1";
       return r;
     }
     case ServeClass::kNotFound:
       return http::HttpResponse::NotFound();
     case ServeClass::kError:
       return http::HttpResponse::ServerError();
-    case ServeClass::kRejected: {
-      // Shed by admission control: tell the client when the render queue
-      // should have drained enough to be worth another try.
-      auto r = http::HttpResponse::ServiceUnavailable("overloaded\n");
-      const TimeNs hint = std::max<TimeNs>(outcome.retry_after, 1);
-      r.headers["Retry-After"] =
-          std::to_string((hint + kSecond - 1) / kSecond);
-      return r;
-    }
   }
   return http::HttpResponse::ServerError("unreachable");
 }

@@ -19,8 +19,6 @@
 // node, and the THRU bench measures the real cost too.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,7 +26,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/object_cache.h"
@@ -62,23 +59,20 @@ enum class ServeClass : uint8_t {
   kDegradedStale,
   kNotFound,
   kError,
-  // Shed by admission control: the render queue was full (or the deadline
-  // already spent) and no last-known-good copy existed to degrade to. HTTP
-  // layer answers 503 with a Retry-After hint.
-  kRejected,
 };
 
 struct ServeOutcome {
   ServeClass cls = ServeClass::kNotFound;
   TimeNs cpu_cost = 0;    // modeled CPU charge
   size_t bytes = 0;       // response body size
-  // Owned body copy. Cached sources (static/hit/stale) fill it only when
-  // include_body was requested — the zero-copy HTTP path reads body_ref
-  // instead. Freshly generated pages always land here (moving them is
-  // free; there is no shared copy to reference).
+  // Owned body copy. Ref-counted sources fill it only when include_body was
+  // requested — the zero-copy HTTP path reads body_ref instead. A generated
+  // never-cache page always lands here (moving it is free; there is no
+  // shared copy to reference).
   std::string body;
   // Zero-copy handles into the page's backing store, set whenever the
-  // source is ref-counted (static pages, cache hits, degraded stale):
+  // source is ref-counted (static pages, cache hits, freshly cached misses,
+  // degraded stale):
   // the entity bytes and the pre-serialized "Content-Length/..." header
   // prefix. They alias the cached object, so the page stays alive until
   // the last holder (e.g. an in-flight socket write) drops it.
@@ -93,15 +87,7 @@ struct ServeOutcome {
   std::shared_ptr<const std::string> entity_headers;
   uint32_t retries = 0;   // transparent retry attempts beyond the first
   TimeNs stale_age = 0;   // kDegradedStale: age of the copy served
-  Status error;           // kError / kDegradedStale / kRejected: what failed
-  // This request joined another request's in-flight render instead of
-  // running its own (single-flight coalescing). The body_ref it carries is
-  // the same ref-counted object every other participant got.
-  bool coalesced = false;
-  // kRejected: how long the client should back off before retrying —
-  // roughly one render's worth of queue drain. HttpFrontEnd rounds it up
-  // into the Retry-After header.
-  TimeNs retry_after = 0;
+  Status error;           // kError / kDegradedStale: what failed
 };
 
 struct ServeStats {
@@ -113,15 +99,10 @@ struct ServeStats {
   uint64_t stale_serves = 0;        // degraded last-known-good responses
   uint64_t retries = 0;             // backoff retries taken
   uint64_t deadline_exceeded = 0;   // retry budgets cut short by a deadline
-  uint64_t coalesced = 0;           // requests that joined an in-flight render
-  uint64_t coalesce_timeouts = 0;   // waiters whose own deadline expired first
-  uint64_t shed = 0;                // kRejected responses (admission control)
-  uint64_t shed_softened = 0;       // sheds answered stale instead of 503
-  uint64_t renders_cancelled = 0;   // renders abandoned: every waiter expired
 
   uint64_t total() const {
     return static_hits + cache_hits + cache_misses + not_found + errors +
-           stale_serves + shed;
+           stale_serves;
   }
   double CacheHitRate() const {
     const uint64_t dynamic = cache_hits + cache_misses;
@@ -163,24 +144,11 @@ class DynamicPageServer {
     // kError. Needs the cache constructed with retain_stale to also cover
     // invalidated entries.
     bool serve_stale_on_error = true;
-    // Single-flight render coalescing: when N requests miss on the same
-    // cacheable key concurrently, one render runs and every participant
-    // shares the resulting ref-counted body. Never applies to
-    // never_cache_prefixes pages (each one is personalized by definition).
-    bool coalesce_renders = true;
-    // Admission control: maximum renders in flight at once (coalesced
-    // flights count once, however many waiters share them). A miss that
-    // cannot start a render is shed — preferably softened to the
-    // last-known-good stale copy, else kRejected (HTTP 503 + Retry-After).
-    // 0 = unbounded (admission control off).
-    size_t max_concurrent_renders = 0;
     // Actually sleep the backoff schedule (live deployments). Off by
     // default so simulations and tests never block.
     bool sleep_on_backoff = false;
     // Deadline + staleness clock. nullptr = RealClock.
     const Clock* clock = nullptr;
-    // Seed for the backoff jitter stream (deterministic per server).
-    uint64_t backoff_seed = 0x7365727665ULL;  // "serve"
 
     // Registry + instance label for the nagano_serve_* metrics.
     metrics::Options metrics;
@@ -210,58 +178,20 @@ class DynamicPageServer {
   const CostModel& costs() const { return options_.costs; }
 
  private:
-  // One in-flight render that concurrent same-key misses attach to. The
-  // leader (the request that created the flight) renders; waiters block on
-  // `cv` and adopt the published outcome, whose body travels by body_ref so
-  // the whole fan-out shares one ref-counted copy.
-  struct Flight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    ServeOutcome outcome;  // published by the leader; body via body_ref only
-    // Deadline horizon: the latest deadline across every participant. When
-    // the clock passes it (and no participant is unbounded) the leader
-    // abandons the render — nobody is left who could use the result.
-    TimeNs horizon = 0;
-    bool unbounded = false;  // some participant has no deadline
-  };
-
   ServeOutcome ServeInternal(std::string_view path, bool include_body,
                              TimeNs deadline);
   bool ShouldCache(std::string_view path) const;
-  // Generation with bounded retry; fills retries on the outcome. When
-  // `flight` is set, the retry schedule is bounded by the flight's deadline
-  // horizon (which waiters may extend) instead of the leader's own deadline.
-  Result<std::string> GenerateWithRetry(std::string_view path, TimeNs deadline,
-                                        uint32_t* retries,
-                                        Flight* flight = nullptr);
+  // Generation with bounded retry; fills retries on the outcome. `render`
+  // makes one attempt and reports whether it joined another caller's
+  // flight. A follower handed its leader's failure does not retry: the
+  // leader's chain is the herd's only one, so an outage costs at most
+  // max_attempts generator runs however large the herd.
+  Status GenerateWithRetry(TimeNs deadline, uint32_t* retries,
+                           const std::function<Status(bool* joined)>& render);
   // The degraded fallback: last-known-good copy, or kError when there is
   // none (or the policy is off).
   ServeOutcome DegradeToStale(std::string_view path, bool include_body,
                               Status error);
-  // Admission-controlled render of a cacheable page: join an in-flight
-  // render as a waiter, or lead a new one. Returns the final outcome for
-  // this request (generated / degraded / rejected).
-  ServeOutcome RenderCoalesced(std::string_view path, bool include_body,
-                               TimeNs deadline);
-  // Leads one render (admission slot already held) and publishes the
-  // outcome to `flight` if non-null.
-  ServeOutcome LeadRender(std::string_view path, bool include_body,
-                          TimeNs deadline, Flight* flight);
-  // Blocks until the flight publishes, or this waiter's own deadline
-  // expires; adopts the shared outcome.
-  ServeOutcome AwaitFlight(const std::shared_ptr<Flight>& flight,
-                           std::string_view path, bool include_body,
-                           TimeNs deadline);
-  // Admission control: reserve/release one of max_concurrent_renders slots.
-  bool TryAdmitRender();
-  void ReleaseRender();
-  // Shed one request: soften to the last-known-good stale copy when
-  // possible, else kRejected with a Retry-After hint.
-  ServeOutcome Shed(std::string_view path, bool include_body, Status why);
-  // Bump the per-class counter for an outcome adopted from a flight (the
-  // leader's own counters were bumped when the outcome was produced).
-  void CountAdopted(const ServeOutcome& outcome);
 
   cache::ObjectCache* cache_;
   pagegen::PageRenderer* renderer_;
@@ -281,14 +211,6 @@ class DynamicPageServer {
   std::mutex backoff_mutex_;
   Rng backoff_rng_;
 
-  // In-flight renders by page key. Entries are removed before the outcome
-  // is published, so a request arriving after completion starts fresh (and
-  // normally just hits the cache).
-  std::mutex flights_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
-  // Renders currently running (leaders + uncoalesced), for admission.
-  std::atomic<size_t> active_renders_{0};
-
   // Registry cells behind the legacy stats() view.
   metrics::Counter* static_hits_;
   metrics::Counter* cache_hits_;
@@ -298,12 +220,6 @@ class DynamicPageServer {
   metrics::Counter* stale_serves_;
   metrics::Counter* retries_;
   metrics::Counter* deadline_exceeded_;
-  metrics::Counter* coalesced_;
-  metrics::Counter* coalesce_timeouts_;
-  metrics::Counter* shed_;
-  metrics::Counter* shed_softened_;
-  metrics::Counter* renders_cancelled_;
-  metrics::Histogram* coalesce_wait_ms_;
 };
 
 // One site-health verdict for /healthz: overall up/down plus the reasons a

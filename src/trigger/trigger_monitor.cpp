@@ -7,6 +7,16 @@
 #include "common/logging.h"
 
 namespace nagano::trigger {
+namespace {
+
+// Levels with at most this many affected objects render inline on the
+// trigger thread instead of round-tripping through the pool: for tiny
+// levels the submit/wake/barrier overhead exceeds the render work itself,
+// which is what dragged the measured parallel "speedup" below 1.0 on small
+// hosts.
+constexpr size_t kInlineRenderCutover = 32;
+
+}  // namespace
 
 std::string_view CachePolicyName(CachePolicy policy) {
   switch (policy) {
@@ -419,7 +429,7 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
                   return a->id < b->id;
                 });
       if (workers <= 1 || level.size() <= 1 ||
-          level.size() <= options_.inline_render_cutover) {
+          level.size() <= kInlineRenderCutover) {
         // Not worth a pool round-trip.
         for (const auto* obj : level) tally(regenerate(*obj));
         continue;

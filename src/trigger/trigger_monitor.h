@@ -63,17 +63,10 @@ struct TriggerOptions : OptionsBase {
   // objects sharing a level are mutually independent and regenerate in
   // parallel (one contiguous, NodeId-ordered chunk per worker); levels run
   // in ascending order with a barrier between them, so fragments are always
-  // fresh before the pages embedding them re-render.
+  // fresh before the pages embedding them re-render. Small levels render
+  // inline on the trigger thread, and effective parallelism is clamped to
+  // the machine's hardware concurrency.
   size_t worker_threads = 1;
-
-  // Levels with at most this many affected objects render inline on the
-  // trigger thread instead of round-tripping through the pool: for tiny
-  // levels the submit/wake/barrier overhead exceeds the render work itself,
-  // which is what dragged the measured parallel "speedup" below 1.0 on
-  // small hosts. Effective parallelism is additionally clamped to the
-  // machine's hardware concurrency — more workers than cores only adds
-  // scheduler churn.
-  size_t inline_render_cutover = 32;
 
   // Coalesce up to this many queued change records into one DUP run.
   size_t batch_max = 64;

@@ -666,8 +666,7 @@ FlashCrowdRun RunFlashCrowdDrill(uint64_t seed) {
       core::ServingSite* site = serve_ring[ring++ % serve_ring.size()];
       const server::ServeOutcome outcome = site->Serve(req.page);
       if (req.page == scenario_options.hot_page) ++run.hot_requests;
-      if (outcome.cls == server::ServeClass::kError ||
-          outcome.cls == server::ServeClass::kRejected) {
+      if (outcome.cls == server::ServeClass::kError) {
         ++failed;
       } else {
         ++served;

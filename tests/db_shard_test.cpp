@@ -77,10 +77,7 @@ void UpsertN(Database& db, int from, int to) {
   }
 }
 
-uint32_t OwnerOf(int key) {
-  return HashShardMap::Instance().ShardOf("events", std::to_string(key),
-                                          kShards);
-}
+uint32_t OwnerOf(int key) { return ShardOf(std::to_string(key), kShards); }
 
 // Drops the final frame of a shard's newest WAL segment — the crash the
 // paper's recovery story must survive: one stream's unsynced tail is lost
@@ -109,21 +106,22 @@ std::map<std::string, std::vector<Row>> Snapshot(const Database& db) {
 // --- shard map -------------------------------------------------------------
 
 TEST(ShardMapTest, DeterministicAndInRange) {
-  const HashShardMap& map = HashShardMap::Instance();
   std::set<uint32_t> seen;
   for (int i = 0; i < 1000; ++i) {
     const std::string key = std::to_string(i);
-    const uint32_t shard = map.ShardOf("events", key, kShards);
+    const uint32_t shard = ShardOf(key, kShards);
     EXPECT_LT(shard, kShards);
-    EXPECT_EQ(shard, map.ShardOf("events", key, kShards));  // stable
-    // Placement hashes the key only: an entity's rows co-locate across
-    // tables, so cross-table updates for one entity stay on one shard.
-    EXPECT_EQ(shard, map.ShardOf("results", key, kShards));
+    EXPECT_EQ(shard, ShardOf(key, kShards));  // stable
     seen.insert(shard);
   }
   EXPECT_EQ(seen.size(), kShards);  // no empty shard over 1000 keys
-  EXPECT_EQ(map.ShardOf("events", "42", 1), 0u);
-  EXPECT_EQ(map.ShardOf("events", "42", 0), 0u);
+  // Pinned FNV-1a placements: WAL streams and replicas written by earlier
+  // builds must keep landing on the same shards.
+  EXPECT_EQ(ShardOf("1", 4), 2u);
+  EXPECT_EQ(ShardOf("42", 4), 1u);
+  EXPECT_EQ(ShardOf("42", 7), 4u);
+  EXPECT_EQ(ShardOf("42", 1), 0u);
+  EXPECT_EQ(ShardOf("42", 0), 0u);
 }
 
 TEST(ShardMapTest, OpenShardWalsLaysOutPerShardStreams) {

@@ -490,7 +490,6 @@ TEST(DbSubscribeTest, PerShardSubscriptionFilters) {
   db.Subscribe(&all_sink, kAllShards);
 
   // Find a key on shard 0 and one off it, then subscribe to shard 0 only.
-  const HashShardMap& map = HashShardMap::Instance();
   std::vector<uint32_t> filtered;
   FnSink shard0_sink(
       [&](uint32_t shard, const ChangeRecord&) { filtered.push_back(shard); });
@@ -500,7 +499,7 @@ TEST(DbSubscribeTest, PerShardSubscriptionFilters) {
     ASSERT_TRUE(db.Upsert("events", {Value(int64_t(i)),
                                      Value(std::string("e")), Value(0.0)})
                     .ok());
-    if (map.ShardOf("events", std::to_string(i), 4) == 0) ++expected_shard0;
+    if (ShardOf(std::to_string(i), 4) == 0) ++expected_shard0;
   }
   EXPECT_EQ(all_shards.size(), 32u);
   EXPECT_EQ(filtered.size(), expected_shard0);
@@ -571,7 +570,7 @@ TEST(DbReplicateTest, RejectsForeignShardLayout) {
   sharded.shards = 4;
   Database sharded_replica = MakeDb(std::move(sharded));
   CreateEventsTable(sharded_replica);
-  const uint32_t owner = HashShardMap::Instance().ShardOf("events", "1", 4);
+  const uint32_t owner = ShardOf("1", 4);
   change.shard = (owner + 1) % 4;
   EXPECT_EQ(sharded_replica.ApplyReplicated(change).code(),
             ErrorCode::kInvalidArgument);

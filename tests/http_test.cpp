@@ -18,13 +18,9 @@
 #include <utility>
 #include <vector>
 
-#include "cache/object_cache.h"
 #include "http/client.h"
 #include "http/message.h"
 #include "http/server.h"
-#include "odg/graph.h"
-#include "pagegen/renderer.h"
-#include "server/serving.h"
 
 namespace nagano::http {
 namespace {
@@ -74,7 +70,6 @@ TEST(HttpMessageTest, ResponseFactories) {
   EXPECT_EQ(ok.body, "body");
   EXPECT_EQ(HttpResponse::NotFound().status, 404);
   EXPECT_EQ(HttpResponse::ServerError().status, 500);
-  EXPECT_EQ(HttpResponse::ServiceUnavailable().status, 503);
 }
 
 TEST(HttpMessageTest, SerializeSetsContentLength) {
@@ -631,7 +626,7 @@ TEST_F(LiveServerTest, PortIsKernelAssigned) {
 // end stands for a socket another component accepted and hands over.
 std::pair<int, int> LoopbackPair() {
   uint16_t port = 0;
-  Result<int> listener = Listen("127.0.0.1", 0, 4, /*reuse_port=*/false, &port);
+  Result<int> listener = Listen("127.0.0.1", 0, 4, &port);
   EXPECT_TRUE(listener.ok());
   if (!listener.ok()) return {-1, -1};
   const int client = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -802,10 +797,9 @@ TEST(HttpClientTest, ConnectToClosedPortFails) {
 
 // --- multi-reactor serving -------------------------------------------------------
 
-HttpServer::Options ReactorOptions(size_t reactors, AcceptMode mode) {
+HttpServer::Options ReactorOptions(size_t reactors) {
   HttpServer::Options options;
   options.reactors = reactors;
-  options.accept_mode = mode;
   return options;
 }
 
@@ -848,8 +842,7 @@ void ExpectPipelinedPair(uint16_t port) {
 
 TEST(MultiReactorTest, PipelinedPairAtEveryReactorCount) {
   for (const size_t reactors : {size_t{1}, size_t{2}, size_t{8}}) {
-    HttpServer server(RouteAb,
-                      ReactorOptions(reactors, AcceptMode::kRoundRobin));
+    HttpServer server(RouteAb, ReactorOptions(reactors));
     ASSERT_TRUE(server.Start().ok()) << "reactors=" << reactors;
     // Several connections, so in round-robin mode the pair lands on
     // different reactors across iterations.
@@ -858,17 +851,9 @@ TEST(MultiReactorTest, PipelinedPairAtEveryReactorCount) {
   }
 }
 
-TEST(MultiReactorTest, PipelinedPairUnderReusePort) {
-  HttpServer server(RouteAb, ReactorOptions(4, AcceptMode::kAuto));
-  ASSERT_TRUE(server.Start().ok());
-  for (int i = 0; i < 4; ++i) ExpectPipelinedPair(server.port());
-  server.Stop();
-}
-
 TEST(MultiReactorTest, RoundRobinDealsConnectionsEvenly) {
-  HttpServer server(RouteAb, ReactorOptions(4, AcceptMode::kRoundRobin));
+  HttpServer server(RouteAb, ReactorOptions(4));
   ASSERT_TRUE(server.Start().ok());
-  EXPECT_EQ(server.accept_mode(), AcceptMode::kRoundRobin);
   EXPECT_EQ(server.reactors(), 4u);
   // Eight sequential one-shot connections: the round-robin acceptor deals
   // exactly two to each reactor.
@@ -885,17 +870,6 @@ TEST(MultiReactorTest, RoundRobinDealsConnectionsEvenly) {
     total += count;
   }
   EXPECT_EQ(total, server.stats().requests_served);
-  server.Stop();
-}
-
-TEST(MultiReactorTest, AutoResolvesAndServes) {
-  HttpServer server(RouteAb, ReactorOptions(2, AcceptMode::kAuto));
-  ASSERT_TRUE(server.Start().ok());
-  // kAuto resolves to a concrete mode; either way the server must serve.
-  EXPECT_NE(server.accept_mode(), AcceptMode::kAuto);
-  auto resp = HttpClient::FetchOnce("127.0.0.1", server.port(), "/b");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().body, "bravo");
   server.Stop();
 }
 
@@ -949,116 +923,6 @@ TEST(MultiReactorTest, ResponsesCarryDateHeader) {
             std::string::npos)
       << it->second;
   server.Stop();
-}
-
-// --- admission control -----------------------------------------------------------
-
-// End-to-end admission control: a render slot held open by one request, the
-// next cold miss shed over the wire.
-class AdmissionTest : public ::testing::Test {
- protected:
-  static cache::ObjectCache::Options StaleRetaining() {
-    cache::ObjectCache::Options options;
-    options.retain_stale = true;
-    return options;
-  }
-
-  AdmissionTest() : cache_(StaleRetaining()), renderer_(&graph_, &cache_) {
-    renderer_.RegisterExact("/slow", [this](const pagegen::RenderRequest&) {
-      entered_.store(true);
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (!release_.load() && std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return Result<std::string>("finally done");
-    });
-  }
-
-  // Occupies the single render slot from a background thread (directly, not
-  // over HTTP: a handler parked on the lone reactor would block the event
-  // loop and the probe would never reach admission control at all).
-  std::thread HoldRenderSlot(server::DynamicPageServer* program) {
-    std::thread holder([program] {
-      EXPECT_EQ(program->Serve("/slow").cls,
-                server::ServeClass::kCacheMissGenerated);
-    });
-    while (!entered_.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return holder;
-  }
-
-  odg::ObjectDependenceGraph graph_;
-  cache::ObjectCache cache_;
-  pagegen::PageRenderer renderer_;
-  std::atomic<bool> entered_{false};
-  std::atomic<bool> release_{false};
-};
-
-TEST_F(AdmissionTest, QueueOverflowGets503WithRetryAfter) {
-  renderer_.RegisterExact("/cold", [](const pagegen::RenderRequest&) {
-    return Result<std::string>("cold page");
-  });
-  server::DynamicPageServer::Options options;
-  options.max_concurrent_renders = 1;
-  server::DynamicPageServer program(&cache_, &renderer_, options);
-  server::HttpFrontEnd front(&program);
-  ASSERT_TRUE(front.Start().ok());
-
-  std::thread holder = HoldRenderSlot(&program);
-  // The slot is taken and /cold has no cached copy to fall back on: shed.
-  auto shed = HttpClient::FetchOnce("127.0.0.1", front.port(), "/cold");
-  ASSERT_TRUE(shed.ok());
-  EXPECT_EQ(shed.value().status, 503);
-  auto retry = shed.value().headers.find("Retry-After");
-  ASSERT_NE(retry, shed.value().headers.end());
-  // One render's worth of drain time, rounded up to whole seconds.
-  EXPECT_EQ(retry->second, "1");
-
-  release_.store(true);
-  holder.join();
-  // Queue drained: the same page now renders normally.
-  auto again = HttpClient::FetchOnce("127.0.0.1", front.port(), "/cold");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().status, 200);
-  EXPECT_EQ(again.value().body, "cold page");
-
-  EXPECT_EQ(program.stats().shed, 1u);
-  EXPECT_EQ(program.stats().shed_softened, 0u);
-  front.Stop();
-}
-
-TEST_F(AdmissionTest, StaleCopyPreferredOverRejection) {
-  renderer_.RegisterExact("/news", [](const pagegen::RenderRequest&) {
-    return Result<std::string>("latest medal table");
-  });
-  server::DynamicPageServer::Options options;
-  options.max_concurrent_renders = 1;
-  server::DynamicPageServer program(&cache_, &renderer_, options);
-  server::HttpFrontEnd front(&program);
-  ASSERT_TRUE(front.Start().ok());
-
-  // Prime a last-known-good copy, then invalidate it (retained stale).
-  ASSERT_EQ(program.Serve("/news").cls,
-            server::ServeClass::kCacheMissGenerated);
-  ASSERT_TRUE(cache_.Invalidate("/news"));
-
-  std::thread holder = HoldRenderSlot(&program);
-  // Shedding would reject, but a stale body exists — availability first.
-  auto resp = HttpClient::FetchOnce("127.0.0.1", front.port(), "/news");
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.value().status, 200);
-  EXPECT_EQ(resp.value().body, "latest medal table");
-  EXPECT_EQ(resp.value().headers.at("X-Cache"), "STALE");
-  EXPECT_EQ(resp.value().headers.count("X-Nagano-Stale"), 1u);
-
-  release_.store(true);
-  holder.join();
-  EXPECT_EQ(program.stats().shed, 0u);
-  EXPECT_EQ(program.stats().shed_softened, 1u);
-  EXPECT_EQ(program.stats().stale_serves, 1u);
-  front.Stop();
 }
 
 // --- write-stall guard -----------------------------------------------------------

@@ -35,12 +35,10 @@ std::vector<std::string> ProbePages() {
 }
 
 server::FrontEndOptions FrontEndWith(size_t reactors,
-                                     http::AcceptMode mode,
                                      std::string instance = {},
                                      fault::FaultInjector* faults = nullptr) {
   server::FrontEndOptions options;
   options.http.reactors = reactors;
-  options.http.accept_mode = mode;
   options.http.metrics.instance = std::move(instance);
   options.http.faults = faults;
   return options;
@@ -83,7 +81,7 @@ TEST(ServingMtTest, IdenticalResponsesAtEveryReactorCount) {
   for (const size_t reactors : {size_t{1}, size_t{2}, size_t{8}}) {
     server::HttpFrontEnd front(
         &site.page_server(),
-        FrontEndWith(reactors, http::AcceptMode::kRoundRobin));
+        FrontEndWith(reactors));
     ASSERT_TRUE(front.Start().ok()) << "reactors=" << reactors;
     const auto bodies = FetchAll(front.port());
     ASSERT_EQ(bodies.size(), ProbePages().size());
@@ -111,7 +109,7 @@ TEST(ServingMtTest, ConcurrentClientsAcrossReactors) {
   ASSERT_TRUE(site.PrefetchAll().ok());
 
   server::HttpFrontEnd front(&site.page_server(),
-                             FrontEndWith(4, http::AcceptMode::kRoundRobin));
+                             FrontEndWith(4));
   ASSERT_TRUE(front.Start().ok());
 
   constexpr int kClients = 8;
@@ -161,7 +159,7 @@ TEST(ServingMtTest, SingleReactorAcceptKillLeavesSiblingsServing) {
 
   server::HttpFrontEnd front(
       &site.page_server(),
-      FrontEndWith(4, http::AcceptMode::kRoundRobin, "mt-drill", &faults));
+      FrontEndWith(4, "mt-drill", &faults));
   ASSERT_TRUE(front.Start().ok());
 
   // Round-robin deals connection i to reactor i % 4: every 4th connection
@@ -204,8 +202,7 @@ TEST(ServingMtTest, SingleReactorReadAndWriteKills) {
 
     server::HttpFrontEnd front(
         &site.page_server(),
-        FrontEndWith(2, http::AcceptMode::kRoundRobin,
-                     std::string("mt-drill-") + operation, &faults));
+        FrontEndWith(2, std::string("mt-drill-") + operation, &faults));
     ASSERT_TRUE(front.Start().ok()) << operation;
 
     int served = 0, killed = 0;
@@ -246,7 +243,7 @@ TEST(ServingMtTest, SingleReactorKeepsLegacyFaultSite) {
 
   server::HttpFrontEnd front(
       &site.page_server(),
-      FrontEndWith(1, http::AcceptMode::kRoundRobin, "legacy-drill", &faults));
+      FrontEndWith(1, "legacy-drill", &faults));
   ASSERT_TRUE(front.Start().ok());
   auto first = http::HttpClient::FetchOnce("127.0.0.1", front.port(), "/");
   EXPECT_FALSE(first.ok());

@@ -1,9 +1,10 @@
 // Stampede battery: N concurrent misses on one cold key must cost exactly
-// one render, with every participant sharing the same ref-counted body
-// (single-flight coalescing, ISSUE: the medal-decided flash crowd). Also
-// drills the failure edges: a coalesced render abandoned once every
-// participant's deadline has expired, and a renderer outage where the whole
-// herd degrades to the same last-known-good stale copy.
+// one render, with every participant sharing the same ref-counted body (the
+// medal-decided flash crowd). The renderer's per-object flight is the only
+// coalescing; the serving path serves the stored object by reference. Also
+// drills the failure edges: a retry budget cut short by the request
+// deadline, and a renderer outage where the whole herd degrades to the same
+// last-known-good stale copy.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "cache/object_cache.h"
+#include "core/serving_site.h"
 #include "http/client.h"
 #include "odg/graph.h"
 #include "pagegen/renderer.h"
@@ -24,6 +26,17 @@ namespace {
 
 using namespace std::chrono_literals;
 
+// Blocks a generator until `followers` renders have joined its flight (the
+// renderer counts a follower when it joins), so a herd test is
+// deterministic: every other participant is provably waiting on this run.
+void AwaitFollowers(const pagegen::PageRenderer& renderer, uint64_t followers) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (renderer.stats().renders_coalesced < followers &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
 class StampedeTest : public ::testing::Test {
  protected:
   odg::ObjectDependenceGraph graph_;
@@ -32,25 +45,18 @@ class StampedeTest : public ::testing::Test {
 };
 
 // 64 threads race one cold key. The generator refuses to finish until every
-// follower has registered as a waiter, so the test is deterministic: one
-// render, 63 coalesced waiters, 64 byte-identical bodies off one shared ref.
+// follower has joined its flight, so the test is deterministic: one render,
+// 63 coalesced followers, 64 byte-identical bodies off one shared ref.
 TEST_F(StampedeTest, SixtyFourConcurrentMissesOneRender) {
   constexpr int kThreads = 64;
   std::atomic<int> renders{0};
-  std::atomic<DynamicPageServer*> program_gate{nullptr};
   renderer_.RegisterExact("/herd", [&](const pagegen::RenderRequest&) {
     renders.fetch_add(1);
-    const auto give_up = std::chrono::steady_clock::now() + 10s;
-    while (std::chrono::steady_clock::now() < give_up) {
-      DynamicPageServer* p = program_gate.load();
-      if (p != nullptr && p->stats().coalesced >= kThreads - 1) break;
-      std::this_thread::sleep_for(1ms);
-    }
+    AwaitFollowers(renderer_, kThreads - 1);
     return Result<std::string>("the whole herd shares me");
   });
 
   DynamicPageServer program(&cache_, &renderer_);
-  program_gate.store(&program);
 
   std::vector<ServeOutcome> outcomes(kThreads);
   std::vector<std::thread> threads;
@@ -62,7 +68,6 @@ TEST_F(StampedeTest, SixtyFourConcurrentMissesOneRender) {
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(renders.load(), 1);
-  int coalesced = 0;
   const std::string* shared = nullptr;
   for (const auto& out : outcomes) {
     EXPECT_EQ(out.cls, ServeClass::kCacheMissGenerated);
@@ -71,15 +76,51 @@ TEST_F(StampedeTest, SixtyFourConcurrentMissesOneRender) {
     if (shared == nullptr) shared = out.body_ref.get();
     // Same control block, same bytes: the fan-out holds one copy.
     EXPECT_EQ(out.body_ref.get(), shared);
-    if (out.coalesced) ++coalesced;
   }
-  EXPECT_EQ(coalesced, kThreads - 1);
 
-  const auto stats = program.stats();
-  EXPECT_EQ(stats.cache_misses, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kThreads - 1));
-  EXPECT_EQ(stats.coalesce_timeouts, 0u);
+  EXPECT_EQ(program.stats().cache_misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(renderer_.stats().renders_coalesced,
+            static_cast<uint64_t>(kThreads - 1));
   EXPECT_EQ(renderer_.stats().pages_rendered, 1u);
+}
+
+// The same herd through the production assembly: a ServingSite built from
+// default SiteOptions. One generator run, and every outcome aliases the one
+// cached object.
+TEST(SiteStampedeTest, DefaultSiteHerdCostsOneRender) {
+  constexpr int kThreads = 64;
+  auto site_or = core::ServingSite::Create(core::SiteOptions());
+  ASSERT_TRUE(site_or.ok()) << site_or.status().ToString();
+  core::ServingSite& site = *site_or.value();
+  pagegen::PageRenderer& renderer = site.renderer();
+  const uint64_t coalesced_before = renderer.stats().renders_coalesced;
+
+  std::atomic<int> renders{0};
+  renderer.RegisterExact("/herd", [&](const pagegen::RenderRequest&) {
+    renders.fetch_add(1);
+    AwaitFollowers(renderer, coalesced_before + kThreads - 1);
+    return Result<std::string>("one render for the site's herd");
+  });
+
+  std::vector<ServeOutcome> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] { outcomes[i] = site.Serve("/herd"); });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(renders.load(), 1);
+  const auto cached = site.cache().Peek("/herd");
+  ASSERT_NE(cached, nullptr);
+  for (const auto& out : outcomes) {
+    EXPECT_EQ(out.cls, ServeClass::kCacheMissGenerated);
+    ASSERT_NE(out.body_ref, nullptr);
+    EXPECT_EQ(out.body_ref.get(), &cached->body);
+    EXPECT_EQ(*out.body_ref, "one render for the site's herd");
+  }
+  EXPECT_EQ(renderer.stats().renders_coalesced - coalesced_before,
+            static_cast<uint64_t>(kThreads - 1));
 }
 
 // The same herd arriving over real sockets, at every reactor count. The
@@ -100,7 +141,6 @@ TEST_F(StampedeTest, HttpFanOutAtOneTwoEightReactors) {
     const std::string path = "/storm/" + std::to_string(reactors);
     FrontEndOptions options;
     options.http.reactors = reactors;
-    options.http.accept_mode = http::AcceptMode::kRoundRobin;
     HttpFrontEnd front(&program, options);
     ASSERT_TRUE(front.Start().ok()) << "reactors=" << reactors;
 
@@ -130,9 +170,9 @@ TEST_F(StampedeTest, HttpFanOutAtOneTwoEightReactors) {
   }
 }
 
-// When every participant's deadline has expired, the in-flight render is
-// abandoned between retry attempts instead of burning the whole retry
-// budget on a result nobody is left to read.
+// Once the request's deadline has passed, the retry loop stops between
+// attempts instead of burning the whole retry budget on a result nobody is
+// left to read.
 TEST_F(StampedeTest, RenderCancelledOnceEveryDeadlineExpires) {
   std::atomic<int> attempts{0};
   renderer_.RegisterExact("/doomed", [&](const pagegen::RenderRequest&) {
@@ -155,12 +195,14 @@ TEST_F(StampedeTest, RenderCancelledOnceEveryDeadlineExpires) {
   EXPECT_GE(attempts.load(), 1);
   EXPECT_LT(attempts.load(), 30);  // the 100-attempt budget was cut short
   const auto stats = program.stats();
-  EXPECT_EQ(stats.renders_cancelled, 1u);
-  EXPECT_GE(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.retries, static_cast<uint64_t>(attempts.load() - 1));
 }
 
 // Renderer outage under a herd: the one failing render degrades the whole
-// fan-out to the same last-known-good stale copy.
+// fan-out to the same last-known-good stale copy. Only the leader retries;
+// a follower handed the leader's failure degrades at once, so the outage
+// costs max_attempts generator runs however large the herd.
 TEST_F(StampedeTest, HerdDegradesToSharedStaleCopyOnRendererFailure) {
   constexpr int kThreads = 16;
   cache::ObjectCache::Options cache_options;
@@ -169,15 +211,11 @@ TEST_F(StampedeTest, HerdDegradesToSharedStaleCopyOnRendererFailure) {
   pagegen::PageRenderer renderer(&graph_, &cache);
 
   std::atomic<bool> fail{false};
-  std::atomic<DynamicPageServer*> program_gate{nullptr};
+  std::atomic<int> failed_runs{0};
   renderer.RegisterExact("/fragile", [&](const pagegen::RenderRequest&) {
     if (!fail.load()) return Result<std::string>("last known good");
-    const auto give_up = std::chrono::steady_clock::now() + 10s;
-    while (std::chrono::steady_clock::now() < give_up) {
-      DynamicPageServer* p = program_gate.load();
-      if (p != nullptr && p->stats().coalesced >= kThreads - 1) break;
-      std::this_thread::sleep_for(1ms);
-    }
+    failed_runs.fetch_add(1);
+    AwaitFollowers(renderer, kThreads - 1);
     return Result<std::string>(UnavailableError("renderer down"));
   });
 
@@ -190,7 +228,6 @@ TEST_F(StampedeTest, HerdDegradesToSharedStaleCopyOnRendererFailure) {
   ASSERT_EQ(program.Serve("/fragile").cls, ServeClass::kCacheMissGenerated);
   ASSERT_TRUE(cache.Invalidate("/fragile"));
   fail.store(true);
-  program_gate.store(&program);
 
   std::vector<ServeOutcome> outcomes(kThreads);
   std::vector<std::thread> threads;
@@ -209,9 +246,12 @@ TEST_F(StampedeTest, HerdDegradesToSharedStaleCopyOnRendererFailure) {
     if (shared == nullptr) shared = out.body_ref.get();
     EXPECT_EQ(out.body_ref.get(), shared);
   }
-  const auto stats = program.stats();
-  EXPECT_EQ(stats.stale_serves, static_cast<uint64_t>(kThreads));
-  EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(program.stats().stale_serves, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(failed_runs.load(), static_cast<int>(options.retry.max_attempts));
+  EXPECT_EQ(program.stats().retries,
+            static_cast<uint64_t>(options.retry.max_attempts - 1));
+  EXPECT_EQ(renderer.stats().renders_coalesced,
+            static_cast<uint64_t>(kThreads - 1));
 }
 
 // Two pages share one hot fragment. A 64-thread miss herd split across
@@ -300,7 +340,6 @@ TEST_F(StampedeTest, ComposedFanOutZeroCopiesAtOneTwoEightReactors) {
     fragment_renders.store(0);
     FrontEndOptions options;
     options.http.reactors = reactors;
-    options.http.accept_mode = http::AcceptMode::kRoundRobin;
     HttpFrontEnd front(&program, options);
     ASSERT_TRUE(front.Start().ok()) << "reactors=" << reactors;
 
