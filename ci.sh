@@ -58,8 +58,10 @@ leg_quick() {
   run_bench_gate quick memory_footprint "MEM residency check"
 }
 leg_asan()  { run_leg asan "address,undefined" ""; }
-# TSan halts the run on the first data race (halt_on_error) so a race can
-# never scroll by as a warning in a passing job.
+# TSan leg: the `stress` suites, including integration_test, the one suite
+# that runs the trigger's tail thread against live HTTP reactors and a
+# feed. TSan halts the run on the first data race (halt_on_error) so a race
+# can never scroll by as a warning in a passing job.
 leg_tsan()  { TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
               run_leg tsan "thread" "-L stress"; }
 # Chaos leg: the fault-injection drills, raced under TSan. Two passes —

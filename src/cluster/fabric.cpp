@@ -113,14 +113,6 @@ ServingFabric::Complex* ServingFabric::FindComplex(std::string_view name) {
   return nullptr;
 }
 
-const ServingFabric::Complex* ServingFabric::FindComplexConst(
-    std::string_view name) const {
-  for (const auto& cx : complexes_) {
-    if (cx.name == name) return &cx;
-  }
-  return nullptr;
-}
-
 bool ServingFabric::SelectTarget(size_t region, int address, uint32_t excluded,
                                  size_t* complex_out,
                                  size_t* dispatcher_out) const {

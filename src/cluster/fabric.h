@@ -161,7 +161,6 @@ class ServingFabric {
   };
 
   Complex* FindComplex(std::string_view name);
-  const Complex* FindComplexConst(std::string_view name) const;
 
   // Applies pending fault-plan window edges (fail on entry, recover on
   // exit) before routing. No-op without an injector.

@@ -20,7 +20,8 @@
 //   "fabric"       complex name         "complex", "frame:<i>",
 //                                       "dispatcher:<i>", "node:<f>.<n>"
 //                                       (kWindow outage rules)
-//   "trigger"      metrics instance     "notify" (drop / duplicate)
+//   "trigger"      metrics instance     "notify" (drop / repeat the commit
+//                                       wake-up; records are read by cursor)
 //   "http"         metrics instance     "accept", "read", "write"
 //                  (with reactors > 1 the site is "<instance>/r<k>", one
 //                  per reactor, so a drill can kill a single event loop's

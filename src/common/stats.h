@@ -3,7 +3,6 @@
 // every figure/table from these.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -72,16 +71,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Monotonically increasing thread-safe counter.
-class Counter {
- public:
-  void Increment(uint64_t by = 1) { v_.fetch_add(by, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
 };
 
 // Fixed-width time-series accumulator: value[i] accumulates everything

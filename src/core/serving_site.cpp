@@ -44,7 +44,6 @@ db::DatabaseOptions DbOptionsFor(const SiteOptions& options) {
   db_options.wal = options.wal;
   db_options.shards = options.db_shards;
   db_options.shard_wals = options.shard_wals;
-  db_options.change_log_retention = options.change_log_retention;
   return db_options;
 }
 
@@ -182,7 +181,7 @@ server::HealthReport ServingSite::Health() const {
   return report;
 }
 
-void ServingSite::SetCatchUpTarget(uint64_t seqno) {
+void ServingSite::SetRejoinTarget(uint64_t seqno) {
   uint64_t prev = catch_up_target_.load(std::memory_order_relaxed);
   while (prev < seqno && !catch_up_target_.compare_exchange_weak(
                              prev, seqno, std::memory_order_release)) {

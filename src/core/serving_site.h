@@ -50,9 +50,6 @@ struct SiteOptions : OptionsBase {
   // checkpoint image, recovered in parallel by WarmRestart().
   size_t db_shards = 1;
   std::vector<wal::WriteAheadLog*> shard_wals;
-  // In-memory change-log retention after checkpoints (db::DatabaseOptions::
-  // change_log_retention; 0 = unbounded).
-  size_t change_log_retention = 0;
   // Keep invalidated cache entries reachable for degraded serving
   // (ObjectCache retain_stale); pairs with serve_stale_on_error below.
   bool retain_stale = false;
@@ -169,7 +166,7 @@ class ServingSite {
   // --- warm-restart catch-up -----------------------------------------------
   // Raises the seqno this recovered site must reach (typically the master's
   // LastSeqno at rejoin time) before it reports ready.
-  void SetCatchUpTarget(uint64_t seqno);
+  void SetRejoinTarget(uint64_t seqno);
   // True once the recovered database has applied the catch-up target and
   // the cache is repopulated; latches (a site that caught up stays caught
   // up). Sites that never went through WarmRestart are always caught up.

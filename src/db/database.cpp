@@ -374,20 +374,14 @@ void Database::ApplyAndLog(Shard& shard, const TableSchema&,
   commits_->Increment();
 }
 
-void Database::NotifySinks(const ChangeRecord& change) {
-  // Snapshot matching sinks, then fire with no locks held: sinks (the
-  // trigger monitor) may re-enter the database to render pages.
-  std::vector<ChangeSink*> to_fire;
-  {
-    std::lock_guard lock(sink_mutex_);
-    to_fire.reserve(sinks_.size());
-    for (const auto& [_, sub] : sinks_) {
-      if (sub.shard == kAllShards || sub.shard == change.shard) {
-        to_fire.push_back(sub.sink);
-      }
-    }
-  }
-  for (ChangeSink* sink : to_fire) sink->OnChange(change.shard, change);
+void Database::RingCommitWakeup() {
+  std::lock_guard lock(wakeup_mutex_);
+  if (commit_wakeup_) commit_wakeup_();
+}
+
+void Database::SetCommitWakeup(std::function<void()> wakeup) {
+  std::lock_guard lock(wakeup_mutex_);
+  commit_wakeup_ = std::move(wakeup);
 }
 
 Status Database::Upsert(std::string_view table, Row row) {
@@ -431,7 +425,7 @@ Status Database::Upsert(std::string_view table, Row row) {
   shard_lock.unlock();
   schema_lock.unlock();
   commit.unlock();
-  NotifySinks(change);
+  RingCommitWakeup();
   return Status::Ok();
 }
 
@@ -470,7 +464,7 @@ Status Database::Delete(std::string_view table, const Value& key) {
   shard_lock.unlock();
   schema_lock.unlock();
   commit.unlock();
-  NotifySinks(change);
+  RingCommitWakeup();
   return Status::Ok();
 }
 
@@ -522,7 +516,7 @@ Status Database::ApplyReplicated(const ChangeRecord& change) {
   shard_lock.unlock();
   schema_lock.unlock();
   commit.unlock();
-  NotifySinks(change);
+  RingCommitWakeup();
   return Status::Ok();
 }
 
@@ -1212,43 +1206,6 @@ Result<ChangeBatch> Database::ReadChanges(const ChangeCursor& cursor,
     batch.records.push_back(std::move(rec));
   }
   return batch;
-}
-
-Result<std::vector<ChangeRecord>> Database::ReadShardChanges(
-    uint32_t shard_index, uint64_t after, size_t limit) const {
-  if (shard_index >= shards()) {
-    return InvalidArgumentError("ReadShardChanges: no shard " +
-                                std::to_string(shard_index));
-  }
-  if (Status s = fault::Check(faults_, "db", instance_, "changes"); !s.ok()) {
-    return s;
-  }
-  const Shard& shard = *shards_[shard_index];
-  std::shared_lock lock(shard.mutex);
-  if (after + 1 < shard.log_head) {
-    return DataLossError(
-        "ReadShardChanges: shard " + std::to_string(shard_index) +
-        " seqnos through " + std::to_string(shard.log_head - 1) +
-        " truncated after checkpoint; resync required");
-  }
-  std::vector<ChangeRecord> out;
-  auto it = std::lower_bound(
-      shard.log.begin(), shard.log.end(), after + 1,
-      [](const ChangeRecord& r, uint64_t s) { return r.shard_seqno < s; });
-  for (; it != shard.log.end() && out.size() < limit; ++it) out.push_back(*it);
-  return out;
-}
-
-uint64_t Database::Subscribe(ChangeSink* sink, uint32_t shard) {
-  std::lock_guard lock(sink_mutex_);
-  const uint64_t id = next_sink_id_++;
-  sinks_[id] = Subscription{sink, shard};
-  return id;
-}
-
-void Database::Unsubscribe(uint64_t id) {
-  std::lock_guard lock(sink_mutex_);
-  sinks_.erase(id);
 }
 
 }  // namespace nagano::db

@@ -9,8 +9,7 @@
 //    plus a dense per-shard (shard, shard_seqno) pair, consumed through
 //    per-shard cursors (ReadChanges) — the feed the trigger monitor tails
 //    and the replication shipper pulls;
-//  * change subscriptions (ChangeSink callbacks fired on commit, optionally
-//    filtered to one shard) for push-style consumers.
+//  * a data-free commit wake-up for the consumer that tails the feed.
 //
 // Sharding: rows are partitioned across N independent shards by ShardOf
 // (FNV-1a of the primary key, shard_map.h). Each shard owns its own
@@ -97,15 +96,6 @@ struct ChangeBatch {
   std::vector<uint32_t> gap_shards;
 };
 
-// Push-style change consumer. Fires synchronously on commit, outside the
-// database locks, tagged with the owning shard — so a consumer can
-// subscribe to one shard without inspecting every commit.
-class ChangeSink {
- public:
-  virtual ~ChangeSink() = default;
-  virtual void OnChange(uint32_t shard, const ChangeRecord& change) = 0;
-};
-
 struct DatabaseOptions : OptionsBase {
   const Clock* clock = nullptr;  // defaults to RealClock
   // Consulted on mutations ({"db", <instance>, "commit"}: commit errors and
@@ -126,7 +116,7 @@ struct DatabaseOptions : OptionsBase {
   // Checkpoint() (0 = unbounded, the pre-WAL behaviour). Reading a cursor
   // from before a shard's retained head reports that shard in
   // ChangeBatch::gap_shards — the signal that sends replication consumers
-  // through resync.
+  // through resync and makes the trigger monitor drop its cache.
   size_t change_log_retention = 0;
   // Worker threads Recover() replays shards on. 0 = min(shards, hardware
   // concurrency); 1 = serial.
@@ -258,8 +248,8 @@ class Database {
   // newest checkpoint plus its WAL tail, replaying shards in parallel on a
   // thread pool (recovery_threads). Original seqnos are preserved:
   // LastSeqno() afterwards equals the last durably committed seqno and new
-  // commits continue densely from it; per-shard seqnos likewise. Listeners
-  // do not fire during recovery.
+  // commits continue densely from it; per-shard seqnos likewise. The commit
+  // wake-up does not ring during recovery.
   //
   // A shard that lost records (torn WAL tail, or provably missing commits)
   // comes back as far as its stream allows and is flagged kDataLoss in
@@ -292,10 +282,6 @@ class Database {
   // {"db", <instance>, "changes"} point) — kUnavailable, retry later.
   Result<ChangeBatch> ReadChanges(const ChangeCursor& cursor,
                                   size_t limit = SIZE_MAX) const;
-  // Single-shard tail read: records of `shard` with shard_seqno > after.
-  // kDataLoss when `after` precedes the shard's retained head.
-  Result<std::vector<ChangeRecord>> ReadShardChanges(
-      uint32_t shard, uint64_t after, size_t limit = SIZE_MAX) const;
   // Cursor positioned at everything applied so far (positions[k] = shard
   // k's dense watermark) — the seed for feed consumers starting "now".
   ChangeCursor AppliedCursor() const;
@@ -311,11 +297,12 @@ class Database {
   // global watermark.
   ChangeCursor CursorAtGlobal(uint64_t seqno) const;
 
-  // Sink fires synchronously on commit, outside the database locks, for
-  // every change whose shard matches `shard` (kAllShards = no filter).
-  // The sink must outlive the subscription.
-  uint64_t Subscribe(ChangeSink* sink, uint32_t shard = kAllShards);
-  void Unsubscribe(uint64_t id);
+  // Installs the commit wake-up (empty function = none): rung after every
+  // Upsert, Delete and ApplyReplicated, with no data lock held, so it may
+  // read the database; it must not commit. It carries no data — the woken
+  // consumer reads the records with ReadChanges. One slot; once this call
+  // returns, the previous wake-up is no longer running or rung.
+  void SetCommitWakeup(std::function<void()> wakeup);
 
  private:
   // Global schema for one table; rows live in per-shard partitions.
@@ -360,8 +347,8 @@ class Database {
   // about to take (or hold) the shard's write lock.
   void ApplyAndLog(Shard& shard, const TableSchema& schema,
                    const ChangeRecord& change);
-  // Fires matching sinks. Called with no database locks held.
-  void NotifySinks(const ChangeRecord& change);
+  // Rings the commit wake-up. Called with no data lock held.
+  void RingCommitWakeup();
   static void ApplyChange(Partition& p, const ChangeRecord& change);
   // Index maintenance around a row mutation.
   static void UnindexRow(Partition& p, const std::string& pk, const Row& row);
@@ -388,13 +375,9 @@ class Database {
   std::atomic<uint64_t> global_log_head_{1};
   RecoveryReport recovery_report_;
 
-  struct Subscription {
-    ChangeSink* sink = nullptr;
-    uint32_t shard = kAllShards;
-  };
-  mutable std::mutex sink_mutex_;
-  std::map<uint64_t, Subscription> sinks_;
-  uint64_t next_sink_id_ = 1;
+  // Held while the wake-up runs, so SetCommitWakeup can retire it safely.
+  std::mutex wakeup_mutex_;
+  std::function<void()> commit_wakeup_;
 
   // Committed mutations (inserts/updates/deletes plus replicated applies).
   metrics::Counter* commits_;

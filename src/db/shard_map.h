@@ -15,9 +15,6 @@
 
 namespace nagano::db {
 
-// Sentinel shard filter: deliver changes from every shard.
-inline constexpr uint32_t kAllShards = UINT32_MAX;
-
 // Shard owning `key` (its canonical KeyString): FNV-1a of the key bytes,
 // modulo the shard count; always < num_shards (0 when num_shards <= 1). The
 // table name is deliberately not hashed — co-locating a key's rows across

@@ -69,7 +69,7 @@ Status DispatcherCluster::StartNode(Node& node, bool warm) {
   if (warm) {
     // Standalone catch-up: the node's own WAL carried every commit it ever
     // applied, so the recovered watermark is the target.
-    node.site->SetCatchUpTarget(node.site->db().LastSeqno());
+    node.site->SetRejoinTarget(node.site->db().LastSeqno());
   }
   if (auto prefetched = node.site->PrefetchAll(); !prefetched.ok()) {
     return prefetched.status();

@@ -92,12 +92,7 @@ bool PageRenderer::CanGenerate(std::string_view page) const {
   return FindGenerator(page) != nullptr;
 }
 
-Result<std::string> PageRenderer::RenderAndCache(std::string_view page) {
-  RenderState state;
-  return RenderInternal(page, /*store=*/true, state);
-}
-
-Result<std::shared_ptr<const std::string>> PageRenderer::RenderAndCacheShared(
+Result<std::shared_ptr<const std::string>> PageRenderer::RenderAndCache(
     std::string_view page, bool* joined) {
   if (joined != nullptr) *joined = false;
   const PageGenerator* generator = FindGenerator(page);

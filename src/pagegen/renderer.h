@@ -108,17 +108,12 @@ class PageRenderer {
   // the cache, and returns it. Fragments referenced via {{>...}} are pulled
   // from the cache or rendered (and cached) recursively; include cycles are
   // an error. Concurrent calls for one object share a single generator run
-  // (the site's only single-flight): followers wait for the leader and
-  // return its result.
-  Result<std::string> RenderAndCache(std::string_view page);
-
-  // RenderAndCache for the serving path. The body comes back shared, so a
-  // herd holds one copy of it rather than one per follower. `joined`
-  // (optional) reports whether this call rode another caller's generator
-  // run; a follower that got the leader's failure should not start a retry
-  // chain of its own. A follower waits for the leader for at most two
-  // seconds, then renders on its own.
-  Result<std::shared_ptr<const std::string>> RenderAndCacheShared(
+  // (the site's only single-flight) and one shared copy of the body.
+  // `joined` (optional) reports whether this call rode another caller's
+  // generator run; a follower that got the leader's failure should not
+  // start a retry chain of its own. A follower waits for the leader for at
+  // most two seconds, then renders on its own.
+  Result<std::shared_ptr<const std::string>> RenderAndCache(
       std::string_view page, bool* joined = nullptr);
 
   // Render without storing — used for never-cache pages and for measuring

@@ -236,7 +236,7 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
     const Status status = GenerateWithRetry(
         deadline, &out.retries, [&](bool* joined) -> Status {
           if (cacheable) {
-            auto body = renderer_->RenderAndCacheShared(path, joined);
+            auto body = renderer_->RenderAndCache(path, joined);
             if (body.ok()) shared = std::move(body).value();
             return body.status();
           }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
@@ -15,6 +16,19 @@ namespace {
 // which is what dragged the measured parallel "speedup" below 1.0 on small
 // hosts.
 constexpr size_t kInlineRenderCutover = 32;
+
+// The tail re-reads the log at least this often even when no wake-up
+// arrives, so a lost wake-up or a failed read only delays a change, far
+// inside the paper's 60 s freshness bound.
+constexpr std::chrono::milliseconds kTailPollInterval{100};
+
+// True iff `cursor` is at or past `target` on every shard.
+bool Covers(const db::ChangeCursor& cursor, const db::ChangeCursor& target) {
+  for (size_t k = 0; k < target.positions.size(); ++k) {
+    if (cursor.at(k) < target.positions[k]) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -74,9 +88,6 @@ TriggerMonitor::TriggerMonitor(db::Database* db,
       clock_(options_.clock ? options_.clock : &RealClock::Instance()),
       faults_(options_.faults) {
   assert(db_ && graph_ && cache_ && renderer_ && mapper_);
-  if (options_.worker_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
 
   const auto scope = metrics::Scope::Resolve(options_.metrics, "trigger");
   instance_ = scope.labels.empty() ? std::string() : scope.labels[0].second;
@@ -111,13 +122,10 @@ TriggerMonitor::TriggerMonitor(db::Database* db,
       "nagano_trigger_renders_attempted_total", "regenerations tried");
   notifications_dropped_ =
       scope.GetCounter("nagano_trigger_notifications_dropped_total",
-                       "commit notifications lost to injected faults");
-  notifications_recovered_ =
-      scope.GetCounter("nagano_trigger_notifications_recovered_total",
-                       "dropped changes healed from the change log");
+                       "commit wake-ups lost to injected faults");
   duplicates_injected_ =
       scope.GetCounter("nagano_trigger_duplicates_injected_total",
-                       "injected duplicate notification deliveries");
+                       "injected extra commit wake-ups");
   update_latency_ms_ =
       scope.GetHistogram("nagano_trigger_update_latency_ms",
                          "commit to cache-consistent latency per batch (ms)");
@@ -140,152 +148,135 @@ TriggerMonitor::~TriggerMonitor() { Stop(); }
 
 void TriggerMonitor::Start() {
   if (running_.exchange(true)) return;
-  // Changes already in the log predate this monitor (e.g. the site build);
-  // gap-healing must only recover what was committed while running, or the
-  // first notification would replay the whole build log.
-  {
-    std::lock_guard<std::mutex> lock(seq_mutex_);
-    cursor_ = db_->AppliedCursor();
-  }
-  subscription_ = db_->Subscribe(this, db::kAllShards);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-void TriggerMonitor::EnqueueChange(const db::ChangeRecord& change) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++enqueued_;
-  }
-  if (!queue_.Push(change)) {
-    // Raced with Stop(): the queue is closed and this change will never
-    // be processed. Roll the counter back, or a concurrent Quiesce()
-    // would wait forever on a change nobody is going to process.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --enqueued_;
+    if (cursor_.empty()) {
+      // First start: changes already in the log predate this monitor (e.g.
+      // the site build); the tail starts after them.
+      cursor_ = db_->AppliedCursor();
     }
-    quiesce_cv_.notify_all();
+    stop_at_.reset();
+    tailing_ = true;
   }
-}
-
-void TriggerMonitor::OnChange(uint32_t shard, const db::ChangeRecord& change) {
-  const auto fate = fault::Decide(faults_, "trigger", instance_, "notify");
-  if (!fate.status.ok()) {
-    // Lost notification. The commit is durable in the change log, so the
-    // next notification (or an explicit CatchUp) heals the gap.
-    notifications_dropped_->Increment();
-    return;
+  if (options_.worker_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   }
-  std::vector<db::ChangeRecord> to_enqueue;
-  {
-    std::lock_guard<std::mutex> lock(seq_mutex_);
-    if (cursor_.positions.size() <= shard) {
-      cursor_.positions.resize(shard + 1, 0);
-    }
-    const uint64_t pos = cursor_.positions[shard];
-    if (change.shard_seqno > pos + 1) {
-      // Earlier notifications from this shard were dropped; recover them
-      // from the shard's log in order, ahead of this change. (A read
-      // failure leaves the hole for CatchUp — or skips records already
-      // truncated, exactly like the pre-cursor watermark did.)
-      auto missed_or =
-          db_->ReadShardChanges(shard, pos, change.shard_seqno - pos - 1);
-      if (missed_or.ok()) {
-        for (auto& missed : missed_or.value()) {
-          if (missed.shard_seqno >= change.shard_seqno) break;
-          to_enqueue.push_back(std::move(missed));
-        }
-        notifications_recovered_->Increment(to_enqueue.size());
-      }
-    }
-    if (change.shard_seqno > pos) cursor_.positions[shard] = change.shard_seqno;
-  }
-  to_enqueue.push_back(change);
-  for (uint32_t i = 0; i < fate.duplicates; ++i) to_enqueue.push_back(change);
-  if (fate.duplicates > 0) duplicates_injected_->Increment(fate.duplicates);
-  for (const auto& record : to_enqueue) EnqueueChange(record);
-}
-
-size_t TriggerMonitor::CatchUp() {
-  if (!running_.load(std::memory_order_relaxed)) return 0;
-  std::vector<db::ChangeRecord> to_enqueue;
-  {
-    std::lock_guard<std::mutex> lock(seq_mutex_);
-    // Two passes at most: the second only runs when a shard's records were
-    // truncated past the cursor — clamp to the oldest retained position
-    // and take what survives.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      auto batch_or = db_->ReadChanges(cursor_);
-      if (!batch_or.ok()) break;
-      db::ChangeBatch& batch = batch_or.value();
-      for (auto& record : batch.records) {
-        to_enqueue.push_back(std::move(record));
-      }
-      cursor_ = std::move(batch.next);
-      if (batch.gap_shards.empty()) break;
-      const db::ChangeCursor retained = db_->RetainedCursor();
-      for (const uint32_t shard : batch.gap_shards) {
-        if (cursor_.positions.size() <= shard) {
-          cursor_.positions.resize(shard + 1, 0);
-        }
-        cursor_.positions[shard] =
-            std::max(cursor_.positions[shard], retained.at(shard));
-      }
-    }
-    if (!to_enqueue.empty()) {
-      notifications_recovered_->Increment(to_enqueue.size());
-    }
-  }
-  std::sort(to_enqueue.begin(), to_enqueue.end(),
-            [](const db::ChangeRecord& a, const db::ChangeRecord& b) {
-              return a.seqno < b.seqno;
-            });
-  for (const auto& record : to_enqueue) EnqueueChange(record);
-  return to_enqueue.size();
+  db_->SetCommitWakeup([this] { OnCommitWakeup(); });
+  tail_ = std::thread([this] { TailLoop(); });
 }
 
 void TriggerMonitor::Stop() {
   if (!running_.exchange(false)) return;
-  // Drain-then-join: Close() stops new pushes but the dispatcher keeps
-  // popping until the queue is empty, so every change enqueued before Stop
-  // still reaches the cache. The pool shuts down only after the dispatcher
-  // has joined (it is the sole submitter), so no render job is dropped.
-  db_->Unsubscribe(subscription_);
-  queue_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  if (pool_) pool_->Shutdown();
+  // Drain-then-join: the tail applies everything committed before this
+  // point, then exits. The pool shuts down only after the tail has joined
+  // (it is the sole submitter), so no render job is dropped.
+  db_->SetCommitWakeup(nullptr);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_at_ = db_->AppliedCursor();
+  }
+  wake_cv_.notify_one();
+  tail_.join();
+  pool_.reset();
+}
+
+void TriggerMonitor::OnCommitWakeup() {
+  const auto fate = fault::Decide(faults_, "trigger", instance_, "notify");
+  if (!fate.status.ok()) {
+    // Lost wake-up. The change is durable in the log, and the tail reads
+    // it on its next wake-up or poll.
+    notifications_dropped_->Increment();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    woken_ = true;
+  }
+  for (uint32_t i = 0; i <= fate.duplicates; ++i) wake_cv_.notify_one();
+  if (fate.duplicates > 0) duplicates_injected_->Increment(fate.duplicates);
 }
 
 void TriggerMonitor::Quiesce() {
+  const db::ChangeCursor target = db_->AppliedCursor();
   std::unique_lock<std::mutex> lock(mutex_);
-  quiesce_cv_.wait(lock, [&] { return processed_ == enqueued_; });
+  const auto done = [&] { return !tailing_ || Covers(cursor_, target); };
+  if (done()) return;
+  // Ring for the tail ourselves: the commit's own wake-up may have been
+  // lost.
+  woken_ = true;
+  wake_cv_.notify_one();
+  progress_cv_.wait(lock, done);
 }
 
 uint64_t TriggerMonitor::backlog() const {
+  const db::ChangeCursor applied = db_->AppliedCursor();
   std::lock_guard<std::mutex> lock(mutex_);
-  return enqueued_ - processed_;
+  uint64_t pending = 0;
+  for (size_t k = 0; k < applied.positions.size(); ++k) {
+    pending += applied.positions[k] - std::min(applied.positions[k],
+                                               cursor_.at(k));
+  }
+  return pending;
 }
 
-void TriggerMonitor::DispatchLoop() {
+void TriggerMonitor::TailLoop() {
+  db::ChangeCursor cursor = cursor_;  // published to cursor_ per batch
+  bool caught_up = false;
   for (;;) {
-    auto first = queue_.Pop();
-    if (!first) return;  // closed and drained
-    std::vector<db::ChangeRecord> batch;
-    batch.push_back(std::move(*first));
-    while (batch.size() < options_.batch_max) {
-      auto next = queue_.TryPop();
-      if (!next) break;
-      batch.push_back(std::move(*next));
+    std::optional<db::ChangeCursor> stop_at;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (caught_up) {
+        wake_cv_.wait_for(lock, kTailPollInterval,
+                          [&] { return woken_ || stop_at_.has_value(); });
+      }
+      woken_ = false;
+      stop_at = stop_at_;
+      if (stop_at && Covers(cursor, *stop_at)) break;
     }
-    ProcessBatch(batch);
-    batches_->Increment();
-    changes_processed_->Increment(batch.size());
+    auto batch_or = db_->ReadChanges(cursor, options_.batch_max);
+    if (!batch_or.ok()) {
+      // Transient: the cursor stays put and the next wake-up retries from
+      // it. Stop() does not wait for a feed that cannot be read.
+      if (stop_at) break;
+      caught_up = true;
+      continue;
+    }
+    db::ChangeBatch& batch = batch_or.value();
+    if (!batch.records.empty()) {
+      ProcessBatch(batch.records);
+      batches_->Increment();
+      changes_processed_->Increment(batch.records.size());
+    }
+    cursor = std::move(batch.next);
+    if (!batch.gap_shards.empty()) SkipGap(batch.gap_shards, cursor);
+    caught_up = batch.records.size() < options_.batch_max &&
+                batch.gap_shards.empty();
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      processed_ += batch.size();
+      cursor_ = cursor;
     }
-    quiesce_cv_.notify_all();
+    progress_cv_.notify_all();
   }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    tailing_ = false;
+  }
+  progress_cv_.notify_all();
+}
+
+void TriggerMonitor::SkipGap(const std::vector<uint32_t>& gap_shards,
+                             db::ChangeCursor& cursor) {
+  const db::ChangeCursor retained = db_->RetainedCursor();
+  for (const uint32_t shard : gap_shards) {
+    if (cursor.positions.size() <= shard) {
+      cursor.positions.resize(shard + 1, 0);
+    }
+    cursor.positions[shard] =
+        std::max(cursor.positions[shard], retained.at(shard));
+  }
+  if (options_.policy == CachePolicy::kNone) return;
+  objects_invalidated_->Increment(cache_->InvalidatePrefix(""));
 }
 
 void TriggerMonitor::ProcessBatch(const std::vector<db::ChangeRecord>& batch) {
@@ -396,7 +387,7 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     attempted.fetch_add(1, std::memory_order_relaxed);
     auto body = renderer_->RenderAndCache(name);
     if (!body.ok()) return Outcome::kFailed;
-    bytes_rerendered.fetch_add(body.value().size(), std::memory_order_relaxed);
+    bytes_rerendered.fetch_add(body.value()->size(), std::memory_order_relaxed);
     // The fresh body is now what readers see: stamp commit -> cache-visible.
     propagation_latency_ms_->Observe(
         std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
@@ -510,7 +501,6 @@ TriggerStats TriggerMonitor::stats() const {
   s.render_jobs = render_jobs_->value();
   s.renders_attempted = renders_attempted_->value();
   s.notifications_dropped = notifications_dropped_->value();
-  s.notifications_recovered = notifications_recovered_->value();
   s.duplicates_injected = duplicates_injected_->value();
   s.update_latency_ms = update_latency_ms_->snapshot();
   s.fanout = fanout_->snapshot();

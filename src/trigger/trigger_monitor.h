@@ -3,8 +3,8 @@
 // "A component known as the trigger monitor is responsible for monitoring
 // databases and notifying the cache when changes to the databases occur."
 //
-// This implementation subscribes to the database change log, coalesces
-// committed changes into batches, maps each change to the underlying-data
+// This implementation tails the database change log by cursor, reads
+// committed changes in batches, maps each change to the underlying-data
 // ODG vertices it touched (via a pluggable ChangeMapper — the Olympic
 // mapper lives in pagegen/olympic.h), runs DUP to find the affected cached
 // objects, and applies a consistency policy:
@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +37,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/options.h"
-#include "common/queue.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "db/database.h"
@@ -68,7 +68,7 @@ struct TriggerOptions : OptionsBase {
   // the machine's hardware concurrency.
   size_t worker_threads = 1;
 
-  // Coalesce up to this many queued change records into one DUP run.
+  // Read up to this many change records per DUP run.
   size_t batch_max = 64;
 
   // Passed through to the DUP engine.
@@ -83,9 +83,9 @@ struct TriggerOptions : OptionsBase {
   // RealClock.
   const Clock* clock = nullptr;
 
-  // Consulted per commit notification ({"trigger", <instance>, "notify"}):
-  // kError drops the notification (healed from the change log by the next
-  // one, or by CatchUp()); kDuplicate delivers it again.
+  // Consulted per commit wake-up ({"trigger", <instance>, "notify"}):
+  // kError drops the wake-up (the change waits for the next one, a
+  // Quiesce() or the tail's poll timeout); kDuplicate rings it again.
   fault::FaultInjector* faults = nullptr;
 
   // Registry + instance label for the nagano_trigger_* metrics.
@@ -115,9 +115,8 @@ struct TriggerStats {
   // fragment-vs-whole-page fanout cost the update bench gates on.
   uint64_t rerendered_bytes = 0;
   // --- fault-path counters ------------------------------------------------
-  uint64_t notifications_dropped = 0;    // injected drops (lost notifications)
-  uint64_t notifications_recovered = 0;  // changes healed from the change log
-  uint64_t duplicates_injected = 0;      // injected re-deliveries
+  uint64_t notifications_dropped = 0;  // injected drops (lost wake-ups)
+  uint64_t duplicates_injected = 0;    // injected extra wake-ups
   // --- parallel-pipeline stage counters -----------------------------------
   uint64_t changes_coalesced = 0;    // changes that rode along in a multi-change batch
   uint64_t render_jobs = 0;          // per-worker render jobs dispatched to the pool
@@ -134,7 +133,7 @@ struct TriggerStats {
   Histogram propagation_latency_ms;
 };
 
-class TriggerMonitor : public db::ChangeSink {
+class TriggerMonitor {
  public:
   // Names the underlying-data vertices a change touched.
   using ChangeMapper =
@@ -148,41 +147,44 @@ class TriggerMonitor : public db::ChangeSink {
   TriggerMonitor(const TriggerMonitor&) = delete;
   TriggerMonitor& operator=(const TriggerMonitor&) = delete;
 
-  // Subscribes to the database and starts the dispatcher thread.
+  // Installs the database's commit wake-up and starts the tail thread. The
+  // first Start() places the cursor at AppliedCursor(), so the changes
+  // already in the log (the site build) are not replayed; a Start() after
+  // Stop() resumes from where the tail stopped.
   void Start();
 
-  // Unsubscribes, drains the queue, joins threads. Idempotent.
+  // Removes the wake-up, processes every change committed before the call,
+  // then joins the tail thread. A failed log read ends the drain early;
+  // the unread changes stay in the log for the next Start(). Idempotent.
   void Stop();
 
   // Blocks until every change committed before the call has been fully
-  // processed (its cache effects applied). The consistency property tests
-  // are phrased against this barrier.
+  // processed (its cache effects applied), or the tail stopped. The
+  // consistency property tests are phrased against this barrier.
   void Quiesce();
 
   // True between Start() and Stop() — the /healthz "trigger running" probe.
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  // Changes enqueued but not yet applied to the cache. A bounded backlog is
-  // the paper's ≤60 s freshness guarantee in queue form.
+  // Changes committed but not yet applied to the cache: the records between
+  // the tail's cursor and AppliedCursor(). A bounded backlog is the paper's
+  // ≤60 s freshness guarantee in queue form.
   uint64_t backlog() const;
-
-  // Re-reads the change feed past the per-shard cursor and enqueues
-  // anything missed — the recovery half of lossy notifications. The same
-  // healing runs implicitly whenever a later notification arrives; CatchUp
-  // forces it when no further change is coming. Returns changes recovered.
-  size_t CatchUp();
 
   TriggerStats stats() const;
 
  private:
-  // db::ChangeSink: fires synchronously on every commit (subscribed with
-  // kAllShards — the monitor maintains the whole cache; per-shard
-  // subscriptions are for consumers owning a slice).
-  void OnChange(uint32_t shard, const db::ChangeRecord& change) override;
-  // Pushes one record (counted for Quiesce), rolling back if the queue
-  // already closed. Never called with seq_mutex_ held.
-  void EnqueueChange(const db::ChangeRecord& change);
-  void DispatchLoop();
+  // The commit wake-up, passed through the {"trigger", <instance>,
+  // "notify"} fault site.
+  void OnCommitWakeup();
+  // Reads the log past cursor_ in batches of batch_max and applies them,
+  // waiting for a wake-up whenever it has caught up.
+  void TailLoop();
+  // Records truncated by retention before the tail read them are lost for
+  // good: move past them and drop the whole cache, so every page
+  // regenerates from current data instead of serving stale bytes.
+  void SkipGap(const std::vector<uint32_t>& gap_shards,
+               db::ChangeCursor& cursor);
   void ProcessBatch(const std::vector<db::ChangeRecord>& batch);
   // `oldest_commit` is the earliest committed_at in the batch; the apply
   // paths stamp each object's commit -> cache-visible propagation latency
@@ -201,22 +203,21 @@ class TriggerMonitor : public db::ChangeSink {
   fault::FaultInjector* faults_;
   std::string instance_;  // fault-injection site name (== metrics label)
 
-  // Per-shard positions of the highest change ever enqueued; the
-  // gap-healing watermark. A dropped notification shows up as a hole in
-  // one shard's dense numbering, healed from that shard's log alone.
-  std::mutex seq_mutex_;
-  db::ChangeCursor cursor_;
-
-  BlockingQueue<db::ChangeRecord> queue_;
-  std::unique_ptr<ThreadPool> pool_;  // only when worker_threads > 1
-  std::thread dispatcher_;
-  uint64_t subscription_ = 0;
+  // Only when worker_threads > 1; lives from Start() to Stop().
+  std::unique_ptr<ThreadPool> pool_;
+  std::thread tail_;
   std::atomic<bool> running_{false};
 
-  mutable std::mutex mutex_;  // guards the quiesce counters
-  std::condition_variable quiesce_cv_;
-  uint64_t enqueued_ = 0;
-  uint64_t processed_ = 0;
+  mutable std::mutex mutex_;             // guards the fields below
+  std::condition_variable wake_cv_;      // the tail waits here
+  std::condition_variable progress_cv_;  // Quiesce() waits here
+  bool woken_ = false;
+  bool tailing_ = false;  // the tail thread is running
+  // Set by Stop(): the tail exits once cursor_ covers it.
+  std::optional<db::ChangeCursor> stop_at_;
+  // Last change applied, per shard; empty until the first Start(). Written
+  // only by Start() and the tail thread.
+  db::ChangeCursor cursor_;
 
   // Registry cells; the legacy TriggerStats view in stats() is assembled
   // from these (histograms via snapshot()).
@@ -233,7 +234,6 @@ class TriggerMonitor : public db::ChangeSink {
   metrics::Counter* render_jobs_;
   metrics::Counter* renders_attempted_;
   metrics::Counter* notifications_dropped_;
-  metrics::Counter* notifications_recovered_;
   metrics::Counter* duplicates_injected_;
   metrics::Histogram* update_latency_ms_;
   metrics::Histogram* fanout_;

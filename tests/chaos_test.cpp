@@ -950,7 +950,7 @@ TEST_F(DegradedServingTest, HttpFrontEndMarksDegradedResponses) {
 }
 
 // ---------------------------------------------------------------------------
-// Trigger monitor: lost and duplicated notifications
+// Trigger monitor: lost and duplicated commit wake-ups
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<core::ServingSite> MakeFaultedSite(
@@ -968,7 +968,7 @@ std::unique_ptr<core::ServingSite> MakeFaultedSite(
   return site_or.ok() ? std::move(site_or.value()) : nullptr;
 }
 
-TEST(ChaosTriggerTest, DroppedNotificationHealsThroughCatchUp) {
+TEST(ChaosTriggerTest, EveryWakeupDroppedStillQuiescesFresh) {
   SimClock clock;
   fault::FaultPlan plan;
   plan.seed = 7;
@@ -976,8 +976,7 @@ TEST(ChaosTriggerTest, DroppedNotificationHealsThroughCatchUp) {
   drop.subsystem = "trigger";
   drop.operation = "notify";
   drop.kind = fault::FaultKind::kError;
-  // No max_fires: every notification is lost, so the implicit gap-heal on
-  // the next delivery can never run — only an explicit CatchUp recovers.
+  // No max_fires: every commit wake-up is lost.
   plan.rules.push_back(drop);
   fault::FaultInjector faults(std::move(plan), &clock);
 
@@ -986,22 +985,17 @@ TEST(ChaosTriggerTest, DroppedNotificationHealsThroughCatchUp) {
   ASSERT_TRUE(site->PrefetchAll().ok());
   site->StartTrigger();
 
-  // This commit's notifications are dropped on the floor: the cache keeps
-  // serving the pre-commit bytes.
   ASSERT_TRUE(site->RecordResult(1, 1, 101, 9.5).ok());
+  ASSERT_TRUE(site->RecordResult(1, 2, 102, 9.1).ok());
   site->Quiesce();
-  EXPECT_GE(site->trigger_monitor().stats().notifications_dropped, 1u);
-  auto stale_check = site->VerifyCacheConsistency();
-  EXPECT_FALSE(stale_check.ok())
-      << "cache should be stale after a dropped notification";
+  EXPECT_GE(site->trigger_monitor().stats().notifications_dropped, 2u);
 
-  // CatchUp replays the change log past the lost notifications (it reads
-  // the log directly, so the dying notification path cannot stop it).
-  EXPECT_GT(site->trigger_monitor().CatchUp(), 0u);
-  site->Quiesce();
-  auto healed = site->VerifyCacheConsistency();
-  EXPECT_TRUE(healed.ok()) << healed.status().message();
-  EXPECT_GE(site->trigger_monitor().stats().notifications_recovered, 1u);
+  // The changes are in the log, and Quiesce() waits for the tail to read
+  // them there: the freshness bound it reports is a true one.
+  EXPECT_EQ(site->last_quiesced_seqno(), site->db().LastSeqno());
+  EXPECT_EQ(site->trigger_monitor().backlog(), 0u);
+  auto verified = site->VerifyCacheConsistency();
+  EXPECT_TRUE(verified.ok()) << verified.status().message();
 }
 
 TEST(ChaosTriggerTest, LaterNotificationHealsEarlierDrop) {
@@ -1022,12 +1016,12 @@ TEST(ChaosTriggerTest, LaterNotificationHealsEarlierDrop) {
   site->StartTrigger();
 
   ASSERT_TRUE(site->RecordResult(1, 1, 101, 9.5).ok());  // dropped
-  ASSERT_TRUE(site->RecordResult(1, 2, 102, 9.1).ok());  // heals the gap
+  ASSERT_TRUE(site->RecordResult(1, 2, 102, 9.1).ok());  // reads both
   site->Quiesce();
   auto healed = site->VerifyCacheConsistency();
   EXPECT_TRUE(healed.ok()) << healed.status().message();
   EXPECT_EQ(site->trigger_monitor().stats().notifications_dropped, 1u);
-  EXPECT_GE(site->trigger_monitor().stats().notifications_recovered, 1u);
+  EXPECT_EQ(site->trigger_monitor().backlog(), 0u);
 }
 
 TEST(ChaosTriggerTest, DuplicateNotificationIsIdempotent) {
@@ -1051,8 +1045,37 @@ TEST(ChaosTriggerTest, DuplicateNotificationIsIdempotent) {
   ASSERT_TRUE(site->RecordResult(1, 1, 101, 9.5).ok());
   site->Quiesce();
   EXPECT_EQ(site->trigger_monitor().stats().duplicates_injected, 1u);
-  // Re-delivery re-renders the same objects; the cache must end up exactly
-  // where a single delivery would have left it.
+  // The extra wake-up finds nothing new past the tail's cursor; the cache
+  // must end up exactly where a single wake-up would have left it.
+  auto verified = site->VerifyCacheConsistency();
+  EXPECT_TRUE(verified.ok()) << verified.status().message();
+}
+
+TEST(ChaosTriggerTest, FailedLogReadRetriesWithoutSkipping) {
+  SimClock clock;
+  fault::FaultPlan plan;
+  plan.seed = 10;
+  fault::FaultRule rule;
+  rule.subsystem = "db";
+  rule.operation = "changes";
+  rule.kind = fault::FaultKind::kError;
+  rule.error = ErrorCode::kUnavailable;
+  rule.from = kSecond;  // armed by the clock.Advance below
+  rule.max_fires = 2;
+  plan.rules.push_back(rule);
+  fault::FaultInjector faults(std::move(plan), &clock);
+
+  auto site = MakeFaultedSite(&clock, &faults);
+  ASSERT_NE(site, nullptr);
+  ASSERT_TRUE(site->PrefetchAll().ok());
+  site->StartTrigger();
+
+  clock.Advance(2 * kSecond);  // into the fault window
+  ASSERT_TRUE(site->RecordResult(1, 1, 101, 9.5).ok());
+  site->Quiesce();
+  // The failed reads moved nothing; a later read applied the change.
+  EXPECT_EQ(faults.injected_total(), 2u);
+  EXPECT_EQ(site->last_quiesced_seqno(), site->db().LastSeqno());
   auto verified = site->VerifyCacheConsistency();
   EXPECT_TRUE(verified.ok()) << verified.status().message();
 }
@@ -1511,7 +1534,7 @@ RestartDrillRun RunRestartDrill(bool crash, const std::string& wal_dir,
       std::unique_ptr<core::ServingSite> site = std::move(site_or.value());
       run.recovered_seqno = site->db().LastSeqno();
       run.catch_up_target = master->LastSeqno();
-      site->SetCatchUpTarget(run.catch_up_target);
+      site->SetRejoinTarget(run.catch_up_target);
       EXPECT_TRUE(topology.ReattachNode("Tokyo", &site->db()).ok());
       EXPECT_TRUE(topology.MarkUp("Tokyo").ok());
       EXPECT_FALSE(site->Health().ok);  // not ready until caught up

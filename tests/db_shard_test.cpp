@@ -103,6 +103,16 @@ std::map<std::string, std::vector<Row>> Snapshot(const Database& db) {
   return tables;
 }
 
+// One shard's tail through the cursor feed: every other shard starts at its
+// applied position, so only shard `k` contributes records past `after`.
+ChangeBatch ShardTail(const Database& db, uint32_t k, uint64_t after) {
+  ChangeCursor cursor = db.AppliedCursor();
+  cursor.positions[k] = after;
+  auto batch = db.ReadChanges(cursor);
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  return batch.ok() ? std::move(batch).value() : ChangeBatch{};
+}
+
 // --- shard map -------------------------------------------------------------
 
 TEST(ShardMapTest, DeterministicAndInRange) {
@@ -173,17 +183,14 @@ TEST(DbShardTest, ReadChangesMergesShardsInGlobalOrder) {
     EXPECT_EQ(paged[i].seqno, records[i].seqno);
   }
 
-  // The single-shard feed view.
+  // One shard's tail is dense in its own seqno space.
   for (uint32_t k = 0; k < kShards; ++k) {
-    auto tail = db.ReadShardChanges(k, 0);
-    ASSERT_TRUE(tail.ok());
-    for (size_t i = 0; i < tail.value().size(); ++i) {
-      EXPECT_EQ(tail.value()[i].shard, k);
-      EXPECT_EQ(tail.value()[i].shard_seqno, i + 1);
+    const ChangeBatch tail = ShardTail(db, k, 0);
+    for (size_t i = 0; i < tail.records.size(); ++i) {
+      EXPECT_EQ(tail.records[i].shard, k);
+      EXPECT_EQ(tail.records[i].shard_seqno, i + 1);
     }
   }
-  EXPECT_EQ(db.ReadShardChanges(kShards, 0).status().code(),
-            ErrorCode::kInvalidArgument);
 }
 
 // --- property (a): per-shard seqnos stay dense across Checkpoint/Recover ---
@@ -230,20 +237,21 @@ TEST(DbShardTest, PerShardSeqnosDenseAcrossCheckpointAndRecover) {
     // the shard's own seqno space and ascending in the global one.
     const uint64_t head_pos = recovered.RetainedCursor().at(k);
     ASSERT_EQ(head_pos, shard.shard_seqno - shard.replayed);
-    auto tail = recovered.ReadShardChanges(k, head_pos);
-    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-    ASSERT_EQ(tail.value().size(), shard.replayed);
+    const ChangeBatch tail = ShardTail(recovered, k, head_pos);
+    EXPECT_TRUE(tail.gap_shards.empty());
+    ASSERT_EQ(tail.records.size(), shard.replayed);
     uint64_t last_global = shard.checkpoint_seqno;
-    for (size_t i = 0; i < tail.value().size(); ++i) {
-      EXPECT_EQ(tail.value()[i].shard_seqno, head_pos + i + 1);
-      EXPECT_GT(tail.value()[i].seqno, last_global);
-      last_global = tail.value()[i].seqno;
+    for (size_t i = 0; i < tail.records.size(); ++i) {
+      EXPECT_EQ(tail.records[i].shard_seqno, head_pos + i + 1);
+      EXPECT_GT(tail.records[i].seqno, last_global);
+      last_global = tail.records[i].seqno;
     }
-    // Reading from before the retained head is a per-shard data-loss error,
+    // Reading from before the retained head reports the shard as a gap,
     // not a silent skip.
     if (head_pos > 0) {
-      EXPECT_EQ(recovered.ReadShardChanges(k, head_pos - 1).status().code(),
-                ErrorCode::kDataLoss);
+      const ChangeBatch lost = ShardTail(recovered, k, head_pos - 1);
+      EXPECT_TRUE(lost.records.empty());
+      EXPECT_EQ(lost.gap_shards, std::vector<uint32_t>{k});
     }
   }
   EXPECT_EQ(replayed, 21u);  // 20 upserts + 1 delete after the checkpoint

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -42,19 +43,6 @@ std::vector<ChangeRecord> ChangesAfter(const Database& db, uint64_t after,
   EXPECT_TRUE(batch.value().gap_shards.empty());
   return std::move(batch.value().records);
 }
-
-// ChangeSink adapter for tests that just want a callback.
-class FnSink : public ChangeSink {
- public:
-  explicit FnSink(std::function<void(uint32_t, const ChangeRecord&)> fn)
-      : fn_(std::move(fn)) {}
-  void OnChange(uint32_t shard, const ChangeRecord& change) override {
-    fn_(shard, change);
-  }
-
- private:
-  std::function<void(uint32_t, const ChangeRecord&)> fn_;
-};
 
 TEST(DbTest, CreateTableDuplicateFails) {
   Database db = MakeDb();
@@ -427,83 +415,94 @@ TEST(DbChangeLogTest, CommitTimesUseClock) {
   EXPECT_EQ(changes[1].committed_at, 15 * kSecond);
 }
 
-// --- subscriptions -----------------------------------------------------------------
+// --- commit wake-up -----------------------------------------------------------------
 
-TEST(DbSubscribeTest, SinkFiresOnCommit) {
+TEST(DbWakeupTest, RingsForUpsertDeleteAndReplicatedApply) {
+  Database master = MakeDb();
+  CreateEventsTable(master);
+  Database replica = MakeDb();
+  CreateEventsTable(replica);
+  int master_rings = 0;
+  int replica_rings = 0;
+  master.SetCommitWakeup([&] { ++master_rings; });
+  replica.SetCommitWakeup([&] { ++replica_rings; });
+
+  ASSERT_TRUE(master.Upsert("events", {Value(int64_t(1)),
+                                       Value(std::string("a")), Value(0.0)})
+                  .ok());
+  EXPECT_EQ(master_rings, 1);
+  ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
+  EXPECT_EQ(master_rings, 2);
+  // A failed commit changes nothing and rings nothing.
+  EXPECT_FALSE(master.Delete("events", Value(int64_t(1))).ok());
+  EXPECT_EQ(master_rings, 2);
+
+  for (const ChangeRecord& change : ChangesAfter(master, 0)) {
+    ASSERT_TRUE(replica.ApplyReplicated(change).ok());
+  }
+  EXPECT_EQ(replica_rings, 2);
+}
+
+TEST(DbWakeupTest, WokenReaderMayReadDatabase) {
+  // The wake-up carries no data: the woken consumer reads the change log
+  // and the rows itself, so no data lock may be held while it rings.
   Database db = MakeDb();
   CreateEventsTable(db);
   std::vector<uint64_t> seen;
-  std::vector<uint32_t> shards;
-  FnSink sink([&](uint32_t shard, const ChangeRecord& c) {
-    shards.push_back(shard);
-    seen.push_back(c.seqno);
+  size_t observed_rows = 0;
+  ChangeCursor cursor;
+  db.SetCommitWakeup([&] {
+    auto batch = db.ReadChanges(cursor);
+    ASSERT_TRUE(batch.ok());
+    for (const ChangeRecord& change : batch.value().records) {
+      seen.push_back(change.seqno);
+    }
+    cursor = batch.value().next;
+    observed_rows = db.ScanAll("events").size();
   });
-  db.Subscribe(&sink);
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("a")), Value(0.0)})
                   .ok());
-  ASSERT_TRUE(db.Delete("events", Value(int64_t(1))).ok());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(shards, (std::vector<uint32_t>{0, 0}));
-}
-
-TEST(DbSubscribeTest, UnsubscribeStopsDelivery) {
-  Database db = MakeDb();
-  CreateEventsTable(db);
-  int count = 0;
-  FnSink sink([&](uint32_t, const ChangeRecord&) { ++count; });
-  const uint64_t id = db.Subscribe(&sink);
-  ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
-                                   Value(std::string("a")), Value(0.0)})
-                  .ok());
-  db.Unsubscribe(id);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1}));
+  EXPECT_EQ(observed_rows, 1u);
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(2)),
                                    Value(std::string("b")), Value(0.0)})
                   .ok());
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(observed_rows, 2u);
 }
 
-TEST(DbSubscribeTest, SinkMayReenterDatabase) {
-  // The trigger monitor re-renders pages (reads the DB) from inside the
-  // commit notification; no database lock may be held across the callback.
+TEST(DbWakeupTest, ClearedWakeupStopsRinging) {
   Database db = MakeDb();
   CreateEventsTable(db);
-  size_t observed_rows = 0;
-  FnSink sink([&](uint32_t, const ChangeRecord&) {
-    observed_rows = db.ScanAll("events").size();
-  });
-  db.Subscribe(&sink);
+  int rings = 0;
+  db.SetCommitWakeup([&] { ++rings; });
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("a")), Value(0.0)})
                   .ok());
-  EXPECT_EQ(observed_rows, 1u);
+  db.SetCommitWakeup(nullptr);
+  ASSERT_TRUE(db.Upsert("events", {Value(int64_t(2)),
+                                   Value(std::string("b")), Value(0.0)})
+                  .ok());
+  EXPECT_EQ(rings, 1);
 }
 
-TEST(DbSubscribeTest, PerShardSubscriptionFilters) {
+TEST(DbWakeupTest, RingsForEveryShard) {
   DatabaseOptions options;
   options.shards = 4;
   Database db = MakeDb(std::move(options));
   CreateEventsTable(db);
-  std::vector<uint32_t> all_shards;
-  FnSink all_sink(
-      [&](uint32_t shard, const ChangeRecord&) { all_shards.push_back(shard); });
-  db.Subscribe(&all_sink, kAllShards);
-
-  // Find a key on shard 0 and one off it, then subscribe to shard 0 only.
-  std::vector<uint32_t> filtered;
-  FnSink shard0_sink(
-      [&](uint32_t shard, const ChangeRecord&) { filtered.push_back(shard); });
-  db.Subscribe(&shard0_sink, /*shard=*/0);
-  size_t expected_shard0 = 0;
+  int rings = 0;
+  db.SetCommitWakeup([&] { ++rings; });
+  std::set<uint32_t> shards;
   for (int i = 1; i <= 32; ++i) {
     ASSERT_TRUE(db.Upsert("events", {Value(int64_t(i)),
                                      Value(std::string("e")), Value(0.0)})
                     .ok());
-    if (ShardOf(std::to_string(i), 4) == 0) ++expected_shard0;
+    shards.insert(ShardOf(std::to_string(i), 4));
   }
-  EXPECT_EQ(all_shards.size(), 32u);
-  EXPECT_EQ(filtered.size(), expected_shard0);
-  for (const uint32_t shard : filtered) EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(rings, 32);
+  EXPECT_EQ(shards.size(), 4u);
 }
 
 // --- replicated apply ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <string>
 
 #include "cache/object_cache.h"
+#include "core/serving_site.h"
 #include "db/database.h"
 #include "odg/graph.h"
 #include "pagegen/olympic.h"
@@ -254,7 +257,7 @@ TEST_F(TriggerTest, ParallelWorkersProduceSameResult) {
   }
 }
 
-TEST_F(TriggerTest, StopIsIdempotentAndStartAfterStopRejected) {
+TEST_F(TriggerTest, StopIsIdempotent) {
   TriggerOptions options;
   auto monitor = MakeMonitor(options);
   monitor->Start();
@@ -277,6 +280,69 @@ TEST_F(TriggerTest, StatsTrackLatencyAndFanout) {
   EXPECT_GT(stats.update_latency_ms.count(), 0u);
   EXPECT_GT(stats.fanout.count(), 0u);
   EXPECT_GT(stats.fanout.max(), 0.0);
+}
+
+// The gap rule: changes that retention truncated before the tail read them
+// cannot be applied, so the monitor drops the whole cache rather than leave
+// their pages stale.
+TEST(TriggerGapTest, TruncatedChangesDropTheCache) {
+  char tmpl[] = "/tmp/nagano_trigger_gap_XXXXXX";
+  const char* dir = ::mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  {
+    metrics::MetricRegistry registry;
+    wal::WalOptions wal_options;
+    wal_options.dir = dir;
+    wal_options.sync_policy = wal::SyncPolicy::kGroupCommit;
+    wal_options.metrics.registry = &registry;
+    auto wal = wal::WriteAheadLog::Open(std::move(wal_options));
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+
+    core::SiteOptions options;
+    options.olympic.num_sports = 1;
+    options.olympic.events_per_sport = 2;
+    options.olympic.languages = {"en"};
+    options.metrics.registry = &registry;
+    db::DatabaseOptions db_options;
+    db_options.wal = wal.value().get();
+    db_options.change_log_retention = 2;
+    db_options.metrics.registry = &registry;
+    auto database = std::make_unique<db::Database>(std::move(db_options));
+    ASSERT_TRUE(OlympicSite::Build(options.olympic, database.get()).ok());
+    auto site_or =
+        core::ServingSite::CreateAround(std::move(options), std::move(database));
+    ASSERT_TRUE(site_or.ok()) << site_or.status().ToString();
+    core::ServingSite& site = *site_or.value();
+    ASSERT_TRUE(site.PrefetchAll().ok());
+    site.StartTrigger();
+    site.Quiesce();
+    site.StopTrigger();
+
+    // Committed while the monitor is stopped, then truncated past the
+    // monitor's cursor: the log keeps only the newest two records.
+    for (int rank = 1; rank <= 4; ++rank) {
+      ASSERT_TRUE(site.RecordResult(1, rank, rank, 90.0 - rank).ok());
+    }
+    ASSERT_TRUE(site.db().Checkpoint().ok());
+
+    site.StartTrigger();  // resumes from its cursor, before the gap
+    site.Quiesce();
+    EXPECT_EQ(site.trigger_monitor().backlog(), 0u);
+    EXPECT_GT(site.trigger_monitor().stats().objects_invalidated, 0u);
+    auto verified = site.VerifyCacheConsistency();
+    EXPECT_TRUE(verified.ok()) << verified.status().message();
+
+    // Past the gap the tail applies changes as usual.
+    ASSERT_TRUE(site.PrefetchAll().ok());
+    ASSERT_TRUE(site.RecordResult(2, 1, 7, 95.0).ok());
+    site.Quiesce();
+    verified = site.VerifyCacheConsistency();
+    ASSERT_TRUE(verified.ok()) << verified.status().message();
+    EXPECT_GT(verified.value(), 0u);
+    site.StopTrigger();
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(TriggerPolicyTest, PolicyNames) {
