@@ -8,10 +8,13 @@
 //     the ODG is simple" observation, here: also cheaper);
 //   * layered fragment graphs like the Olympic site's (data -> fragments
 //     -> pages) at growing scale;
+//   * one changed datum in ever larger graphs: the traversal is scoped to
+//     the propagation closure, so its cost does not grow with the graph;
 //   * weighted graphs with the threshold policy, showing the traversal
 //     cost is unchanged while the affected set shrinks.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -116,6 +119,25 @@ void BM_DupLayeredOlympicShape(benchmark::State& state) {
 // 21,000 dynamic pages was the 1998 site's inventory; sweep past it.
 BENCHMARK(BM_DupLayeredOlympicShape)->Arg(2100)->Arg(21000)->Arg(84000);
 
+void BM_DupOneChangeGrowingGraph(benchmark::State& state) {
+  // One changed datum in an Olympic-shaped graph of N vertices: DUP works
+  // over the propagation closure only, so the cost stays flat as N grows.
+  ObjectDependenceGraph g;
+  Rng rng(4);
+  const int nodes = static_cast<int>(state.range(0));
+  BuildLayered(g, nodes / 4, nodes / 20, nodes - nodes / 4 - nodes / 20, rng);
+  std::vector<NodeId> changed = {0};
+  size_t visited = 0;
+  for (auto _ : state) {
+    auto result = DupEngine::ComputeAffected(g, changed);
+    visited = result.visited;
+    benchmark::DoNotOptimize(result.affected.size());
+  }
+  state.counters["visited"] = static_cast<double>(visited);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DupOneChangeGrowingGraph)->Arg(10000)->Arg(100000);
+
 void BM_DupWideFanoutSingleChange(benchmark::State& state) {
   // One hot datum feeding N pages — the "one result update affected 128
   // pages" case, scaled up.
@@ -166,18 +188,19 @@ void BM_DupWeightedThreshold(benchmark::State& state) {
 BENCHMARK(BM_DupWeightedThreshold)->Arg(0)->Arg(10)->Arg(50);
 
 void BM_OdgDependencyRecording(benchmark::State& state) {
-  // Cost of the renderer's per-render ODG sync: clear + re-add ~10 edges.
+  // Cost of the renderer's per-render ODG sync in the steady state: a
+  // re-render records the same ~10 dependencies as last time, so
+  // SetInEdges stops at the fingerprint comparison.
   ObjectDependenceGraph g;
   const NodeId page = g.EnsureNode("page", NodeKind::kObject);
-  std::vector<NodeId> data(10);
-  for (int i = 0; i < 10; ++i) {
-    data[size_t(i)] =
-        g.EnsureNode("d" + std::to_string(i), NodeKind::kUnderlyingData);
+  std::vector<std::string> names;
+  for (int i = 0; i < 10; ++i) names.push_back("d" + std::to_string(i));
+  std::vector<DependencySource> sources;
+  for (const std::string& name : names) {
+    sources.push_back({name, NodeKind::kUnderlyingData, 1.0});
   }
-  for (auto _ : state) {
-    g.ClearInEdges(page);
-    for (const NodeId d : data) (void)g.AddDependence(d, page);
-  }
+  g.SetInEdges(page, sources);
+  for (auto _ : state) g.SetInEdges(page, sources);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OdgDependencyRecording);

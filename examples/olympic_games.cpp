@@ -82,13 +82,10 @@ int main(int argc, char** argv) {
             ? 0.0
             : 100.0 * static_cast<double>(day_hits) /
                   static_cast<double>(day_hits + day_misses);
-    const size_t finals = site.db()
-                              .Scan("events",
-                                    [](const db::Row& r) {
-                                      return std::get<std::string>(r[5]) ==
-                                             "final";
-                                    })
-                              .size();
+    size_t finals = 0;
+    site.db().Read("events", db::RowFilter::All(), [&](const db::Row& r) {
+      finals += std::get<std::string>(r[5]) == "final";
+    });
     std::printf("%-5d %8zu %9zu %8.2f%% %10" PRIu64 " %8zu\n", day, updates,
                 requests, day_rate,
                 site.trigger_monitor().stats().objects_updated - updated_before,

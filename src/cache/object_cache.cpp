@@ -1,6 +1,7 @@
 #include "cache/object_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
 #include <iterator>
 
@@ -13,7 +14,8 @@ size_t EntryFootprint(const std::string& key, const CachedObject& obj) {
   // Plans own their static text; fragment bytes are charged to the
   // fragment's own entry, so only the chunk bookkeeping is counted here.
   for (const PlanChunk& chunk : obj.plan) {
-    n += chunk.text.size() + chunk.fragment.size() + sizeof(PlanChunk);
+    n += (chunk.text ? chunk.text->size() : 0) +
+         (chunk.fragment ? chunk.fragment->size() : 0) + sizeof(PlanChunk);
   }
   return n;
 }
@@ -22,11 +24,19 @@ size_t EntryFootprint(const std::string& key, const CachedObject& obj) {
 // on every store so Content-Length and the version stamp always match the
 // entity bytes they travel with.
 void BuildEntityHeaders(CachedObject& obj) {
-  obj.entity_headers = "Content-Length: ";
-  obj.entity_headers += std::to_string(obj.entity_size());
-  obj.entity_headers += "\r\nX-Nagano-Version: ";
-  obj.entity_headers += std::to_string(obj.version);
-  obj.entity_headers += "\r\n";
+  char length[24], version[24];
+  const std::string_view n(
+      length, std::to_chars(length, std::end(length), obj.entity_size()).ptr -
+                  length);
+  const std::string_view v(
+      version, std::to_chars(version, std::end(version), obj.version).ptr -
+                   version);
+  constexpr std::string_view kLength = "Content-Length: ";
+  constexpr std::string_view kVersion = "\r\nX-Nagano-Version: ";
+  std::string& h = obj.entity_headers;
+  h.clear();
+  h.reserve(kLength.size() + n.size() + kVersion.size() + v.size() + 2);
+  h.append(kLength).append(n).append(kVersion).append(v).append("\r\n");
 }
 
 size_t SumPlanBytes(const std::vector<PlanChunk>& plan) {
@@ -88,7 +98,7 @@ const ObjectCache::Shard& ObjectCache::ShardFor(std::string_view key) const {
 std::shared_ptr<const CachedObject> ObjectCache::Lookup(std::string_view key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end() || it->second->stale) {
     misses_->Increment();
     return nullptr;
@@ -111,19 +121,20 @@ std::shared_ptr<const CachedObject> ObjectCache::LookupStale(
     std::string_view key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   return it == shard.map.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const CachedObject> ObjectCache::Peek(std::string_view key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end() || it->second->stale) return nullptr;
   return it->second;
 }
 
-uint64_t ObjectCache::Put(std::string_view key, std::string body) {
+std::shared_ptr<const CachedObject> ObjectCache::Put(std::string_view key,
+                                                     std::string body) {
   auto obj = std::make_shared<CachedObject>();
   obj->body = std::move(body);
   return Store(key, std::move(obj));
@@ -134,20 +145,19 @@ uint64_t ObjectCache::PutPlan(std::string_view key,
   auto obj = std::make_shared<CachedObject>();
   obj->plan = std::move(plan);
   obj->plan_bytes = SumPlanBytes(obj->plan);
-  return Store(key, std::move(obj));
+  return Store(key, std::move(obj))->version;
 }
 
-uint64_t ObjectCache::Store(std::string_view key,
-                            std::shared_ptr<CachedObject> obj) {
+std::shared_ptr<const CachedObject> ObjectCache::Store(
+    std::string_view key, std::shared_ptr<CachedObject> obj) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
 
-  std::string k(key);
-  auto it = shard.map.find(k);
+  auto it = shard.map.find(key);
   uint64_t version = 1;
   if (it != shard.map.end()) {
     version = it->second->version + 1;
-    const size_t old_footprint = EntryFootprint(k, *it->second);
+    const size_t old_footprint = EntryFootprint(it->first, *it->second);
     shard.bytes -= old_footprint;
     bytes_gauge_->Add(-static_cast<double>(old_footprint));
     if (it->second->stale) {
@@ -159,6 +169,7 @@ uint64_t ObjectCache::Store(std::string_view key,
       updates_->Increment();
     }
   } else {
+    it = shard.map.emplace(std::string(key), nullptr).first;
     inserts_->Increment();
     entries_gauge_->Add(1.0);
   }
@@ -166,57 +177,54 @@ uint64_t ObjectCache::Store(std::string_view key,
   obj->version = version;
   obj->stored_at = clock_->Now();
   BuildEntityHeaders(*obj);
-  const size_t footprint = EntryFootprint(k, *obj);
+  const size_t footprint = EntryFootprint(it->first, *obj);
 
-  shard.map[std::move(k)] = std::move(obj);
+  it->second = std::move(obj);
   shard.bytes += footprint;
   bytes_gauge_->Add(static_cast<double>(footprint));
-  return version;
+  return it->second;
 }
 
-uint64_t ObjectCache::PatchPlan(std::string_view key) {
-  // Snapshot the current plan, then resolve fresh fragment pins with no
-  // shard lock held — the fragments hash to arbitrary shards, and taking
-  // two shard locks at once would need a global ordering.
-  std::shared_ptr<const CachedObject> current = Peek(key);
+uint64_t ObjectCache::PatchPlan(
+    std::string_view key, const std::shared_ptr<const CachedObject>& current,
+    std::span<const size_t> chunks) {
   if (current == nullptr || !current->is_plan()) return 0;
-
-  std::vector<std::shared_ptr<const CachedObject>> fresh(current->plan.size());
-  for (size_t i = 0; i < current->plan.size(); ++i) {
-    const PlanChunk& chunk = current->plan[i];
-    if (!chunk.is_fragment()) continue;
-    auto snapshot = Peek(chunk.fragment);
+  // Resolve fresh fragment pins with no shard lock held — the fragments
+  // hash to arbitrary shards, and taking two shard locks at once would need
+  // a global ordering.
+  auto obj = std::make_shared<CachedObject>();
+  obj->plan = current->plan;  // pointer copies; the static text is shared
+  obj->plan_bytes = current->plan_bytes;
+  for (const size_t i : chunks) {
+    if (i >= obj->plan.size() || !obj->plan[i].is_fragment()) return 0;
+    PlanChunk& chunk = obj->plan[i];
+    auto snapshot = Peek(*chunk.fragment);
     // A retired (invalidated) or plan-shaped fragment means the
     // plan cannot be patched — the caller re-renders the whole page.
     if (snapshot == nullptr || snapshot->is_plan()) return 0;
-    fresh[i] = std::move(snapshot);
+    obj->plan_bytes += snapshot->body.size();
+    obj->plan_bytes -= chunk.source->body.size();
+    chunk.fragment_version = snapshot->version;
+    chunk.source = std::move(snapshot);
   }
-
-  auto obj = std::make_shared<CachedObject>();
-  obj->plan = current->plan;
-  for (size_t i = 0; i < obj->plan.size(); ++i) {
-    if (fresh[i] == nullptr) continue;
-    obj->plan[i].source = std::move(fresh[i]);
-    obj->plan[i].fragment_version = obj->plan[i].source->version;
-  }
-  obj->plan_bytes = SumPlanBytes(obj->plan);
   obj->stored_at = clock_->Now();
 
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   // Compare object identity: if a concurrent Put/Invalidate replaced the
-  // entry since the snapshot above, that writer wins and the patch aborts.
+  // entry since the caller's snapshot, that writer wins and the patch
+  // aborts.
   if (it == shard.map.end() || it->second != current) return 0;
 
   obj->version = current->version + 1;
   BuildEntityHeaders(*obj);
-  const size_t old_footprint = EntryFootprint(it->first, *current);
-  const size_t new_footprint = EntryFootprint(it->first, *obj);
-  shard.bytes += new_footprint;
-  shard.bytes -= old_footprint;
-  bytes_gauge_->Add(static_cast<double>(new_footprint) -
-                    static_cast<double>(old_footprint));
+  // Same chunks, same static text and keys: only the header line can change
+  // the footprint.
+  shard.bytes += obj->entity_headers.size();
+  shard.bytes -= current->entity_headers.size();
+  bytes_gauge_->Add(static_cast<double>(obj->entity_headers.size()) -
+                    static_cast<double>(current->entity_headers.size()));
   it->second = std::move(obj);
   updates_->Increment();
   plans_patched_->Increment();
@@ -226,7 +234,7 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
 uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   // Stale-retained counts as absent: a regeneration racing the
   // invalidation must not resurrect the entry as live.
   if (it == shard.map.end() || it->second->stale) return 0;
@@ -270,7 +278,7 @@ bool ObjectCache::InvalidateLocked(Shard& shard, Map::iterator it) {
 bool ObjectCache::Invalidate(std::string_view key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end()) return false;
   return InvalidateLocked(shard, it);
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -26,24 +27,28 @@
 #include "common/options.h"
 #include "common/result.h"
 #include "common/stats.h"
+#include "common/string_hash.h"
 
 namespace nagano::cache {
 
 struct CachedObject;
 
-// One piece of a page composition plan: either a static byte run owned by
-// the plan itself, or a reference to an independently cached fragment. A
-// fragment chunk pins the fragment's CachedObject snapshot, so the plan
-// stays serveable even if the fragment entry is replaced or invalidated
-// after the plan was stored/patched. Pinned fragment snapshots are always
-// flat (never plans themselves), so bytes() is a single contiguous span.
+// One piece of a page composition plan: either a static byte run, or a
+// reference to an independently cached fragment. A fragment chunk pins the
+// fragment's CachedObject snapshot, so the plan stays serveable even if the
+// fragment entry is replaced or invalidated after the plan was
+// stored/patched. Pinned fragment snapshots are always flat (never plans
+// themselves), so bytes() is a single contiguous span. The static text and
+// the fragment key are immutable and shared by every version of a plan, so
+// a patch copies pointers, never page bytes.
 struct PlanChunk {
-  std::string text;      // static bytes (empty for fragment chunks)
-  std::string fragment;  // fragment cache key (empty for static chunks)
-  std::shared_ptr<const CachedObject> source;  // pinned fragment snapshot
+  // Exactly one of `text` (static chunks) and `fragment` is non-null.
+  std::shared_ptr<const std::string> text;      // static bytes
+  std::shared_ptr<const std::string> fragment;  // fragment cache key
+  std::shared_ptr<const CachedObject> source;   // pinned fragment snapshot
   uint64_t fragment_version = 0;  // source->version at pin time
 
-  bool is_fragment() const { return !fragment.empty(); }
+  bool is_fragment() const { return fragment != nullptr; }
   const std::string& bytes() const;
 };
 
@@ -88,7 +93,7 @@ struct CachedObject {
 };
 
 inline const std::string& PlanChunk::bytes() const {
-  return is_fragment() ? source->body : text;
+  return is_fragment() ? source->body : *text;
 }
 
 // Aliasing views into a cached object: shared_ptrs that point at the body /
@@ -108,10 +113,11 @@ inline std::shared_ptr<const std::string> EntityHeadersRef(
 
 // Scatter-gather view of an entity: one aliasing ref per byte run, in page
 // order. Flat entries yield a single BodyRef; plans yield one ref per chunk
-// — static text aliases the plan object, fragment bytes alias the pinned
-// fragment snapshot. Every ref shares a control block with a CachedObject,
-// so handing the vector to the HTTP writer keeps all the bytes alive until
-// the socket flush completes without copying any of them.
+// — static text aliases the plan object (which holds its text), fragment
+// bytes alias the pinned fragment snapshot. Every ref shares a control
+// block with a CachedObject, so handing the vector to the HTTP writer keeps
+// all the bytes alive until the socket flush completes without copying any
+// of them.
 inline std::vector<std::shared_ptr<const std::string>> BodyChunkRefs(
     const std::shared_ptr<const CachedObject>& object) {
   std::vector<std::shared_ptr<const std::string>> refs;
@@ -124,8 +130,8 @@ inline std::vector<std::shared_ptr<const std::string>> BodyChunkRefs(
   for (const PlanChunk& chunk : object->plan) {
     if (chunk.is_fragment()) {
       refs.emplace_back(chunk.source, &chunk.source->body);
-    } else if (!chunk.text.empty()) {
-      refs.emplace_back(object, &chunk.text);
+    } else if (!chunk.text->empty()) {
+      refs.emplace_back(object, chunk.text.get());
     }
   }
   return refs;
@@ -198,8 +204,10 @@ class ObjectCache {
   std::shared_ptr<const CachedObject> Peek(std::string_view key) const;
 
   // Insert or update-in-place. The version is bumped past the entry's
-  // current version automatically; returns the stored version.
-  uint64_t Put(std::string_view key, std::string body);
+  // current version automatically; returns the stored snapshot, whose body
+  // a caller can alias (BodyRef) instead of keeping a copy.
+  std::shared_ptr<const CachedObject> Put(std::string_view key,
+                                          std::string body);
 
   // Update-in-place only if `key` is present; returns the new version, or 0
   // without storing when the key is absent. The trigger monitor's
@@ -214,17 +222,21 @@ class ObjectCache {
   // chunks must carry a non-null flat `source` snapshot.
   uint64_t PutPlan(std::string_view key, std::vector<PlanChunk> plan);
 
-  // Fragment swap: re-pin every fragment chunk of `key`'s plan to the
-  // fragment's *current* cached snapshot, recompute Content-Length from the
-  // new chunk lengths, and bump the version — all without touching the
-  // static skeleton. Returns the new version, or 0 (store nothing) when the
-  // key is absent/stale/not a plan, when any referenced fragment is no
-  // longer live in the cache, or when the entry was concurrently replaced —
-  // the caller then falls back to a full re-render. This is the
+  // Fragment swap: starting from `current` (the caller's snapshot of
+  // `key`), re-pin the fragment chunks at the indices `chunks` to each
+  // fragment's *current* cached snapshot, keep every other pin, recompute
+  // Content-Length from the new chunk lengths, and bump the version — all
+  // without touching the static skeleton. Returns the new version, or 0
+  // (store nothing) when `current` is not a plan, an index is not a
+  // fragment chunk, a listed fragment is no longer live (or is itself a
+  // plan), or the entry was concurrently replaced since `current` was read
+  // — the caller then falls back to a full re-render. This is the
   // fragment-first DUP update path: a scoreboard commit re-renders one
   // fragment and patches every embedding page for the cost of a few
   // pointer swaps and an itoa.
-  uint64_t PatchPlan(std::string_view key);
+  uint64_t PatchPlan(std::string_view key,
+                     const std::shared_ptr<const CachedObject>& current,
+                     std::span<const size_t> chunks);
 
   // True if the key was present (and live). Under retain_stale the entry is
   // downgraded to a stale last-known-good copy instead of being erased.
@@ -248,8 +260,10 @@ class ObjectCache {
   Snapshot() const;
 
  private:
-  using Map =
-      std::unordered_map<std::string, std::shared_ptr<const CachedObject>>;
+  // Transparent hashing: lookups by string_view never build a key.
+  using Map = std::unordered_map<std::string,
+                                 std::shared_ptr<const CachedObject>,
+                                 StringHash, std::equal_to<>>;
 
   struct Shard {
     mutable std::mutex mutex;
@@ -263,7 +277,8 @@ class ObjectCache {
   // Shared insert/replace path behind Put and PutPlan: assigns the next
   // version, stamps headers and the clock, and does the footprint
   // bookkeeping.
-  uint64_t Store(std::string_view key, std::shared_ptr<CachedObject> obj);
+  std::shared_ptr<const CachedObject> Store(std::string_view key,
+                                            std::shared_ptr<CachedObject> obj);
   // Erase or (under retain_stale) downgrade one entry. Caller holds the
   // shard lock; returns true when the entry was live before the call.
   bool InvalidateLocked(Shard& shard, Map::iterator it);

@@ -254,18 +254,19 @@ Result<size_t> ServingSite::VerifyCacheConsistency() {
           if (chunk.source == nullptr) {
             return InternalError("plan for " + key +
                                  " has a fragment chunk with no snapshot: " +
-                                 chunk.fragment);
+                                 *chunk.fragment);
           }
           if (chunk.source->is_plan()) {
             return InternalError("plan for " + key +
-                                 " pins a non-flat fragment: " + chunk.fragment);
+                                 " pins a non-flat fragment: " +
+                                 *chunk.fragment);
           }
           // At quiescence no plan may serve a retired snapshot: the chunk
           // must pin the very object the fragment's live entry holds.
-          if (cache_->Peek(chunk.fragment) != chunk.source) {
+          if (cache_->Peek(*chunk.fragment) != chunk.source) {
             return InternalError("plan for " + key +
                                  " references a retired snapshot of " +
-                                 chunk.fragment);
+                                 *chunk.fragment);
           }
         }
         summed += chunk.bytes().size();

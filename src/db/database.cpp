@@ -326,13 +326,12 @@ Status Database::WalAppendAll(uint64_t seqno, const std::string& payload) {
   return Status::Ok();
 }
 
-void Database::UnindexRow(Partition& p, const std::string& pk,
-                          const Row& row) {
+void Database::UnindexRow(Partition& p, const RowEntry& entry) {
   for (auto& [column, index] : p.indexes) {
-    const std::string value = KeyString(row[column]);
+    const std::string value = KeyString(entry.second[column]);
     for (auto it = index.lower_bound(value);
          it != index.end() && it->first == value; ++it) {
-      if (it->second == pk) {
+      if (it->second == &entry) {
         index.erase(it);
         break;
       }
@@ -340,9 +339,9 @@ void Database::UnindexRow(Partition& p, const std::string& pk,
   }
 }
 
-void Database::IndexRow(Partition& p, const std::string& pk, const Row& row) {
+void Database::IndexRow(Partition& p, const RowEntry& entry) {
   for (auto& [column, index] : p.indexes) {
-    index.emplace(KeyString(row[column]), pk);
+    index.emplace(KeyString(entry.second[column]), &entry);
   }
 }
 
@@ -351,15 +350,17 @@ void Database::ApplyChange(Partition& p, const ChangeRecord& change) {
     case ChangeOp::kInsert:
     case ChangeOp::kUpdate: {
       if (auto old = p.rows.find(change.key); old != p.rows.end()) {
-        UnindexRow(p, change.key, old->second);
+        UnindexRow(p, *old);
       }
+      // Assignment keeps an existing node in place, so index entries that
+      // point at it stay valid.
       auto [row_it, _] = p.rows.insert_or_assign(change.key, change.row);
-      IndexRow(p, change.key, row_it->second);
+      IndexRow(p, *row_it);
       break;
     }
     case ChangeOp::kDelete: {
       if (auto old = p.rows.find(change.key); old != p.rows.end()) {
-        UnindexRow(p, change.key, old->second);
+        UnindexRow(p, *old);
         p.rows.erase(old);
       }
       break;
@@ -522,58 +523,78 @@ Status Database::ApplyReplicated(const ChangeRecord& change) {
 
 // --- query ------------------------------------------------------------------
 
-Result<Row> Database::Get(std::string_view table, const Value& key) const {
-  const std::string name(table);
-  {
-    std::shared_lock lock(schema_mutex_);
-    if (schemas_.find(name) == schemas_.end()) {
-      return NotFoundError("Get: no table " + name);
-    }
-  }
-  const std::string pk = KeyString(key);
-  const Shard& shard = *shards_[ShardOf(pk, shards())];
-  std::shared_lock lock(shard.mutex);
-  auto pit = shard.tables.find(name);
-  if (pit == shard.tables.end()) {
-    return NotFoundError("Get: no row " + pk);
-  }
-  auto row_it = pit->second.rows.find(pk);
-  if (row_it == pit->second.rows.end()) {
-    return NotFoundError("Get: no row " + pk);
-  }
-  return row_it->second;
-}
-
-std::vector<Row> Database::Scan(
-    std::string_view table, const std::function<bool(const Row&)>& pred) const {
-  const std::string name(table);
+size_t Database::Read(std::string_view table, const RowFilter& filter,
+                      const RowVisitor& visit) const {
   std::shared_lock schema_lock(schema_mutex_);
-  if (schemas_.find(name) == schemas_.end()) return {};
+  auto schema_it = schemas_.find(table);
+  if (schema_it == schemas_.end()) return 0;
+  const TableSchema& schema = schema_it->second;
+
+  if (filter.kind == RowFilter::Kind::kKey) {
+    const std::string pk = KeyString(filter.value);
+    const Shard& shard = *shards_[ShardOf(pk, shards())];
+    std::shared_lock lock(shard.mutex);
+    auto pit = shard.tables.find(table);
+    if (pit == shard.tables.end()) return 0;
+    auto row_it = pit->second.rows.find(pk);
+    if (row_it == pit->second.rows.end()) return 0;
+    visit(row_it->second);
+    return 1;
+  }
+
+  const bool equals = filter.kind == RowFilter::Kind::kEquals;
+  size_t column_index = schema.columns.size();
+  std::string needle;
+  if (equals) {
+    for (size_t i = 0; i < schema.columns.size(); ++i) {
+      if (schema.columns[i].name == filter.column) {
+        column_index = i;
+        break;
+      }
+    }
+    if (column_index == schema.columns.size()) return 0;
+    needle = KeyString(filter.value);
+  }
+
   // Lock every shard (ascending — the global lock order) for an atomic
-  // snapshot, then merge partitions back into primary-key order so the
-  // result is byte-identical regardless of the shard count.
+  // snapshot, then merge the partitions' matches back into primary-key
+  // order so the result is the same for any shard count.
   std::vector<std::shared_lock<std::shared_mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
-  std::vector<std::pair<const std::string*, const Row*>> merged;
+  std::vector<const RowEntry*> merged;
   for (const auto& shard : shards_) {
-    auto pit = shard->tables.find(name);
+    auto pit = shard->tables.find(table);
     if (pit == shard->tables.end()) continue;
-    for (const auto& [pk, row] : pit->second.rows) {
-      merged.emplace_back(&pk, &row);
+    const Partition& p = pit->second;
+    if (!equals) {
+      for (const RowEntry& entry : p.rows) merged.push_back(&entry);
+      continue;
+    }
+    if (auto index_it = p.indexes.find(column_index);
+        index_it != p.indexes.end()) {
+      for (auto e = index_it->second.lower_bound(needle);
+           e != index_it->second.end() && e->first == needle; ++e) {
+        merged.push_back(e->second);
+      }
+      continue;
+    }
+    for (const RowEntry& entry : p.rows) {
+      if (KeyString(entry.second[column_index]) == needle) {
+        merged.push_back(&entry);
+      }
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::vector<Row> out;
-  for (const auto& [_, row] : merged) {
-    if (pred(*row)) out.push_back(*row);
+  // One partition's full scan is already key-ordered; index matches and
+  // multi-shard merges are not.
+  if (equals || shards_.size() > 1) {
+    std::sort(merged.begin(), merged.end(),
+              [](const RowEntry* a, const RowEntry* b) {
+                return a->first < b->first;
+              });
   }
-  return out;
-}
-
-std::vector<Row> Database::ScanAll(std::string_view table) const {
-  return Scan(table, [](const Row&) { return true; });
+  for (const RowEntry* entry : merged) visit(entry->second);
+  return merged.size();
 }
 
 Status Database::CreateIndex(std::string_view table, std::string_view column) {
@@ -612,8 +633,8 @@ Status Database::CreateIndex(std::string_view table, std::string_view column) {
     Partition& p = shard->tables[name];
     auto [index_it, created] = p.indexes.try_emplace(column_index);
     if (!created) continue;
-    for (const auto& [pk, row] : p.rows) {
-      index_it->second.emplace(KeyString(row[column_index]), pk);
+    for (const RowEntry& entry : p.rows) {
+      index_it->second.emplace(KeyString(entry.second[column_index]), &entry);
     }
   }
   return Status::Ok();
@@ -632,63 +653,6 @@ bool Database::HasIndex(std::string_view table, std::string_view column) const {
     }
   }
   return false;
-}
-
-std::vector<Row> Database::Lookup(std::string_view table,
-                                  std::string_view column,
-                                  const Value& value) const {
-  const std::string name(table);
-  std::shared_lock schema_lock(schema_mutex_);
-  auto it = schemas_.find(name);
-  if (it == schemas_.end()) return {};
-  const TableSchema& schema = it->second;
-  size_t column_index = schema.columns.size();
-  for (size_t i = 0; i < schema.columns.size(); ++i) {
-    if (schema.columns[i].name == column) {
-      column_index = i;
-      break;
-    }
-  }
-  if (column_index == schema.columns.size()) return {};
-  const bool indexed =
-      std::find(schema.indexed_columns.begin(), schema.indexed_columns.end(),
-                column_index) != schema.indexed_columns.end();
-  const std::string needle = KeyString(value);
-
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
-  // Collect matches per shard, then sort by primary key so the result
-  // order matches the unsharded store exactly.
-  std::vector<std::pair<const std::string*, const Row*>> merged;
-  for (const auto& shard : shards_) {
-    auto pit = shard->tables.find(name);
-    if (pit == shard->tables.end()) continue;
-    const Partition& p = pit->second;
-    if (indexed) {
-      auto index_it = p.indexes.find(column_index);
-      if (index_it == p.indexes.end()) continue;
-      for (auto e = index_it->second.lower_bound(needle);
-           e != index_it->second.end() && e->first == needle; ++e) {
-        auto row_it = p.rows.find(e->second);
-        if (row_it != p.rows.end()) {
-          merged.emplace_back(&row_it->first, &row_it->second);
-        }
-      }
-    } else {
-      for (const auto& [pk, row] : p.rows) {
-        if (KeyString(row[column_index]) == needle) {
-          merged.emplace_back(&pk, &row);
-        }
-      }
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::vector<Row> out;
-  out.reserve(merged.size());
-  for (const auto& [_, row] : merged) out.push_back(*row);
-  return out;
 }
 
 size_t Database::RowCount(std::string_view table) const {
@@ -873,7 +837,7 @@ void Database::RecoverShard(uint32_t index, ShardRecoveryScratch& sc) {
         }
         const std::string pk = KeyString(row[schema.key_column]);
         auto [row_it, _] = p.rows.insert_or_assign(pk, std::move(row));
-        IndexRow(p, pk, row_it->second);
+        IndexRow(p, *row_it);
       }
       if (!d.ok()) {
         r.status = DataLossError("Recover: truncated checkpoint image");
@@ -940,8 +904,9 @@ void Database::RecoverShard(uint32_t index, ShardRecoveryScratch& sc) {
             Partition& p = shard.tables[rec.table];
             auto [index_it, created] = p.indexes.try_emplace(column_index);
             if (created) {
-              for (const auto& [pk, row] : p.rows) {
-                index_it->second.emplace(KeyString(row[column_index]), pk);
+              for (const RowEntry& entry : p.rows) {
+                index_it->second.emplace(KeyString(entry.second[column_index]),
+                                         &entry);
               }
             }
             break;

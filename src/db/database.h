@@ -3,8 +3,9 @@
 // tier behind a redesigned API).
 //
 // What DUP needs from the database layer (and what this provides):
-//  * typed tables with primary keys, point reads and predicate scans, used
-//    by the page generators to render content;
+//  * typed tables with primary keys and secondary indexes, read in place
+//    through one visitor (point, index or full-table), used by the page
+//    generators to render content;
 //  * a shard-aware change feed: every commit carries a total-order seqno
 //    plus a dense per-shard (shard, shard_seqno) pair, consumed through
 //    per-shard cursors (ReadChanges) — the feed the trigger monitor tails
@@ -44,6 +45,7 @@
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/result.h"
+#include "common/string_hash.h"
 #include "db/shard_map.h"
 #include "wal/wal.h"
 
@@ -59,6 +61,29 @@ struct ColumnSpec {
 };
 
 using Row = std::vector<Value>;
+
+// Which rows Database::Read visits.
+struct RowFilter {
+  enum class Kind : uint8_t { kAll, kKey, kEquals };
+  Kind kind = Kind::kAll;
+  std::string column;  // kEquals: the column compared
+  Value value;         // kKey: the primary key; kEquals: the column value
+
+  // Every row of the table.
+  static RowFilter All() { return {}; }
+  // The row whose primary key is `key` (at most one).
+  static RowFilter Key(Value key) {
+    return {Kind::kKey, {}, std::move(key)};
+  }
+  // The rows whose `column` equals `value`, through the column's secondary
+  // index when it has one, else by scanning.
+  static RowFilter Equals(std::string_view column, Value value) {
+    return {Kind::kEquals, std::string(column), std::move(value)};
+  }
+};
+
+// Called once per row a Read visits; the row is only valid during the call.
+using RowVisitor = std::function<void(const Row&)>;
 
 // Canonical string encoding of a primary-key value (used for row indexing
 // and for naming ODG underlying-data nodes consistently).
@@ -226,16 +251,14 @@ class Database {
   bool HasIndex(std::string_view table, std::string_view column) const;
 
   // --- query ---
-  Result<Row> Get(std::string_view table, const Value& key) const;
-  // All rows for which pred returns true, in primary-key order (merged
-  // across shards; the order is independent of the shard count).
-  std::vector<Row> Scan(std::string_view table,
-                        const std::function<bool(const Row&)>& pred) const;
-  std::vector<Row> ScanAll(std::string_view table) const;
-  // Rows whose `column` equals `value`, in primary-key order. Uses the
-  // secondary index when one exists, otherwise degrades to a scan.
-  std::vector<Row> Lookup(std::string_view table, std::string_view column,
-                          const Value& value) const;
+  // The one read: visits every row `filter` selects, in primary-key order
+  // (merged across shards, so the order is independent of the shard
+  // count), under the shard read locks — rows are read in place, never
+  // copied; copy out whatever must outlive the call. Returns the number of
+  // rows visited; an unknown table or column visits none. `visit` runs
+  // under the locks and must not call back into the database.
+  size_t Read(std::string_view table, const RowFilter& filter,
+              const RowVisitor& visit) const;
   size_t RowCount(std::string_view table) const;
 
   // --- durability (requires a WAL per shard) ---
@@ -313,15 +336,30 @@ class Database {
   };
 
   // One shard's slice of one table.
+  using RowMap = std::map<std::string, Row, std::less<>>;  // KeyString -> row
+  using RowEntry = RowMap::value_type;
   struct Partition {
-    std::map<std::string, Row> rows;  // KeyString -> row, key-ordered
-    // column index -> (KeyString(column value) -> set of primary keys)
-    std::map<size_t, std::multimap<std::string, std::string>> indexes;
+    Partition() = default;
+    // Index entries point into `rows`: a move keeps the nodes, a copy
+    // would not.
+    Partition(Partition&&) = default;
+    Partition& operator=(Partition&&) = default;
+    Partition(const Partition&) = delete;
+    Partition& operator=(const Partition&) = delete;
+
+    RowMap rows;
+    // column index -> (KeyString(column value) -> row entries). Entries
+    // point at RowMap nodes, which stay put until the row is erased (rows
+    // are unindexed first), so a lookup reaches its rows without a second
+    // search by primary key.
+    std::map<size_t, std::multimap<std::string, const RowEntry*, std::less<>>>
+        indexes;
   };
 
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, Partition> tables;
+    std::unordered_map<std::string, Partition, StringHash, std::equal_to<>>
+        tables;
     std::vector<ChangeRecord> log;    // ascending shard_seqno AND seqno
     uint64_t next_shard_seqno = 1;
     uint64_t log_head = 1;            // shard_seqno of log.front() (non-empty)
@@ -331,7 +369,7 @@ class Database {
   // Scratch state one shard's recovery worker builds in isolation; merged
   // serially after every worker joins.
   struct ShardRecoveryScratch {
-    std::map<std::string, TableSchema> schema;
+    std::map<std::string, TableSchema, std::less<>> schema;
     ShardRecovery result;
   };
 
@@ -351,8 +389,8 @@ class Database {
   void RingCommitWakeup();
   static void ApplyChange(Partition& p, const ChangeRecord& change);
   // Index maintenance around a row mutation.
-  static void UnindexRow(Partition& p, const std::string& pk, const Row& row);
-  static void IndexRow(Partition& p, const std::string& pk, const Row& row);
+  static void UnindexRow(Partition& p, const RowEntry& entry);
+  static void IndexRow(Partition& p, const RowEntry& entry);
   // One shard's checkpoint-load + tail-replay, run on the recovery pool.
   void RecoverShard(uint32_t index, ShardRecoveryScratch& scratch);
 
@@ -367,7 +405,7 @@ class Database {
   // without the commit mutex.
   std::mutex commit_mutex_;
   mutable std::shared_mutex schema_mutex_;
-  std::map<std::string, TableSchema> schemas_;
+  std::map<std::string, TableSchema, std::less<>> schemas_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> next_seqno_{1};
   // Smallest seqno such that every record >= it is still retained in some

@@ -7,6 +7,27 @@
 namespace nagano::odg {
 namespace {
 
+// FNV-1a over every source's name, kind and weight bits, in order; never 0
+// (0 marks "no fingerprint").
+uint64_t Fingerprint(std::span<const DependencySource> sources) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const DependencySource& s : sources) {
+    const uint64_t size = s.name.size();
+    mix(&size, sizeof(size));
+    mix(s.name.data(), s.name.size());
+    mix(&s.kind, sizeof(s.kind));
+    mix(&s.weight, sizeof(s.weight));
+  }
+  return h == 0 ? 1 : h;
+}
+
 // Widening lattice: data + object = both.
 NodeKind WidenKind(NodeKind a, NodeKind b) {
   if (a == b) return a;
@@ -50,11 +71,14 @@ NodeId ObjectDependenceGraph::EnsureNode(std::string_view node_name,
     kinds_.resize(id + 1, node_kind);
     out_.resize(id + 1);
     in_.resize(id + 1);
+    in_fingerprint_.resize(id + 1, 0);
     BumpVersionLocked();
   } else {
     const NodeKind widened = WidenKind(kinds_[id], node_kind);
     if (widened != kinds_[id]) {
+      non_simple_ -= BreaksSimpleLocked(id);
       kinds_[id] = widened;
+      non_simple_ += BreaksSimpleLocked(id);
       BumpVersionLocked();
     }
   }
@@ -79,6 +103,7 @@ Status ObjectDependenceGraph::AddDependence(NodeId from, NodeId to,
   if (weight <= 0.0) {
     return InvalidArgumentError("AddDependence: weight must be positive");
   }
+  in_fingerprint_[to] = 0;
   for (Edge& e : out_[from]) {
     if (e.to == to) {  // re-weight existing edge
       if (e.weight != weight) {
@@ -92,8 +117,10 @@ Status ObjectDependenceGraph::AddDependence(NodeId from, NodeId to,
       return Status::Ok();
     }
   }
+  non_simple_ -= BreaksSimpleLocked(from) + BreaksSimpleLocked(to);
   out_[from].push_back(Edge{to, weight});
   in_[to].push_back(Edge{from, weight});
+  non_simple_ += BreaksSimpleLocked(from) + BreaksSimpleLocked(to);
   ++edge_count_;
   BumpVersionLocked();
   if (weight != 1.0) has_custom_weights_ = true;
@@ -111,10 +138,13 @@ Status ObjectDependenceGraph::RemoveDependence(NodeId from, NodeId to) {
   if (it == edges.end()) {
     return NotFoundError("RemoveDependence: edge absent");
   }
+  in_fingerprint_[to] = 0;
+  non_simple_ -= BreaksSimpleLocked(from) + BreaksSimpleLocked(to);
   edges.erase(it);
   auto& rev = in_[to];
   rev.erase(std::find_if(rev.begin(), rev.end(),
                          [from](const Edge& e) { return e.to == from; }));
+  non_simple_ += BreaksSimpleLocked(from) + BreaksSimpleLocked(to);
   --edge_count_;
   BumpVersionLocked();
   return Status::Ok();
@@ -122,16 +152,40 @@ Status ObjectDependenceGraph::RemoveDependence(NodeId from, NodeId to) {
 
 void ObjectDependenceGraph::ClearInEdges(NodeId of) {
   std::unique_lock lock(mutex_);
-  if (of >= kinds_.size()) return;
+  if (of >= kinds_.size() || in_[of].empty()) return;
+  ReplaceInEdgesLocked(of, {});
+}
+
+void ObjectDependenceGraph::ReplaceInEdgesLocked(
+    NodeId of, const std::vector<Edge>& sorted_sources) {
+  // Every vertex whose edge lists change: `of`, its old and new sources.
+  std::vector<NodeId> touched{of};
+  for (const Edge& e : in_[of]) touched.push_back(e.to);
+  for (const Edge& e : sorted_sources) {
+    if (e.to < kinds_.size()) touched.push_back(e.to);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const NodeId v : touched) non_simple_ -= BreaksSimpleLocked(v);
+
   for (const Edge& e : in_[of]) {
     auto& edges = out_[e.to];
     edges.erase(std::find_if(edges.begin(), edges.end(),
                              [of](const Edge& o) { return o.to == of; }));
     --edge_count_;
   }
-  const bool changed = !in_[of].empty();
   in_[of].clear();
-  if (changed) BumpVersionLocked();
+  for (const Edge& e : sorted_sources) {
+    if (e.to >= kinds_.size()) continue;
+    out_[e.to].push_back(Edge{of, e.weight});
+    in_[of].push_back(e);
+    ++edge_count_;
+    if (e.weight != 1.0) has_custom_weights_ = true;
+  }
+
+  for (const NodeId v : touched) non_simple_ += BreaksSimpleLocked(v);
+  in_fingerprint_[of] = 0;
+  BumpVersionLocked();
 }
 
 bool ObjectDependenceGraph::InEdgesEqualLocked(
@@ -150,13 +204,26 @@ bool ObjectDependenceGraph::InEdgesEqualLocked(
   return true;
 }
 
-void ObjectDependenceGraph::SetInEdges(NodeId of, std::vector<Edge> sources) {
-  // Dedup keeping the last occurrence's weight; drop self-edges and
-  // non-positive weights. Dependency lists are tens of entries, so the
-  // quadratic scan beats hashing.
+void ObjectDependenceGraph::SetInEdges(
+    NodeId of, std::span<const DependencySource> sources) {
+  const uint64_t fingerprint = Fingerprint(sources);
+  {
+    std::shared_lock lock(mutex_);
+    if (of >= kinds_.size()) return;
+    if (in_fingerprint_[of] == fingerprint) return;
+  }
+
+  // Resolve the names, then dedup keeping the last occurrence's weight;
+  // drop self-edges and non-positive weights. Dependency lists are tens of
+  // entries, so the quadratic scan beats hashing.
+  std::vector<Edge> resolved;
+  resolved.reserve(sources.size());
+  for (const DependencySource& s : sources) {
+    resolved.push_back(Edge{EnsureNode(s.name, s.kind), s.weight});
+  }
   std::vector<Edge> desired;
-  desired.reserve(sources.size());
-  for (auto it = sources.rbegin(); it != sources.rend(); ++it) {
+  desired.reserve(resolved.size());
+  for (auto it = resolved.rbegin(); it != resolved.rend(); ++it) {
     if (it->to == of || it->weight <= 0.0) continue;
     const NodeId src = it->to;
     const bool seen = std::any_of(
@@ -167,30 +234,23 @@ void ObjectDependenceGraph::SetInEdges(NodeId of, std::vector<Edge> sources) {
   std::sort(desired.begin(), desired.end(),
             [](const Edge& a, const Edge& b) { return a.to < b.to; });
 
-  {
-    std::shared_lock lock(mutex_);
-    if (of >= kinds_.size()) return;
-    if (InEdgesEqualLocked(of, desired)) return;
-  }
-
   std::unique_lock lock(mutex_);
   if (of >= kinds_.size()) return;
-  if (InEdgesEqualLocked(of, desired)) return;  // raced with an equal writer
-  for (const Edge& e : in_[of]) {
-    auto& edges = out_[e.to];
-    edges.erase(std::find_if(edges.begin(), edges.end(),
-                             [of](const Edge& o) { return o.to == of; }));
-    --edge_count_;
+  if (!InEdgesEqualLocked(of, desired)) ReplaceInEdgesLocked(of, desired);
+  in_fingerprint_[of] = fingerprint;
+}
+
+size_t ObjectDependenceGraph::BreaksSimpleLocked(NodeId v) const {
+  switch (kinds_[v]) {
+    case NodeKind::kUnderlyingData:
+      return in_[v].empty() ? 0 : 1;
+    case NodeKind::kObject:
+      return out_[v].empty() ? 0 : 1;
+    case NodeKind::kBoth:
+      // An intermediate vertex: the graph is not simple per Fig. 2.
+      return in_[v].empty() || out_[v].empty() ? 0 : 1;
   }
-  in_[of].clear();
-  for (const Edge& e : desired) {
-    if (e.to >= kinds_.size()) continue;
-    out_[e.to].push_back(Edge{of, e.weight});
-    in_[of].push_back(e);
-    ++edge_count_;
-    if (e.weight != 1.0) has_custom_weights_ = true;
-  }
-  BumpVersionLocked();
+  return 0;
 }
 
 bool ObjectDependenceGraph::HasEdgeLocked(NodeId from, NodeId to) const {
@@ -244,22 +304,7 @@ std::vector<Edge> ObjectDependenceGraph::InEdges(NodeId id) const {
 
 bool ObjectDependenceGraph::IsSimple() const {
   std::shared_lock lock(mutex_);
-  if (has_custom_weights_) return false;
-  for (NodeId v = 0; v < kinds_.size(); ++v) {
-    switch (kinds_[v]) {
-      case NodeKind::kUnderlyingData:
-        if (!in_[v].empty()) return false;
-        break;
-      case NodeKind::kObject:
-        if (!out_[v].empty()) return false;
-        break;
-      case NodeKind::kBoth:
-        // An intermediate vertex: the graph is not simple per Fig. 2.
-        if (!in_[v].empty() && !out_[v].empty()) return false;
-        break;
-    }
-  }
-  return true;
+  return !has_custom_weights_ && non_simple_ == 0;
 }
 
 }  // namespace nagano::odg

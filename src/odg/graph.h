@@ -39,6 +39,14 @@ struct Edge {
   double weight = 1.0;
 };
 
+// One named in-edge source for SetInEdges: the vertex is created with
+// `kind` (or widened to it), as EnsureNode would.
+struct DependencySource {
+  std::string_view name;
+  NodeKind kind = NodeKind::kUnderlyingData;
+  double weight = 1.0;
+};
+
 // Counters exposed for the DUPSCALE bench and monitoring.
 struct GraphStats {
   size_t nodes = 0;
@@ -67,18 +75,19 @@ class ObjectDependenceGraph {
   Status AddDependence(NodeId from, NodeId to, double weight = 1.0);
   Status RemoveDependence(NodeId from, NodeId to);
 
-  // Drops every outgoing dependence of `from`. The renderer calls this
-  // before re-recording a page's dependencies, keeping the ODG in sync with
-  // the current template structure.
+  // Drops every incoming dependence of `of`.
   void ClearInEdges(NodeId of);
 
-  // Replaces the in-edge set of `of` with `sources` (Edge::to = source id;
-  // among duplicate sources the last weight wins, matching repeated
-  // AddDependence calls). When the requested set already matches, this
-  // returns after a shared-lock comparison without writing — re-renders
-  // that leave a page's dependencies unchanged (the steady state of the
-  // parallel re-render pipeline) then never serialize on the write lock.
-  void SetInEdges(NodeId of, std::vector<Edge> sources);
+  // Replaces the in-edge set of `of` with the named `sources` (among
+  // duplicate sources the last weight wins, matching repeated
+  // AddDependence calls; self-edges and non-positive weights are dropped).
+  // The graph keeps a 64-bit fingerprint of the list last applied to `of`:
+  // a call with the same list — the steady state of re-renders — returns
+  // after one shared-lock comparison, resolving no names and writing
+  // nothing, so parallel re-render workers neither hash every dependency
+  // nor serialize on the write lock. Any other change to `of`'s in-edges
+  // forgets the fingerprint.
+  void SetInEdges(NodeId of, std::span<const DependencySource> sources);
 
   bool HasEdge(NodeId from, NodeId to) const;
 
@@ -96,6 +105,7 @@ class ObjectDependenceGraph {
   // A *simple* ODG (paper Fig. 2): every underlying-data vertex has no
   // incoming edge, every object vertex has no outgoing edge, and no edge
   // carries a non-default weight. DUP has a fast path for this shape.
+  // O(1): mutations keep a count of the vertices breaking the shape.
   bool IsSimple() const;
 
   // Runs `fn(adjacency_out, adjacency_in, kinds)` under the read lock. Used
@@ -111,6 +121,12 @@ class ObjectDependenceGraph {
   // Bumps version_ and mirrors nodes/edges/version into the registry cells.
   void BumpVersionLocked();
   bool HasEdgeLocked(NodeId from, NodeId to) const;
+  // 1 when `v` breaks the simple shape (see IsSimple), else 0. Mutations
+  // subtract it for every vertex they touch before the change and add it
+  // back after, keeping non_simple_ exact.
+  size_t BreaksSimpleLocked(NodeId v) const;
+  // `sorted_sources` must be sorted by Edge::to and free of duplicates.
+  void ReplaceInEdgesLocked(NodeId of, const std::vector<Edge>& sorted_sources);
   // `sorted_sources` must be sorted by Edge::to.
   bool InEdgesEqualLocked(NodeId of, const std::vector<Edge>& sorted_sources) const;
 
@@ -119,7 +135,11 @@ class ObjectDependenceGraph {
   std::vector<NodeKind> kinds_;          // indexed by NodeId
   std::vector<std::vector<Edge>> out_;   // out_[v] = edges v -> u
   std::vector<std::vector<Edge>> in_;    // in_[u]  = edges v -> u (to = source)
+  // in_fingerprint_[u]: fingerprint of the source list SetInEdges last
+  // applied to u, 0 when u's in-edges changed any other way since.
+  std::vector<uint64_t> in_fingerprint_;
   size_t edge_count_ = 0;
+  size_t non_simple_ = 0;  // vertices for which BreaksSimpleLocked is 1
   uint64_t version_ = 0;
   bool has_custom_weights_ = false;
 

@@ -1,6 +1,7 @@
 #include "pagegen/olympic.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <charconv>
 #include <cstdio>
@@ -121,19 +122,24 @@ const Chrome& ChromeFor(std::string_view lang) {
   return kEnglish;
 }
 
-void SetChrome(TemplateContext& ctx, std::string_view lang) {
+// One language's chrome strings as a parent context, built once per page
+// family: every render of the family resolves them there instead of
+// copying them into its own context.
+std::shared_ptr<const TemplateContext> ChromeContext(std::string_view lang) {
   const Chrome& c = ChromeFor(lang);
-  ctx.Set("lang", std::string(lang));
-  ctx.Set("L_day", c.day);
-  ctx.Set("L_medals", c.medal_standings);
-  ctx.Set("L_today", c.todays_events);
-  ctx.Set("L_news", c.latest_news);
-  ctx.Set("L_noevents", c.no_events);
-  ctx.Set("L_noresults", c.no_results);
-  ctx.Set("L_schedule", c.schedule);
-  ctx.Set("L_athletes", c.athletes);
-  ctx.Set("L_results", c.results);
-  ctx.Set("L_status", c.status);
+  auto ctx = std::make_shared<TemplateContext>();
+  ctx->Set("lang", std::string(lang));
+  ctx->Set("L_day", c.day);
+  ctx->Set("L_medals", c.medal_standings);
+  ctx->Set("L_today", c.todays_events);
+  ctx->Set("L_news", c.latest_news);
+  ctx->Set("L_noevents", c.no_events);
+  ctx->Set("L_noresults", c.no_results);
+  ctx->Set("L_schedule", c.schedule);
+  ctx->Set("L_athletes", c.athletes);
+  ctx->Set("L_results", c.results);
+  ctx->Set("L_status", c.status);
+  return ctx;
 }
 
 // Languages for full page families (every page) and news-only extras.
@@ -361,37 +367,100 @@ struct EventInfo {
   std::string name, venue, status;
 };
 
+const db::RowFilter kAllRows = db::RowFilter::All();
+
 std::optional<EventInfo> LoadEvent(const Database& db, int64_t event_id) {
-  auto row = db.Get("events", Value(event_id));
-  if (!row.ok()) return std::nullopt;
-  const Row& r = row.value();
-  return EventInfo{AsInt(r[events_col::kId]),     AsInt(r[events_col::kSportId]),
-                   AsInt(r[events_col::kDay]),    AsString(r[events_col::kName]),
-                   AsString(r[events_col::kVenue]),
-                   AsString(r[events_col::kStatus])};
-}
-
-std::vector<Row> ResultsForEvent(const Database& db, int64_t event_id) {
-  auto rows = db.Lookup("results", "event_id", Value(event_id));
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return AsInt(a[results_col::kRank]) < AsInt(b[results_col::kRank]);
+  std::optional<EventInfo> event;
+  db.Read("events", db::RowFilter::Key(Value(event_id)), [&](const Row& r) {
+    event = EventInfo{AsInt(r[events_col::kId]),
+                      AsInt(r[events_col::kSportId]),
+                      AsInt(r[events_col::kDay]),
+                      AsString(r[events_col::kName]),
+                      AsString(r[events_col::kVenue]),
+                      AsString(r[events_col::kStatus])};
   });
-  return rows;
+  return event;
 }
 
-std::string AthleteName(const Database& db, int64_t athlete_id) {
-  auto row = db.Get("athletes", Value(athlete_id));
-  return row.ok() ? AsString(row.value()[athletes_col::kName]) : "(unknown)";
+// The fields of one results row the pages show.
+struct ResultInfo {
+  int64_t event_id, rank, athlete_id;
+  double score;
+};
+
+// Results whose `column` (event_id or athlete_id) equals `id`, in
+// primary-key order.
+std::vector<ResultInfo> LoadResults(const Database& db, std::string_view column,
+                                    int64_t id) {
+  std::vector<ResultInfo> results;
+  db.Read("results", db::RowFilter::Equals(column, Value(id)),
+          [&](const Row& r) {
+            results.push_back(ResultInfo{AsInt(r[results_col::kEventId]),
+                                         AsInt(r[results_col::kRank]),
+                                         AsInt(r[results_col::kAthleteId]),
+                                         AsDouble(r[results_col::kScore])});
+          });
+  return results;
 }
 
-std::string AthleteCountry(const Database& db, int64_t athlete_id) {
-  auto row = db.Get("athletes", Value(athlete_id));
-  return row.ok() ? AsString(row.value()[athletes_col::kCountry]) : "???";
+std::vector<ResultInfo> ResultsForEvent(const Database& db, int64_t event_id) {
+  auto results = LoadResults(db, "event_id", event_id);
+  std::sort(results.begin(), results.end(),
+            [](const ResultInfo& a, const ResultInfo& b) {
+              return a.rank < b.rank;
+            });
+  return results;
+}
+
+struct AthleteInfo {
+  std::string name = "(unknown)";
+  std::string country = "???";
+};
+
+AthleteInfo LoadAthlete(const Database& db, int64_t athlete_id) {
+  AthleteInfo athlete;
+  db.Read("athletes", db::RowFilter::Key(Value(athlete_id)), [&](const Row& r) {
+    athlete.name = AsString(r[athletes_col::kName]);
+    athlete.country = AsString(r[athletes_col::kCountry]);
+  });
+  return athlete;
 }
 
 std::string SportName(const Database& db, int64_t sport_id) {
-  auto row = db.Get("sports", Value(sport_id));
-  return row.ok() ? AsString(row.value()[sports_col::kName]) : "(unknown sport)";
+  std::string name = "(unknown sport)";
+  db.Read("sports", db::RowFilter::Key(Value(sport_id)),
+          [&](const Row& r) { name = AsString(r[sports_col::kName]); });
+  return name;
+}
+
+struct NewsItem {
+  int64_t id, day;
+  std::string title;
+};
+
+// The newest `limit` articles, newest first.
+std::vector<NewsItem> LatestNews(const Database& db, size_t limit) {
+  std::vector<NewsItem> items;
+  db.Read("news", kAllRows, [&](const Row& r) {
+    items.push_back(NewsItem{AsInt(r[news_col::kId]), AsInt(r[news_col::kDay]),
+                             AsString(r[news_col::kTitle])});
+  });
+  std::sort(items.begin(), items.end(),
+            [](const NewsItem& a, const NewsItem& b) { return a.id > b.id; });
+  if (items.size() > limit) items.resize(limit);
+  return items;
+}
+
+void SetArticles(TemplateContext& ctx, const std::vector<NewsItem>& news) {
+  std::vector<TemplateContext> articles;
+  articles.reserve(news.size());
+  for (const NewsItem& n : news) {
+    articles.emplace_back()
+        .Set("id", n.id)
+        .Set("title", n.title)
+        .Set("day", n.day);
+  }
+  ctx.SetList("articles", std::move(articles));
 }
 
 std::string FormatScore(double score) {
@@ -407,12 +476,16 @@ std::string PhotoStrip(const Database& db, DependencyRecorder& deps,
                        std::string_view kind, std::string_view subject) {
   deps.DependsOnData(PhotoSubjectNode(kind, subject));
   std::string strip;
-  for (const Row& r : db.Lookup("photos", "subject_id", Value(std::string(subject)))) {
-    if (AsString(r[2]) != kind) continue;
-    strip += "<figure><img src=\"/img/" + std::to_string(AsInt(r[0])) +
-             ".jpg\"/><figcaption>" + HtmlEscape(AsString(r[1])) +
-             "</figcaption></figure>\n";
-  }
+  db.Read("photos",
+          db::RowFilter::Equals("subject_id", Value(std::string(subject))),
+          [&](const Row& r) {
+            if (AsString(r[2]) != kind) return;
+            strip += "<figure><img src=\"/img/";
+            strip += std::to_string(AsInt(r[0]));
+            strip += ".jpg\"/><figcaption>";
+            AppendHtmlEscaped(strip, AsString(r[1]));
+            strip += "</figcaption></figure>\n";
+          });
   return strip;
 }
 
@@ -619,69 +692,48 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
   // Registers the news family (index, articles, latest-news fragment) for
   // `lang` — shared between full languages and the French news-only tier.
   auto register_news = [db, renderer](const std::string& lang) {
+    const auto chrome = ChromeContext(lang);
     renderer->RegisterExact(
         LatestNewsFragment(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsFragmentTmpl);
           req.deps.DependsOnData(kNewsLatestNode);
-          auto rows = db->ScanAll("news");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            return AsInt(a[news_col::kId]) > AsInt(b[news_col::kId]);
-          });
-          if (rows.size() > 5) rows.resize(5);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", PagePrefix(lang));
-          std::vector<TemplateContext> articles;
-          for (const Row& r : rows) {
-            articles.emplace_back()
-                .Set("id", AsInt(r[news_col::kId]))
-                .Set("title", AsString(r[news_col::kTitle]))
-                .Set("day", AsInt(r[news_col::kDay]));
-          }
-          ctx.SetList("articles", std::move(articles));
+          SetArticles(ctx, LatestNews(*db, 5));
           return tmpl.get().Render(ctx).body;
         });
 
     renderer->RegisterExact(
         NewsIndexPage(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsIndexTmpl);
           req.deps.DependsOnData(kNewsAllNode);
-          auto rows = db->ScanAll("news");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            return AsInt(a[news_col::kId]) > AsInt(b[news_col::kId]);
-          });
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", PagePrefix(lang));
-          std::vector<TemplateContext> articles;
-          for (const Row& r : rows) {
-            articles.emplace_back()
-                .Set("id", AsInt(r[news_col::kId]))
-                .Set("title", AsString(r[news_col::kTitle]))
-                .Set("day", AsInt(r[news_col::kDay]));
-          }
-          ctx.SetList("articles", std::move(articles));
+          SetArticles(ctx, LatestNews(*db, SIZE_MAX));
           return tmpl.get().Render(ctx).body;
         });
 
     const std::string news_prefix = PagePrefix(lang) + "/news/";
     renderer->RegisterPrefix(
         news_prefix,
-        [db, lang, news_prefix](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome,
+         news_prefix](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsPageTmpl);
           const auto id = ParseId(req.page, news_prefix);
           if (!id) return InvalidArgumentError("bad article id");
-          auto row = db->Get("news", Value(*id));
-          if (!row.ok()) return NotFoundError("no article " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          const size_t found = db->Read(
+              "news", db::RowFilter::Key(Value(*id)), [&](const Row& r) {
+                ctx.Set("title", AsString(r[news_col::kTitle]))
+                    .Set("day", AsInt(r[news_col::kDay]))
+                    .Set("body", AsString(r[news_col::kBody]));
+              });
+          if (found == 0) {
+            return NotFoundError("no article " + std::to_string(*id));
+          }
           req.deps.DependsOnData(NewsNode(*id));
-          const Row& r = row.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("title", AsString(r[news_col::kTitle]))
-              .Set("day", AsInt(r[news_col::kDay]))
-              .Set("body", AsString(r[news_col::kBody]));
           auto latest = req.fragments(LatestNewsFragment(lang));
           if (!latest.ok()) return latest.status();
           ctx.Set("latest_news", latest.value());
@@ -691,13 +743,14 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
 
   for (const std::string& lang : FullLanguages(config)) {
     const std::string p = PagePrefix(lang);
+    const auto chrome = ChromeContext(lang);
 
     // "/" (or "/<lang>/") — welcome page listing the days.
     renderer->RegisterExact(
-        p + "/", [config, lang, p](const RenderRequest&) -> Result<std::string> {
+        p + "/",
+        [config, lang, chrome, p](const RenderRequest&) -> Result<std::string> {
           static const TemplateHolder tmpl(kWelcomeTmpl);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", p);
           std::vector<TemplateContext> days;
           for (int d = 1; d <= config.days; ++d) {
@@ -711,7 +764,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string event_frag_prefix = FragPrefix(lang) + "event:";
     renderer->RegisterPrefix(
         event_frag_prefix,
-        [db, lang, p, event_frag_prefix](
+        [db, lang, chrome, p, event_frag_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kEventFragmentTmpl);
           const auto id = ParseId(req.page, event_frag_prefix);
@@ -723,21 +776,20 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
           req.deps.DependsOnData(EventNode(*id), 2.0);
           req.deps.DependsOnData(ResultsEventNode(*id), 5.0);
 
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", p)
               .Set("event_id", *id)
               .Set("event_name", event->name)
               .Set("status", event->status)
               .Set("venue", event->venue);
           std::vector<TemplateContext> top;
-          for (const Row& r : ResultsForEvent(*db, *id)) {
+          for (const ResultInfo& r : ResultsForEvent(*db, *id)) {
             if (top.size() >= 3) break;
-            const int64_t aid = AsInt(r[results_col::kAthleteId]);
+            AthleteInfo athlete = LoadAthlete(*db, r.athlete_id);
             top.emplace_back()
-                .Set("athlete", AthleteName(*db, aid))
-                .Set("country", AthleteCountry(*db, aid))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+                .Set("athlete", std::move(athlete.name))
+                .Set("country", std::move(athlete.country))
+                .Set("score", FormatScore(r.score));
           }
           ctx.SetList("top", std::move(top));
           ctx.Set("photos",
@@ -748,33 +800,40 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     // frag:[lang:]medals — the medal standings table.
     renderer->RegisterExact(
         MedalsFragment(lang),
-        [db, lang, p](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome, p](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kMedalsFragmentTmpl);
           req.deps.DependsOnData(kMedalsAllNode);
-          auto rows = db->ScanAll("countries");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            const auto ga = AsInt(a[countries_col::kGolds]);
-            const auto gb = AsInt(b[countries_col::kGolds]);
-            if (ga != gb) return ga > gb;
-            return AsString(a[countries_col::kCode]) <
-                   AsString(b[countries_col::kCode]);
-          });
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p);
-          std::vector<TemplateContext> out;
-          for (const Row& r : rows) {
+          struct Tally {
+            std::string code, name;
+            int64_t g, s, b;
+          };
+          std::vector<Tally> tallies;  // countries with a medal
+          db->Read("countries", kAllRows, [&](const Row& r) {
             const int64_t g = AsInt(r[countries_col::kGolds]);
             const int64_t s = AsInt(r[countries_col::kSilvers]);
             const int64_t b = AsInt(r[countries_col::kBronzes]);
-            if (g + s + b == 0) continue;
+            if (g + s + b == 0) return;
+            tallies.push_back(Tally{AsString(r[countries_col::kCode]),
+                                    AsString(r[countries_col::kName]), g, s,
+                                    b});
+          });
+          std::sort(tallies.begin(), tallies.end(),
+                    [](const Tally& a, const Tally& b) {
+                      if (a.g != b.g) return a.g > b.g;
+                      return a.code < b.code;
+                    });
+          TemplateContext ctx(chrome.get());
+          ctx.Set("p", p);
+          std::vector<TemplateContext> out;
+          out.reserve(tallies.size());
+          for (Tally& t : tallies) {
             out.emplace_back()
-                .Set("code", AsString(r[countries_col::kCode]))
-                .Set("name", AsString(r[countries_col::kName]))
-                .Set("g", g)
-                .Set("s", s)
-                .Set("b", b)
-                .Set("total", g + s + b);
+                .Set("code", std::move(t.code))
+                .Set("name", std::move(t.name))
+                .Set("g", t.g)
+                .Set("s", t.s)
+                .Set("b", t.b)
+                .Set("total", t.g + t.s + t.b);
           }
           ctx.SetList("rows", std::move(out));
           return tmpl.get().Render(ctx).body;
@@ -785,15 +844,19 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string day_prefix = p + "/day/";
     renderer->RegisterPrefix(
         day_prefix,
-        [db, lang, day_prefix](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome,
+         day_prefix](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kDayHomeTmpl);
           const auto day = ParseId(req.page, day_prefix);
           if (!day) return InvalidArgumentError("bad day");
           req.deps.DependsOnData(EventDayNode(*day));
 
-          auto events = db->Lookup("events", "day", Value(*day));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          std::vector<int64_t> events;
+          db->Read("events", db::RowFilter::Equals("day", Value(*day)),
+                   [&](const Row& r) {
+                     events.push_back(AsInt(r[events_col::kId]));
+                   });
+          TemplateContext ctx(chrome.get());
           ctx.Set("day", *day);
 
           auto medal_table = req.fragments(MedalsFragment(lang));
@@ -801,8 +864,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
           ctx.Set("medal_table", medal_table.value());
 
           std::vector<TemplateContext> event_items;
-          for (const Row& r : events) {
-            const int64_t eid = AsInt(r[events_col::kId]);
+          for (const int64_t eid : events) {
             auto summary = req.fragments(EventFragment(eid, lang));
             if (!summary.ok()) return summary.status();
             event_items.emplace_back().Set("summary", summary.value());
@@ -819,7 +881,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string event_prefix = p + "/event/";
     renderer->RegisterPrefix(
         event_prefix,
-        [db, lang, p, event_prefix](
+        [db, lang, chrome, p, event_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kEventPageTmpl);
           const auto id = ParseId(req.page, event_prefix);
@@ -830,8 +892,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
           req.deps.DependsOnData(ResultsEventNode(*id), 5.0);
           req.deps.DependsOnData(MedalsEventNode(*id), 2.0);
 
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", p)
               .Set("event_name", event->name)
               .Set("sport_name", SportName(*db, event->sport_id))
@@ -839,28 +900,32 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
               .Set("venue", event->venue)
               .Set("status", event->status);
           std::vector<TemplateContext> results;
-          for (const Row& r : ResultsForEvent(*db, *id)) {
-            const int64_t aid = AsInt(r[results_col::kAthleteId]);
-            req.deps.DependsOnData(AthleteNode(aid));
+          for (const ResultInfo& r : ResultsForEvent(*db, *id)) {
+            req.deps.DependsOnData(AthleteNode(r.athlete_id));
+            AthleteInfo athlete = LoadAthlete(*db, r.athlete_id);
             results.emplace_back()
-                .Set("rank", AsInt(r[results_col::kRank]))
-                .Set("athlete_id", aid)
-                .Set("athlete", AthleteName(*db, aid))
-                .Set("country", AthleteCountry(*db, aid))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+                .Set("rank", r.rank)
+                .Set("athlete_id", r.athlete_id)
+                .Set("athlete", std::move(athlete.name))
+                .Set("country", std::move(athlete.country))
+                .Set("score", FormatScore(r.score));
           }
           ctx.SetList("results", std::move(results));
           ctx.Set("photos",
                   PhotoStrip(*db, req.deps, "event", std::to_string(*id)));
 
-          auto medal = db->Get("medals", Value(*id));
-          if (medal.ok()) {
-            const Row& m = medal.value();
+          std::optional<std::array<int64_t, 3>> medalists;
+          db->Read("medals", db::RowFilter::Key(Value(*id)), [&](const Row& m) {
+            medalists = {AsInt(m[medals_col::kGold]),
+                         AsInt(m[medals_col::kSilver]),
+                         AsInt(m[medals_col::kBronze])};
+          });
+          if (medalists) {
             std::vector<TemplateContext> flag(1);
             flag[0]
-                .Set("gold", AthleteName(*db, AsInt(m[medals_col::kGold])))
-                .Set("silver", AthleteName(*db, AsInt(m[medals_col::kSilver])))
-                .Set("bronze", AthleteName(*db, AsInt(m[medals_col::kBronze])));
+                .Set("gold", LoadAthlete(*db, (*medalists)[0]).name)
+                .Set("silver", LoadAthlete(*db, (*medalists)[1]).name)
+                .Set("bronze", LoadAthlete(*db, (*medalists)[2]).name);
             ctx.SetList("has_medals", std::move(flag));
           }
           return tmpl.get().Render(ctx).body;
@@ -870,22 +935,29 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string sport_prefix = p + "/sport/";
     renderer->RegisterPrefix(
         sport_prefix,
-        [db, lang, sport_prefix](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome,
+         sport_prefix](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kSportPageTmpl);
           const auto id = ParseId(req.page, sport_prefix);
           if (!id) return InvalidArgumentError("bad sport id");
-          auto sport = db->Get("sports", Value(*id));
-          if (!sport.ok()) return NotFoundError("no sport " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          const size_t found = db->Read(
+              "sports", db::RowFilter::Key(Value(*id)), [&](const Row& r) {
+                ctx.Set("sport_name", AsString(r[sports_col::kName]));
+              });
+          if (found == 0) {
+            return NotFoundError("no sport " + std::to_string(*id));
+          }
           req.deps.DependsOnData(SportNode(*id));
           req.deps.DependsOnData(EventSportNode(*id));
 
-          auto events = db->Lookup("events", "sport_id", Value(*id));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("sport_name", AsString(sport.value()[sports_col::kName]));
+          std::vector<int64_t> events;
+          db->Read("events", db::RowFilter::Equals("sport_id", Value(*id)),
+                   [&](const Row& r) {
+                     events.push_back(AsInt(r[events_col::kId]));
+                   });
           std::vector<TemplateContext> items;
-          for (const Row& r : events) {
-            const int64_t eid = AsInt(r[events_col::kId]);
+          for (const int64_t eid : events) {
             auto summary = req.fragments(EventFragment(eid, lang));
             if (!summary.ok()) return summary.status();
             items.emplace_back().Set("summary", summary.value());
@@ -898,36 +970,36 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string athlete_prefix = p + "/athlete/";
     renderer->RegisterPrefix(
         athlete_prefix,
-        [db, lang, p, athlete_prefix](
+        [db, lang, chrome, p, athlete_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kAthletePageTmpl);
           const auto id = ParseId(req.page, athlete_prefix);
           if (!id) return InvalidArgumentError("bad athlete id");
-          auto athlete = db->Get("athletes", Value(*id));
-          if (!athlete.ok()) {
+          TemplateContext ctx(chrome.get());
+          ctx.Set("p", p);
+          int64_t sport_id = 0;
+          const size_t found = db->Read(
+              "athletes", db::RowFilter::Key(Value(*id)), [&](const Row& a) {
+                ctx.Set("name", AsString(a[athletes_col::kName]))
+                    .Set("country", AsString(a[athletes_col::kCountry]));
+                sport_id = AsInt(a[athletes_col::kSportId]);
+              });
+          if (found == 0) {
             return NotFoundError("no athlete " + std::to_string(*id));
           }
           req.deps.DependsOnData(AthleteNode(*id), 2.0);
           req.deps.DependsOnData(ResultsAthleteNode(*id), 5.0);
 
-          const Row& a = athlete.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("name", AsString(a[athletes_col::kName]))
-              .Set("country", AsString(a[athletes_col::kCountry]))
-              .Set("sport_name",
-                   SportName(*db, AsInt(a[athletes_col::kSportId])));
-          auto results = db->Lookup("results", "athlete_id", Value(*id));
+          ctx.Set("sport_name", SportName(*db, sport_id));
           std::vector<TemplateContext> items;
-          for (const Row& r : results) {
-            const int64_t eid = AsInt(r[results_col::kEventId]);
-            const auto event = LoadEvent(*db, eid);
+          for (const ResultInfo& r : LoadResults(*db, "athlete_id", *id)) {
+            auto event = LoadEvent(*db, r.event_id);
             items.emplace_back()
-                .Set("event_id", eid)
-                .Set("event_name", event ? event->name : "(unknown)")
-                .Set("rank", AsInt(r[results_col::kRank]))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+                .Set("event_id", r.event_id)
+                .Set("event_name",
+                     event ? std::move(event->name) : std::string("(unknown)"))
+                .Set("rank", r.rank)
+                .Set("score", FormatScore(r.score));
           }
           ctx.SetList("results", std::move(items));
           ctx.Set("photos",
@@ -939,35 +1011,34 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string country_prefix = p + "/country/";
     renderer->RegisterPrefix(
         country_prefix,
-        [db, lang, p, country_prefix](
+        [db, lang, chrome, p, country_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kCountryPageTmpl);
           if (req.page.size() <= country_prefix.size()) {
             return InvalidArgumentError("bad country");
           }
           const std::string code(req.page.substr(country_prefix.size()));
-          auto country = db->Get("countries", Value(code));
-          if (!country.ok()) return NotFoundError("no country " + code);
+          TemplateContext ctx(chrome.get());
+          ctx.Set("p", p).Set("code", code);
+          const size_t found = db->Read(
+              "countries", db::RowFilter::Key(Value(code)), [&](const Row& c) {
+                ctx.Set("name", AsString(c[countries_col::kName]))
+                    .Set("g", AsInt(c[countries_col::kGolds]))
+                    .Set("s", AsInt(c[countries_col::kSilvers]))
+                    .Set("b", AsInt(c[countries_col::kBronzes]));
+              });
+          if (found == 0) return NotFoundError("no country " + code);
           req.deps.DependsOnData(CountryNode(code), 3.0);
           req.deps.DependsOnData(MedalsCountryNode(code), 2.0);
           req.deps.DependsOnData(AthleteCountryNode(code), 1.0);
 
-          const Row& c = country.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("code", code)
-              .Set("name", AsString(c[countries_col::kName]))
-              .Set("g", AsInt(c[countries_col::kGolds]))
-              .Set("s", AsInt(c[countries_col::kSilvers]))
-              .Set("b", AsInt(c[countries_col::kBronzes]));
-          auto athletes = db->Lookup("athletes", "country", Value(code));
           std::vector<TemplateContext> items;
-          for (const Row& r : athletes) {
-            items.emplace_back()
-                .Set("id", AsInt(r[athletes_col::kId]))
-                .Set("athlete", AsString(r[athletes_col::kName]));
-          }
+          db->Read("athletes", db::RowFilter::Equals("country", Value(code)),
+                   [&](const Row& r) {
+                     items.emplace_back()
+                         .Set("id", AsInt(r[athletes_col::kId]))
+                         .Set("athlete", AsString(r[athletes_col::kName]));
+                   });
           ctx.SetList("athletes", std::move(items));
           ctx.Set("photos", PhotoStrip(*db, req.deps, "country", code));
           auto latest = req.fragments(LatestNewsFragment(lang));
@@ -979,10 +1050,9 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     // /medals — standings page wrapping the fragment.
     renderer->RegisterExact(
         MedalsPage(lang),
-        [lang](const RenderRequest& req) -> Result<std::string> {
+        [lang, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kMedalsPageTmpl);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           auto table = req.fragments(MedalsFragment(lang));
           if (!table.ok()) return table.status();
           ctx.Set("medal_table", table.value());
@@ -993,28 +1063,28 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string schedule_prefix = p + "/schedule/day/";
     renderer->RegisterPrefix(
         schedule_prefix,
-        [db, lang, p, schedule_prefix](
+        [db, lang, chrome, p, schedule_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kSchedulePageTmpl);
           const auto day = ParseId(req.page, schedule_prefix);
           if (!day) return InvalidArgumentError("bad day");
           req.deps.DependsOnData(EventDayNode(*day));
-          auto events = db->Lookup("events", "day", Value(*day));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", p).Set("day", *day);
           std::vector<TemplateContext> items;
-          for (const Row& r : events) {
-            // Status is read straight off the row, so freshness needs the
-            // per-event node — the membership node above only covers which
-            // events appear.
-            req.deps.DependsOnData(EventNode(AsInt(r[events_col::kId])));
-            items.emplace_back()
-                .Set("id", AsInt(r[events_col::kId]))
-                .Set("event_name", AsString(r[events_col::kName]))
-                .Set("venue", AsString(r[events_col::kVenue]))
-                .Set("status", AsString(r[events_col::kStatus]));
-          }
+          db->Read("events", db::RowFilter::Equals("day", Value(*day)),
+                   [&](const Row& r) {
+                     // Status is read straight off the row, so freshness
+                     // needs the per-event node — the membership node above
+                     // only covers which events appear.
+                     req.deps.DependsOnData(
+                         EventNode(AsInt(r[events_col::kId])));
+                     items.emplace_back()
+                         .Set("id", AsInt(r[events_col::kId]))
+                         .Set("event_name", AsString(r[events_col::kName]))
+                         .Set("venue", AsString(r[events_col::kVenue]))
+                         .Set("status", AsString(r[events_col::kStatus]));
+                   });
           ctx.SetList("events", std::move(items));
           return tmpl.get().Render(ctx).body;
         });
@@ -1024,7 +1094,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string venue_prefix = p + "/venue/";
     renderer->RegisterPrefix(
         venue_prefix,
-        [db, lang, p, venue_prefix](
+        [db, lang, chrome, p, venue_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kVenuePageTmpl);
           if (req.page.size() <= venue_prefix.size()) {
@@ -1032,29 +1102,30 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
           }
           const std::string name =
               VenueUnslug(req.page.substr(venue_prefix.size()));
-          auto venue = db->Get("venues", Value(name));
-          if (!venue.ok()) return NotFoundError("no venue " + name);
+          TemplateContext ctx(chrome.get());
+          ctx.Set("p", p).Set("venue", name);
+          const size_t found = db->Read(
+              "venues", db::RowFilter::Key(Value(name)), [&](const Row& v) {
+                ctx.Set("locality", AsString(v[1]))
+                    .Set("capacity", AsInt(v[2]));
+              });
+          if (found == 0) return NotFoundError("no venue " + name);
           req.deps.DependsOnData(VenueNode(name));
           req.deps.DependsOnData(EventVenueNode(name));
 
-          const Row& v = venue.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("venue", name)
-              .Set("locality", AsString(v[1]))
-              .Set("capacity", AsInt(v[2]));
-          auto events = db->Lookup("events", "venue", Value(name));
           std::vector<TemplateContext> items;
-          for (const Row& r : events) {
-            // Same as the schedule page: status comes off the row itself.
-            req.deps.DependsOnData(EventNode(AsInt(r[events_col::kId])));
-            items.emplace_back()
-                .Set("id", AsInt(r[events_col::kId]))
-                .Set("event_name", AsString(r[events_col::kName]))
-                .Set("day", AsInt(r[events_col::kDay]))
-                .Set("status", AsString(r[events_col::kStatus]));
-          }
+          db->Read("events", db::RowFilter::Equals("venue", Value(name)),
+                   [&](const Row& r) {
+                     // Same as the schedule page: status comes off the row
+                     // itself.
+                     req.deps.DependsOnData(
+                         EventNode(AsInt(r[events_col::kId])));
+                     items.emplace_back()
+                         .Set("id", AsInt(r[events_col::kId]))
+                         .Set("event_name", AsString(r[events_col::kName]))
+                         .Set("day", AsInt(r[events_col::kDay]))
+                         .Set("status", AsString(r[events_col::kStatus]));
+                   });
           ctx.SetList("events", std::move(items));
           ctx.Set("photos", PhotoStrip(*db, req.deps, "venue", name));
           return tmpl.get().Render(ctx).body;
@@ -1063,19 +1134,18 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     // /nagano — §3.1 category 8: "information about Nagano, Japan".
     renderer->RegisterExact(
         NaganoPage(lang),
-        [db, lang, p](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome, p](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNaganoPageTmpl);
           req.deps.DependsOnData(kVenuesAllNode);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("p", p);
           std::vector<TemplateContext> items;
-          for (const Row& r : db->ScanAll("venues")) {
+          db->Read("venues", kAllRows, [&](const Row& r) {
             items.emplace_back()
                 .Set("venue", AsString(r[0]))
                 .Set("slug", VenueSlug(AsString(r[0])))
                 .Set("locality", AsString(r[1]));
-          }
+          });
           ctx.SetList("venues", std::move(items));
           return tmpl.get().Render(ctx).body;
         });
@@ -1083,11 +1153,10 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     // /fun — §3.1 category 9: "sports-related activities for children".
     renderer->RegisterExact(
         FunPage(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kFunPageTmpl);
           (void)req;
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("sports", int64_t(db->RowCount("sports")));
           return tmpl.get().Render(ctx).body;
         });
@@ -1143,7 +1212,7 @@ std::vector<std::string> OlympicSite::MapChangeToDataNodes(
     nodes.push_back(kMedalsAllNode);
     for (size_t c : {medals_col::kGold, medals_col::kSilver, medals_col::kBronze}) {
       nodes.push_back(
-          MedalsCountryNode(AthleteCountry(db, AsInt(change.row[c]))));
+          MedalsCountryNode(LoadAthlete(db, AsInt(change.row[c])).country));
     }
   } else if (change.table == "countries") {
     if (is_delete || change.row.empty()) {
@@ -1206,24 +1275,24 @@ std::vector<std::string> OlympicSite::AllPageNames(const OlympicConfig& config,
       pages.push_back(DayHomePage(d, lang));
       pages.push_back(p + "/schedule/day/" + std::to_string(d));
     }
-    for (const Row& r : db.ScanAll("sports")) {
+    db.Read("sports", kAllRows, [&](const Row& r) {
       pages.push_back(SportPage(AsInt(r[sports_col::kId]), lang));
-    }
-    for (const Row& r : db.ScanAll("events")) {
+    });
+    db.Read("events", kAllRows, [&](const Row& r) {
       pages.push_back(EventPage(AsInt(r[events_col::kId]), lang));
-    }
-    for (const Row& r : db.ScanAll("athletes")) {
+    });
+    db.Read("athletes", kAllRows, [&](const Row& r) {
       pages.push_back(AthletePage(AsInt(r[athletes_col::kId]), lang));
-    }
-    for (const Row& r : db.ScanAll("countries")) {
+    });
+    db.Read("countries", kAllRows, [&](const Row& r) {
       pages.push_back(CountryPage(AsString(r[countries_col::kCode]), lang));
-    }
-    for (const Row& r : db.ScanAll("news")) {
+    });
+    db.Read("news", kAllRows, [&](const Row& r) {
       pages.push_back(NewsPage(AsInt(r[news_col::kId]), lang));
-    }
-    for (const Row& r : db.ScanAll("venues")) {
+    });
+    db.Read("venues", kAllRows, [&](const Row& r) {
       pages.push_back(VenuePage(AsString(r[0]), lang));
-    }
+    });
     pages.push_back(NaganoPage(lang));
     pages.push_back(FunPage(lang));
   }
@@ -1231,9 +1300,9 @@ std::vector<std::string> OlympicSite::AllPageNames(const OlympicConfig& config,
       std::find(config.languages.begin(), config.languages.end(), "fr") ==
           config.languages.end()) {
     pages.push_back(NewsIndexPage("fr"));
-    for (const Row& r : db.ScanAll("news")) {
+    db.Read("news", kAllRows, [&](const Row& r) {
       pages.push_back(NewsPage(AsInt(r[news_col::kId]), "fr"));
-    }
+    });
   }
   return pages;
 }
@@ -1244,9 +1313,9 @@ std::vector<std::string> OlympicSite::AllFragmentNames(
   for (const std::string& lang : FullLanguages(config)) {
     fragments.push_back(MedalsFragment(lang));
     fragments.push_back(LatestNewsFragment(lang));
-    for (const Row& r : db.ScanAll("events")) {
+    db.Read("events", kAllRows, [&](const Row& r) {
       fragments.push_back(EventFragment(AsInt(r[events_col::kId]), lang));
-    }
+    });
   }
   if (config.french_news &&
       std::find(config.languages.begin(), config.languages.end(), "fr") ==
@@ -1260,35 +1329,35 @@ std::vector<std::string> OlympicSite::AllFragmentNames(
 
 Status OlympicSite::RecordResult(Database* db, int64_t event_id, int64_t rank,
                                  int64_t athlete_id, double score) {
-  auto event = db->Get("events", Value(event_id));
-  if (!event.ok()) return event.status();
+  std::optional<Row> event;
+  db->Read("events", db::RowFilter::Key(Value(event_id)),
+           [&](const Row& r) { event = r; });
+  if (!event) return NotFoundError("no event " + std::to_string(event_id));
   Status s = db->Upsert(
       "results", Row{Value(ResultKey(event_id, rank)), Value(event_id),
                      Value(rank), Value(athlete_id), Value(score)});
   if (!s.ok()) return s;
-  Row row = event.value();
-  if (AsString(row[events_col::kStatus]) == "scheduled") {
-    row[events_col::kStatus] = std::string("in_progress");
-    return db->Upsert("events", std::move(row));
+  if (AsString((*event)[events_col::kStatus]) == "scheduled") {
+    (*event)[events_col::kStatus] = std::string("in_progress");
+    return db->Upsert("events", std::move(*event));
   }
   return Status::Ok();
 }
 
 Status OlympicSite::CompleteEvent(Database* db, int64_t event_id) {
-  auto event = db->Get("events", Value(event_id));
-  if (!event.ok()) return event.status();
+  std::optional<Row> event;
+  db->Read("events", db::RowFilter::Key(Value(event_id)),
+           [&](const Row& r) { event = r; });
+  if (!event) return NotFoundError("no event " + std::to_string(event_id));
 
-  auto results = db->Lookup("results", "event_id", Value(event_id));
-  std::sort(results.begin(), results.end(), [](const Row& a, const Row& b) {
-    return AsInt(a[results_col::kRank]) < AsInt(b[results_col::kRank]);
-  });
+  const auto results = ResultsForEvent(*db, event_id);
   if (results.size() < 3) {
     return FailedPreconditionError("CompleteEvent: fewer than 3 results");
   }
 
-  const int64_t gold = AsInt(results[0][results_col::kAthleteId]);
-  const int64_t silver = AsInt(results[1][results_col::kAthleteId]);
-  const int64_t bronze = AsInt(results[2][results_col::kAthleteId]);
+  const int64_t gold = results[0].athlete_id;
+  const int64_t silver = results[1].athlete_id;
+  const int64_t bronze = results[2].athlete_id;
 
   Status s = db->Upsert("medals", Row{Value(event_id), Value(gold),
                                       Value(silver), Value(bronze)});
@@ -1300,18 +1369,19 @@ Status OlympicSite::CompleteEvent(Database* db, int64_t event_id) {
       {silver, countries_col::kSilvers},
       {bronze, countries_col::kBronzes}};
   for (const auto& [athlete, column] : awards) {
-    const std::string cc = AthleteCountry(*db, athlete);
-    auto country = db->Get("countries", Value(cc));
-    if (!country.ok()) return country.status();
-    Row row = country.value();
+    const std::string cc = LoadAthlete(*db, athlete).country;
+    std::optional<Row> country;
+    db->Read("countries", db::RowFilter::Key(Value(cc)),
+             [&](const Row& r) { country = r; });
+    if (!country) return NotFoundError("no country " + cc);
+    Row& row = *country;
     row[column] = AsInt(row[column]) + 1;
     s = db->Upsert("countries", std::move(row));
     if (!s.ok()) return s;
   }
 
-  Row row = event.value();
-  row[events_col::kStatus] = std::string("final");
-  return db->Upsert("events", std::move(row));
+  (*event)[events_col::kStatus] = std::string("final");
+  return db->Upsert("events", std::move(*event));
 }
 
 Status OlympicSite::PublishPhoto(Database* db, int64_t photo_id,

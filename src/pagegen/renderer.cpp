@@ -73,19 +73,27 @@ const PageGenerator* PageRenderer::FindGenerator(std::string_view page) const {
   // std::map node pointers are stable and generators are never erased, so
   // the returned pointer outlives the lock.
   std::shared_lock lock(registry_mutex_);
-  if (auto it = exact_.find(std::string(page)); it != exact_.end()) {
-    return &it->second;
+  if (auto it = exact_.find(page); it != exact_.end()) return &it->second;
+  // Longest matching prefix. Every registered prefix of `probe` sorts at
+  // or below it, and a longer one above a shorter one, so the greatest
+  // entry <= probe is the answer when it is a prefix. When it is not, it
+  // diverges from probe at some offset, and every candidate left is a
+  // prefix of probe's bytes before that offset: shrink probe and repeat.
+  // Each step is one O(log n) search and probe strictly shrinks.
+  std::string_view probe = page;
+  for (;;) {
+    auto it = prefixes_.upper_bound(probe);
+    if (it == prefixes_.begin()) return nullptr;
+    --it;
+    const std::string_view candidate = it->first;
+    if (probe.starts_with(candidate)) return &it->second;
+    probe = probe.substr(
+        0, static_cast<size_t>(
+               std::mismatch(candidate.begin(), candidate.end(), probe.begin(),
+                             probe.end())
+                   .first -
+               candidate.begin()));
   }
-  // Longest matching prefix: scan candidates not past `page` in order.
-  const PageGenerator* best = nullptr;
-  size_t best_len = 0;
-  for (const auto& [prefix, gen] : prefixes_) {
-    if (page.starts_with(prefix) && prefix.size() >= best_len) {
-      best = &gen;
-      best_len = prefix.size();
-    }
-  }
-  return best;
 }
 
 bool PageRenderer::CanGenerate(std::string_view page) const {
@@ -124,7 +132,8 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
   // RenderOnly keeps fresh-render semantics, so only caching renders
   // coalesce.
   if (!store) {
-    return RenderUncoalesced(page_name, *generator, store, state);
+    std::vector<cache::PlanChunk> plan;
+    return RenderUncoalesced(page_name, *generator, state, plan);
   }
   Result<SharedBody> shared =
       RenderCoalesced(page_name, *generator, state, /*joined=*/nullptr);
@@ -150,14 +159,8 @@ Result<PageRenderer::SharedBody> PageRenderer::RenderCoalesced(
     }
   }
 
-  const auto share = [](Result<std::string> body) -> Result<SharedBody> {
-    if (!body.ok()) return body.status();
-    return std::make_shared<const std::string>(std::move(body).value());
-  };
-
   if (leader) {
-    Result<SharedBody> body = share(
-        RenderUncoalesced(page_name, generator, /*store=*/true, state));
+    Result<SharedBody> body = RenderAndStore(page_name, generator, state);
     {
       // Retire the flight before publishing: late arrivals start a fresh
       // render against the now-populated cache instead of joining a
@@ -186,12 +189,32 @@ Result<PageRenderer::SharedBody> PageRenderer::RenderCoalesced(
   // Leader stuck (cross-thread include cycle, or a generator slower than
   // the fallback): render independently; the stack check in the recursive
   // render reports genuine cycles.
-  return share(RenderUncoalesced(page_name, generator, /*store=*/true, state));
+  return RenderAndStore(page_name, generator, state);
+}
+
+Result<PageRenderer::SharedBody> PageRenderer::RenderAndStore(
+    const std::string& page_name, const PageGenerator& generator,
+    RenderState& state) {
+  std::vector<cache::PlanChunk> plan;
+  Result<std::string> body =
+      RenderUncoalesced(page_name, generator, state, plan);
+  if (!body.ok()) return body.status();
+  const bool has_fragment_chunk =
+      std::any_of(plan.begin(), plan.end(),
+                  [](const cache::PlanChunk& c) { return c.is_fragment(); });
+  if (has_fragment_chunk) {
+    cache_->PutPlan(page_name, std::move(plan));
+    plans_stored_->Increment();
+    return std::make_shared<const std::string>(std::move(body).value());
+  }
+  // One body per flat render: the caller gets an alias of the stored
+  // object's bytes, not a second copy.
+  return cache::BodyRef(cache_->Put(page_name, std::move(body).value()));
 }
 
 Result<std::string> PageRenderer::RenderUncoalesced(
-    const std::string& page_name, const PageGenerator& generator, bool store,
-    RenderState& state) {
+    const std::string& page_name, const PageGenerator& generator,
+    RenderState& state, std::vector<cache::PlanChunk>& plan) {
   state.stack.push_back(page_name);
 
   DependencyRecorder recorder;
@@ -230,7 +253,6 @@ Result<std::string> PageRenderer::RenderUncoalesced(
   RenderRequest request{page_name, recorder, resolver};
   Result<std::string> body = generator(request);
 
-  std::vector<cache::PlanChunk> plan;
   if (body.ok() && compose && !fragments_used.empty()) {
     // Still on the stack: the rare inline-fallback re-render inside
     // ExtractPlan shares this render's cycle detection.
@@ -245,35 +267,21 @@ Result<std::string> PageRenderer::RenderUncoalesced(
   }
 
   // Sync the ODG: this page's in-edges become exactly what this render
-  // observed. Kind widening in EnsureNode turns a page that others embed
-  // into kBoth automatically. SetInEdges short-circuits on the read lock
-  // when the dependencies are unchanged — the steady state of re-renders —
-  // so parallel workers do not serialize on the graph's write lock.
+  // observed. Kind widening turns a page that others embed into kBoth
+  // automatically. SetInEdges returns after a fingerprint comparison when
+  // the dependencies are unchanged — the steady state of re-renders — so a
+  // re-render resolves no dependency names and takes no write lock.
   const odg::NodeId page_node =
       graph_->EnsureNode(page_name, odg::NodeKind::kObject);
-  std::vector<odg::Edge> sources;
+  std::vector<odg::DependencySource> sources;
   sources.reserve(recorder.data_deps().size() + fragments_used.size());
   for (const auto& [dep, weight] : recorder.data_deps()) {
-    sources.push_back(odg::Edge{
-        graph_->EnsureNode(dep, odg::NodeKind::kUnderlyingData), weight});
+    sources.push_back({dep, odg::NodeKind::kUnderlyingData, weight});
   }
   for (const std::string& frag : fragments_used) {
-    sources.push_back(
-        odg::Edge{graph_->EnsureNode(frag, odg::NodeKind::kBoth), 1.0});
+    sources.push_back({frag, odg::NodeKind::kBoth, 1.0});
   }
-  graph_->SetInEdges(page_node, std::move(sources));
-
-  if (store) {
-    const bool has_fragment_chunk =
-        std::any_of(plan.begin(), plan.end(),
-                    [](const cache::PlanChunk& c) { return c.is_fragment(); });
-    if (has_fragment_chunk) {
-      cache_->PutPlan(page_name, std::move(plan));
-      plans_stored_->Increment();
-    } else {
-      cache_->Put(page_name, body.value());
-    }
-  }
+  graph_->SetInEdges(page_node, sources);
 
   pages_rendered_->Increment();
   if (fragment_hits != 0) fragment_cache_hits_->Increment(fragment_hits);
@@ -283,7 +291,16 @@ Result<std::string> PageRenderer::RenderUncoalesced(
 Result<std::string> PageRenderer::ExtractPlan(
     const std::string& raw, RenderState& state,
     std::vector<cache::PlanChunk>& plan) {
-  std::string pending;  // static bytes accumulated since the last fragment
+  // Static bytes since the last fragment chunk; each flush copies them
+  // into an exact-size shared string and keeps the buffer for the next run.
+  std::string pending;
+  const auto flush_static = [&] {
+    if (pending.empty()) return;
+    cache::PlanChunk chunk;
+    chunk.text = std::make_shared<const std::string>(pending);
+    pending.clear();
+    plan.push_back(std::move(chunk));
+  };
   size_t pos = 0;
   while (pos < raw.size()) {
     const size_t open = raw.find(kFragMarkOpen, pos);
@@ -292,19 +309,14 @@ Result<std::string> PageRenderer::ExtractPlan(
     const size_t close = raw.find(kFragMarkClose, name_at);
     if (close == std::string::npos) break;
     pending.append(raw, pos, open - pos);
-    const std::string fragment = raw.substr(name_at, close - name_at);
+    const std::string_view fragment(raw.data() + name_at, close - name_at);
     pos = close + kFragMarkClose.size();
 
     auto source = cache_->Peek(fragment);
     if (source != nullptr && !source->is_plan()) {
-      if (!pending.empty()) {
-        cache::PlanChunk chunk;
-        chunk.text = std::move(pending);
-        pending.clear();
-        plan.push_back(std::move(chunk));
-      }
+      flush_static();
       cache::PlanChunk chunk;
-      chunk.fragment = fragment;
+      chunk.fragment = std::make_shared<const std::string>(fragment);
       chunk.fragment_version = source->version;
       chunk.source = std::move(source);
       plan.push_back(std::move(chunk));
@@ -320,11 +332,7 @@ Result<std::string> PageRenderer::ExtractPlan(
     pending += inlined.value();
   }
   pending.append(raw, pos, raw.size() - pos);
-  if (!pending.empty()) {
-    cache::PlanChunk chunk;
-    chunk.text = std::move(pending);
-    plan.push_back(std::move(chunk));
-  }
+  flush_static();
 
   std::string materialized;
   size_t total = 0;

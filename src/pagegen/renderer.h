@@ -144,11 +144,19 @@ class PageRenderer {
   Result<SharedBody> RenderCoalesced(const std::string& page_name,
                                      const PageGenerator& generator,
                                      RenderState& state, bool* joined);
-  // The actual generator run (no single-flight): runs the generator, splits
-  // composition plans out of the flat output, syncs the ODG, and stores.
+  // RenderUncoalesced, then stores the result: a composition plan when the
+  // page spliced a cached fragment, else the flat body, whose bytes the
+  // returned ref aliases.
+  Result<SharedBody> RenderAndStore(const std::string& page_name,
+                                    const PageGenerator& generator,
+                                    RenderState& state);
+  // The actual generator run (no single-flight, no store): runs the
+  // generator, splits the composition plan out of the flat output into
+  // `plan`, syncs the ODG, and returns the marker-free bytes.
   Result<std::string> RenderUncoalesced(const std::string& page_name,
                                         const PageGenerator& generator,
-                                        bool store, RenderState& state);
+                                        RenderState& state,
+                                        std::vector<cache::PlanChunk>& plan);
   // Splits `raw` (generator output with fragment markers) into `plan` and
   // returns the materialized marker-free bytes.
   Result<std::string> ExtractPlan(const std::string& raw, RenderState& state,
@@ -166,8 +174,8 @@ class PageRenderer {
   // shared side, so the trigger monitor's parallel re-render workers never
   // serialize on generator lookup.
   mutable std::shared_mutex registry_mutex_;
-  std::map<std::string, PageGenerator> exact_;
-  std::map<std::string, PageGenerator> prefixes_;
+  std::map<std::string, PageGenerator, std::less<>> exact_;
+  std::map<std::string, PageGenerator, std::less<>> prefixes_;
 
   // Registry-owned sharded counters — bumped on every render, and shared
   // locking would re-serialize the parallel re-render workers. stats() is a

@@ -5,69 +5,61 @@
 
 namespace nagano::pagegen {
 
-TemplateContext::Slot& TemplateContext::SlotFor(std::string key) {
-  for (auto& s : slots_) {
-    if (s.key == key) return s;
+const TemplateContext::Slot* TemplateContext::Find(std::string_view key) const {
+  for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
+    if (it->key == key) return &*it;
   }
-  slots_.push_back(Slot{std::move(key), {}, {}, false});
-  return slots_.back();
+  return parent_ != nullptr ? parent_->Find(key) : nullptr;
 }
 
-TemplateContext& TemplateContext::Set(std::string key, std::string value) {
-  Slot& s = SlotFor(std::move(key));
-  s.str = std::move(value);
-  s.list.clear();
-  s.is_list = false;
+TemplateContext& TemplateContext::Set(std::string_view key, std::string value) {
+  slots_.push_back(Slot{std::string(key), std::move(value), {}, false});
   return *this;
 }
 
-TemplateContext& TemplateContext::Set(std::string key, int64_t value) {
-  return Set(std::move(key), std::to_string(value));
+TemplateContext& TemplateContext::Set(std::string_view key, int64_t value) {
+  return Set(key, std::to_string(value));
 }
 
-TemplateContext& TemplateContext::Set(std::string key, double value) {
+TemplateContext& TemplateContext::Set(std::string_view key, double value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return Set(std::move(key), std::string(buf));
+  return Set(key, std::string(buf));
 }
 
-TemplateContext& TemplateContext::SetList(std::string key,
+TemplateContext& TemplateContext::SetList(std::string_view key,
                                           std::vector<TemplateContext> items) {
-  Slot& s = SlotFor(std::move(key));
-  s.list = std::move(items);
-  s.str.clear();
-  s.is_list = true;
+  slots_.push_back(Slot{std::string(key), {}, std::move(items), true});
   return *this;
 }
 
 const std::string* TemplateContext::GetString(std::string_view key) const {
-  for (const auto& s : slots_) {
-    if (s.key == key && !s.is_list) return &s.str;
-  }
-  return nullptr;
+  const Slot* s = Find(key);
+  return s != nullptr && !s->is_list ? &s->str : nullptr;
 }
 
 const std::vector<TemplateContext>* TemplateContext::GetList(
     std::string_view key) const {
-  for (const auto& s : slots_) {
-    if (s.key == key && s.is_list) return &s.list;
-  }
-  return nullptr;
+  const Slot* s = Find(key);
+  return s != nullptr && s->is_list ? &s->list : nullptr;
 }
 
-std::string HtmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
+void AppendHtmlEscaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view entity;
+    switch (s[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      default: continue;
     }
+    out.append(s.data() + run, i - run);
+    out.append(entity);
+    run = i + 1;
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
 namespace {
@@ -227,30 +219,30 @@ const std::vector<TemplateContext>* LookupList(
 }  // namespace
 
 void CompiledTemplate::RenderNodes(
-    const std::vector<Node>& nodes,
-    const std::vector<const TemplateContext*>& scope,
-    const FragmentResolver& fragments, RenderOutput& out) const {
+    const std::vector<Node>& nodes, std::vector<const TemplateContext*>& scope,
+    const FragmentResolver& fragments, std::string& body,
+    RenderOutput& out) const {
   for (const Node& node : nodes) {
     switch (node.type) {
       case NodeType::kText:
-        out.body += node.text;
+        body += node.text;
         break;
       case NodeType::kVariable:
         if (const std::string* v = LookupString(scope, node.text)) {
-          out.body += HtmlEscape(*v);
+          AppendHtmlEscaped(body, *v);
         }
         break;
       case NodeType::kRawVariable:
         if (const std::string* v = LookupString(scope, node.text)) {
-          out.body += *v;
+          body += *v;
         }
         break;
       case NodeType::kSection: {
         if (const auto* list = LookupList(scope, node.text)) {
           for (const TemplateContext& item : *list) {
-            auto inner = scope;
-            inner.push_back(&item);
-            RenderNodes(node.children, inner, fragments, out);
+            scope.push_back(&item);
+            RenderNodes(node.children, scope, fragments, body, out);
+            scope.pop_back();
           }
         }
         break;
@@ -258,21 +250,23 @@ void CompiledTemplate::RenderNodes(
       case NodeType::kInverted: {
         const auto* list = LookupList(scope, node.text);
         if (list == nullptr || list->empty()) {
-          RenderNodes(node.children, scope, fragments, out);
+          RenderNodes(node.children, scope, fragments, body, out);
         }
         break;
       }
       case NodeType::kFragment: {
         out.fragments_used.push_back(node.text);
         if (fragments) {
-          Result<std::string> body = fragments(node.text);
-          if (body.ok()) {
-            out.body += body.value();
+          Result<std::string> fragment = fragments(node.text);
+          if (fragment.ok()) {
+            body += fragment.value();
             break;
           }
         }
         out.missing_fragments.push_back(node.text);
-        out.body += "<!-- missing fragment: " + HtmlEscape(node.text) + " -->";
+        body += "<!-- missing fragment: ";
+        AppendHtmlEscaped(body, node.text);
+        body += " -->";
         break;
       }
     }
@@ -281,8 +275,19 @@ void CompiledTemplate::RenderNodes(
 
 RenderOutput CompiledTemplate::Render(const TemplateContext& context,
                                       const FragmentResolver& fragments) const {
+  // Render into a per-thread buffer that keeps its capacity from render to
+  // render, then hand back an exact-size copy: appends stop reallocating
+  // once the buffer has grown to the largest page, and a body the cache
+  // stores carries no slack. A render nested inside this one (a fragment
+  // resolved mid-render) finds the slot empty and grows its own buffer.
+  static thread_local std::string scratch;
+  std::string buffer = std::move(scratch);
+  buffer.clear();
   RenderOutput out;
-  RenderNodes(roots_, {&context}, fragments, out);
+  std::vector<const TemplateContext*> scope{&context};
+  RenderNodes(roots_, scope, fragments, buffer, out);
+  out.body = std::string(buffer.data(), buffer.size());
+  scratch = std::move(buffer);
   return out;
 }
 

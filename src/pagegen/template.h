@@ -29,12 +29,20 @@
 namespace nagano::pagegen {
 
 // Hierarchical render context: string scalars and lists of child contexts.
+// Setting a key again replaces its value (and shape).
 class TemplateContext {
  public:
-  TemplateContext& Set(std::string key, std::string value);
-  TemplateContext& Set(std::string key, int64_t value);
-  TemplateContext& Set(std::string key, double value);
-  TemplateContext& SetList(std::string key, std::vector<TemplateContext> items);
+  TemplateContext() = default;
+  // Keys absent from this context resolve in `parent`: slots shared by
+  // many renders (a page family's chrome strings) live there once. The
+  // parent must outlive this context.
+  explicit TemplateContext(const TemplateContext* parent) : parent_(parent) {}
+
+  TemplateContext& Set(std::string_view key, std::string value);
+  TemplateContext& Set(std::string_view key, int64_t value);
+  TemplateContext& Set(std::string_view key, double value);
+  TemplateContext& SetList(std::string_view key,
+                           std::vector<TemplateContext> items);
 
   // nullptr when absent or when the slot holds the other shape.
   const std::string* GetString(std::string_view key) const;
@@ -47,8 +55,11 @@ class TemplateContext {
     std::vector<TemplateContext> list;
     bool is_list = false;
   };
-  Slot& SlotFor(std::string key);
+  // Set appends without searching; the latest slot for a key wins, so a
+  // lookup scans from the back.
+  const Slot* Find(std::string_view key) const;
   std::vector<Slot> slots_;
+  const TemplateContext* parent_ = nullptr;
 };
 
 // Resolves {{>fragment}} to the fragment's current body. Returning an error
@@ -90,14 +101,17 @@ class CompiledTemplate {
     std::vector<Node> children;
   };
 
+  // Appends to `body`; `scope` is the context chain, innermost last, and is
+  // restored to its entry state on return.
   void RenderNodes(const std::vector<Node>& nodes,
-                   const std::vector<const TemplateContext*>& scope,
-                   const FragmentResolver& fragments, RenderOutput& out) const;
+                   std::vector<const TemplateContext*>& scope,
+                   const FragmentResolver& fragments, std::string& body,
+                   RenderOutput& out) const;
 
   std::vector<Node> roots_;
 };
 
-// &, <, >, " escaped.
-std::string HtmlEscape(std::string_view s);
+// Appends `s` to `out` with &, <, >, " escaped.
+void AppendHtmlEscaped(std::string& out, std::string_view s);
 
 }  // namespace nagano::pagegen

@@ -347,41 +347,52 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
   };
   // A cached composition plan can absorb this update by fragment swap iff
   // every obsolete input feeding the page is a fragment the plan embeds.
-  // Any obsolete direct data dependence (or a fragment the plan does not
-  // carry — the layout changed since the plan was stored) forces a full
-  // re-render.
-  auto plan_patchable = [&](const odg::AffectedObject& obj,
-                            const cache::CachedObject& cached) {
-    for (const odg::Edge& e : graph_->InEdges(obj.id)) {
-      if (!in_closure(e.to)) continue;
-      if (graph_->kind(e.to) != odg::NodeKind::kBoth) return false;
-      const std::string_view frag = graph_->name(e.to);
-      const bool in_plan =
-          std::any_of(cached.plan.begin(), cached.plan.end(),
-                      [&](const cache::PlanChunk& chunk) {
-                        return chunk.fragment == frag;
-                      });
-      if (!in_plan) return false;
-    }
-    return true;
+  // On success `chunks` holds the plan chunks embedding closure fragments —
+  // the only pins the patch replaces. Any obsolete direct data dependence
+  // (or a closure fragment the plan does not carry — the layout changed
+  // since the plan was stored) forces a full re-render.
+  auto patch_chunks = [&](odg::NodeId id, const cache::CachedObject& cached,
+                          std::vector<size_t>& chunks) {
+    return graph_->WithSnapshot([&](const auto&, const auto& in,
+                                    const auto& kinds) {
+      for (const odg::Edge& e : in[id]) {
+        if (!in_closure(e.to)) continue;
+        if (kinds[e.to] != odg::NodeKind::kBoth) return false;
+        const std::string_view frag = graph_->name(e.to);
+        const size_t found = chunks.size();
+        for (size_t i = 0; i < cached.plan.size(); ++i) {
+          const cache::PlanChunk& chunk = cached.plan[i];
+          if (chunk.is_fragment() && *chunk.fragment == frag) {
+            chunks.push_back(i);
+          }
+        }
+        if (chunks.size() == found) return false;
+      }
+      return true;
+    });
   };
 
   auto regenerate = [&](const odg::AffectedObject& obj) -> Outcome {
-    const std::string name(graph_->name(obj.id));
+    const std::string_view name = graph_->name(obj.id);
     // Only refresh objects that are actually cached; uncached pages will
     // be generated (with fresh data) on their next request.
     const auto cached = cache_->Peek(name);
     if (cached == nullptr) return Outcome::kSkipped;
 
     // Fragment-first fast path: the level barrier already refreshed every
-    // fragment this page embeds, so the plan just re-pins them and
+    // closure fragment this page embeds, so the plan re-pins just those and
     // recomputes its entity headers — no generator run, ~zero fanout bytes.
-    if (cached->is_plan() && plan_patchable(obj, *cached) &&
-        cache_->PatchPlan(name) != 0) {
-      patched.fetch_add(1, std::memory_order_relaxed);
-      propagation_latency_ms_->Observe(
-          std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
-      return Outcome::kUpdated;
+    // A closure fragment that was skipped (not cached) fails the patch, so
+    // the page is re-rendered rather than left pinning stale bytes.
+    if (cached->is_plan()) {
+      std::vector<size_t> chunks;
+      if (patch_chunks(obj.id, *cached, chunks) &&
+          cache_->PatchPlan(name, cached, chunks) != 0) {
+        patched.fetch_add(1, std::memory_order_relaxed);
+        propagation_latency_ms_->Observe(
+            std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
+        return Outcome::kUpdated;
+      }
     }
 
     attempted.fetch_add(1, std::memory_order_relaxed);
@@ -453,8 +464,7 @@ void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
                                      TimeNs oldest_commit) {
   uint64_t invalidated = 0;
   for (const auto& obj : dup.affected) {
-    const std::string name(graph_->name(obj.id));
-    if (cache_->Invalidate(name)) {
+    if (cache_->Invalidate(graph_->name(obj.id))) {
       ++invalidated;
       // Staleness window closed by removal rather than refresh.
       propagation_latency_ms_->Observe(

@@ -18,14 +18,18 @@ ResultFeed::ResultFeed(db::Database* db, FeedOptions options, uint64_t seed)
 std::vector<FeedUpdate> ResultFeed::BuildDaySchedule(int day) {
   std::vector<FeedUpdate> schedule;
 
-  auto events = db_->Lookup("events", "day", db::Value(int64_t(day)));
+  std::vector<std::pair<int64_t, int64_t>> events;  // (event id, sport id)
+  db_->Read("events", db::RowFilter::Equals("day", db::Value(int64_t(day))),
+            [&](const Row& event) {
+              events.emplace_back(AsInt(event[0]), AsInt(event[1]));
+            });
 
-  for (const Row& event : events) {
-    const int64_t event_id = AsInt(event[0]);
-    const int64_t sport_id = AsInt(event[1]);
-
+  for (const auto& [event_id, sport_id] : events) {
     // Field: athletes of this sport, shuffled deterministically.
-    auto field = db_->Lookup("athletes", "sport_id", db::Value(sport_id));
+    std::vector<int64_t> field;
+    db_->Read("athletes",
+              db::RowFilter::Equals("sport_id", db::Value(sport_id)),
+              [&](const Row& athlete) { field.push_back(AsInt(athlete[0])); });
     if (field.size() < 3) continue;
     for (size_t i = field.size(); i > 1; --i) {
       std::swap(field[i - 1], field[rng_.NextBelow(i)]);
@@ -44,7 +48,7 @@ std::vector<FeedUpdate> ResultFeed::BuildDaySchedule(int day) {
       u.at = start + (rank * options_.event_window) / (finishers + 1);
       u.event_id = event_id;
       u.rank = rank;
-      u.athlete_id = AsInt(field[static_cast<size_t>(rank - 1)][0]);
+      u.athlete_id = field[static_cast<size_t>(rank - 1)];
       // Descending scores so rank order matches score order.
       u.score = 100.0 - rank + rng_.NextDouble();
       schedule.push_back(std::move(u));

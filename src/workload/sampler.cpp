@@ -26,19 +26,22 @@ PageSampler::PageSampler(const pagegen::OlympicConfig& config,
       athlete_zipf_(1, 1.0),  // re-built below once sizes are known
       event_zipf_(1, 1.0) {
   events_by_day_.resize(static_cast<size_t>(days_));
-  for (const Row& r : db.ScanAll("events")) {
+  const auto all = db::RowFilter::All();
+  db.Read("events", all, [&](const Row& r) {
     const int64_t id = AsInt(r[0]);
     const int day = static_cast<int>(AsInt(r[3]));
     event_ids_.push_back(id);
     if (day >= 1 && day <= days_) {
       events_by_day_[static_cast<size_t>(day - 1)].push_back(id);
     }
-  }
-  for (const Row& r : db.ScanAll("athletes")) athlete_ids_.push_back(AsInt(r[0]));
-  for (const Row& r : db.ScanAll("sports")) sport_ids_.push_back(AsInt(r[0]));
-  for (const Row& r : db.ScanAll("countries"))
-    country_codes_.push_back(AsString(r[0]));
-  for (const Row& r : db.ScanAll("news")) news_ids_.push_back(AsInt(r[0]));
+  });
+  db.Read("athletes", all,
+          [&](const Row& r) { athlete_ids_.push_back(AsInt(r[0])); });
+  db.Read("sports", all,
+          [&](const Row& r) { sport_ids_.push_back(AsInt(r[0])); });
+  db.Read("countries", all,
+          [&](const Row& r) { country_codes_.push_back(AsString(r[0])); });
+  db.Read("news", all, [&](const Row& r) { news_ids_.push_back(AsInt(r[0])); });
   num_venues_ = db.RowCount("venues");
 
   athlete_zipf_ = ZipfDistribution(std::max<size_t>(1, athlete_ids_.size()),

@@ -31,9 +31,9 @@ TEST(CacheTest, PutThenHit) {
 
 TEST(CacheTest, UpdateInPlaceBumpsVersion) {
   ObjectCache cache;
-  EXPECT_EQ(cache.Put("/medals", "v1"), 1u);
-  EXPECT_EQ(cache.Put("/medals", "v2"), 2u);
-  EXPECT_EQ(cache.Put("/medals", "v3"), 3u);
+  EXPECT_EQ(cache.Put("/medals", "v1")->version, 1u);
+  EXPECT_EQ(cache.Put("/medals", "v2")->version, 2u);
+  EXPECT_EQ(cache.Put("/medals", "v3")->version, 3u);
   const auto obj = cache.Lookup("/medals");
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(obj->body, "v3");
@@ -211,11 +211,11 @@ TEST(CacheTest, HitRateArithmetic) {
 // Builds the plan [ "A[" | frag:f | "]B" ] against a cached fragment.
 std::vector<PlanChunk> HotPlan(ObjectCache& cache) {
   std::vector<PlanChunk> plan(3);
-  plan[0].text = "A[";
-  plan[1].fragment = "frag:f";
+  plan[0].text = std::make_shared<const std::string>("A[");
+  plan[1].fragment = std::make_shared<const std::string>("frag:f");
   plan[1].source = cache.Peek("frag:f");
   plan[1].fragment_version = plan[1].source->version;
-  plan[2].text = "]B";
+  plan[2].text = std::make_shared<const std::string>("]B");
   return plan;
 }
 
@@ -249,7 +249,8 @@ TEST(CacheTest, PatchPlanSwapsFragmentSnapshot) {
   const auto before = cache.Peek("/page");
 
   cache.Put("frag:f", "FRESH!");
-  EXPECT_EQ(cache.PatchPlan("/page"), 2u);
+  const size_t fragment_chunk[] = {1};
+  EXPECT_EQ(cache.PatchPlan("/page", before, fragment_chunk), 2u);
 
   const auto after = cache.Peek("/page");
   ASSERT_NE(after, nullptr);
@@ -266,17 +267,63 @@ TEST(CacheTest, PatchPlanSwapsFragmentSnapshot) {
 
 TEST(CacheTest, PatchPlanRefusesAbsentFlatAndRetired) {
   ObjectCache cache;
+  const size_t fragment_chunk[] = {1};
   // Absent key: nothing to patch.
-  EXPECT_EQ(cache.PatchPlan("/nope"), 0u);
+  EXPECT_EQ(cache.PatchPlan("/nope", cache.Peek("/nope"), {}), 0u);
   // Flat entry: not a plan.
   cache.Put("/flat", "body");
-  EXPECT_EQ(cache.PatchPlan("/flat"), 0u);
+  EXPECT_EQ(cache.PatchPlan("/flat", cache.Peek("/flat"), {}), 0u);
   // Plan whose fragment has been invalidated: the caller must re-render.
   cache.Put("frag:f", "FRAG");
   cache.PutPlan("/page", HotPlan(cache));
   cache.Invalidate("frag:f");
-  EXPECT_EQ(cache.PatchPlan("/page"), 0u);
+  EXPECT_EQ(cache.PatchPlan("/page", cache.Peek("/page"), fragment_chunk), 0u);
   EXPECT_EQ(cache.stats().plans_patched, 0u);
+}
+
+TEST(CacheTest, PatchPlanRepinsOnlyListedChunks) {
+  // [ "<" | frag:a | "|" | frag:b | ">" ]: both fragments change, but the
+  // patch lists only frag:a's chunk — frag:b keeps its pin, and the static
+  // text is shared with the previous version rather than copied.
+  ObjectCache cache;
+  cache.Put("frag:a", "a1");
+  cache.Put("frag:b", "b1");
+  std::vector<PlanChunk> plan(5);
+  for (size_t i : {0u, 2u, 4u}) {
+    plan[i].text = std::make_shared<const std::string>(i == 0   ? "<"
+                                                       : i == 2 ? "|"
+                                                                : ">");
+  }
+  for (const auto& [i, key] :
+       {std::pair<size_t, const char*>{1, "frag:a"}, {3, "frag:b"}}) {
+    plan[i].fragment = std::make_shared<const std::string>(key);
+    plan[i].source = cache.Peek(key);
+    plan[i].fragment_version = plan[i].source->version;
+  }
+  cache.PutPlan("/page", std::move(plan));
+  const auto before = cache.Peek("/page");
+  cache.Put("frag:a", "a22");
+  cache.Put("frag:b", "b22");
+
+  const size_t only_a[] = {1};
+  ASSERT_EQ(cache.PatchPlan("/page", before, only_a), 2u);
+  const auto after = cache.Peek("/page");
+  EXPECT_EQ(after->Materialize(), "<a22|b1>");
+  EXPECT_EQ(after->plan[1].source, cache.Peek("frag:a"));
+  EXPECT_EQ(after->plan[3].source, before->plan[3].source);
+  EXPECT_EQ(after->plan[0].text, before->plan[0].text);  // same bytes object
+  EXPECT_NE(after->entity_headers.find("Content-Length: 8"),
+            std::string::npos);
+
+  // A static chunk index, an out-of-range index, or a stale snapshot of
+  // the entry aborts the patch without storing.
+  const size_t static_chunk[] = {0};
+  const size_t out_of_range[] = {9};
+  EXPECT_EQ(cache.PatchPlan("/page", after, static_chunk), 0u);
+  EXPECT_EQ(cache.PatchPlan("/page", after, out_of_range), 0u);
+  EXPECT_EQ(cache.PatchPlan("/page", before, only_a), 0u);
+  EXPECT_EQ(cache.Peek("/page"), after);
+  EXPECT_EQ(cache.stats().plans_patched, 1u);
 }
 
 TEST(CacheTest, PlanChunkRefsOutliveEviction) {

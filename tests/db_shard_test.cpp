@@ -18,6 +18,7 @@
 #include "db/database.h"
 #include "db/shard_map.h"
 #include "wal/wal.h"
+#include "db_rows.h"
 
 namespace nagano::db {
 namespace {
@@ -99,7 +100,7 @@ void TearShardTail(const std::string& base_dir, uint32_t shard) {
 
 std::map<std::string, std::vector<Row>> Snapshot(const Database& db) {
   std::map<std::string, std::vector<Row>> tables;
-  for (const auto& name : db.TableNames()) tables[name] = db.ScanAll(name);
+  for (const auto& name : db.TableNames()) tables[name] = CopyRows(db, name);
   return tables;
 }
 
@@ -350,12 +351,11 @@ TEST(DbShardTest, TornTailOnOneShardWedgesOnlyThatShard) {
   // Healthy shards serve every one of their rows; the victim lost exactly
   // its final commit and nothing else.
   const int torn_key = keys_by_shard[victim].back();
-  EXPECT_EQ(recovered.Get("events", Value(int64_t(torn_key))).status().code(),
-            ErrorCode::kNotFound);
+  EXPECT_FALSE(CopyRow(recovered, "events", Value(int64_t(torn_key))));
   for (uint32_t k = 0; k < kShards; ++k) {
     for (const int key : keys_by_shard[k]) {
       if (key == torn_key) continue;
-      EXPECT_TRUE(recovered.Get("events", Value(int64_t(key))).ok())
+      EXPECT_TRUE(CopyRow(recovered, "events", Value(int64_t(key))))
           << "shard " << k << " key " << key;
     }
   }

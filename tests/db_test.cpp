@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "db/database.h"
 #include "wal/wal.h"
+#include "db_rows.h"
 
 namespace nagano::db {
 namespace {
@@ -116,8 +117,8 @@ TEST(DbTest, UpsertAndGet) {
       db.Upsert("events", {Value(int64_t(1)), Value(std::string("Ski Jump")),
                            Value(99.5)})
           .ok());
-  auto row = db.Get("events", Value(int64_t(1)));
-  ASSERT_TRUE(row.ok());
+  auto row = CopyRow(db, "events", Value(int64_t(1)));
+  ASSERT_TRUE(row.has_value());
   EXPECT_EQ(std::get<std::string>(row.value()[1]), "Ski Jump");
   EXPECT_DOUBLE_EQ(std::get<double>(row.value()[2]), 99.5);
 }
@@ -125,10 +126,8 @@ TEST(DbTest, UpsertAndGet) {
 TEST(DbTest, GetMissing) {
   Database db = MakeDb();
   CreateEventsTable(db);
-  EXPECT_EQ(db.Get("events", Value(int64_t(7))).status().code(),
-            ErrorCode::kNotFound);
-  EXPECT_EQ(db.Get("ghost", Value(int64_t(7))).status().code(),
-            ErrorCode::kNotFound);
+  EXPECT_FALSE(CopyRow(db, "events", Value(int64_t(7))));
+  EXPECT_FALSE(CopyRow(db, "ghost", Value(int64_t(7))));
 }
 
 TEST(DbTest, UpsertArityAndTypeValidation) {
@@ -152,7 +151,8 @@ TEST(DbTest, UpsertOverwrites) {
                                    Value(std::string("b")), Value(2.0)})
                   .ok());
   EXPECT_EQ(db.RowCount("events"), 1u);
-  EXPECT_EQ(std::get<std::string>(db.Get("events", Value(int64_t(1))).value()[1]),
+  EXPECT_EQ(std::get<std::string>(
+                CopyRow(db, "events", Value(int64_t(1))).value()[1]),
             "b");
 }
 
@@ -177,10 +177,12 @@ TEST(DbTest, ScanWithPredicate) {
                            Value(double(i))})
                     .ok());
   }
-  const auto rows = db.Scan("events", [](const Row& r) {
-    return std::get<double>(r[2]) > 7.0;
+  size_t matching = 0;
+  const size_t visited = db.Read("events", RowFilter::All(), [&](const Row& r) {
+    matching += std::get<double>(r[2]) > 7.0;
   });
-  EXPECT_EQ(rows.size(), 3u);
+  EXPECT_EQ(visited, 10u);
+  EXPECT_EQ(matching, 3u);
 }
 
 TEST(DbTest, ScanOrderIsKeyOrder) {
@@ -189,7 +191,7 @@ TEST(DbTest, ScanOrderIsKeyOrder) {
   for (const char* k : {"charlie", "alpha", "bravo"}) {
     ASSERT_TRUE(db.Upsert("t", {Value(std::string(k))}).ok());
   }
-  const auto rows = db.ScanAll("t");
+  const auto rows = CopyRows(db, "t");
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(std::get<std::string>(rows[0][0]), "alpha");
   EXPECT_EQ(std::get<std::string>(rows[2][0]), "charlie");
@@ -232,8 +234,10 @@ TEST(DbIndexTest, IndexBuiltFromExistingRows) {
                     .ok());
   }
   ASSERT_TRUE(db.CreateIndex("events", "name").ok());
-  EXPECT_EQ(db.Lookup("events", "name", Value(std::string("odd"))).size(), 3u);
-  EXPECT_EQ(db.Lookup("events", "name", Value(std::string("even"))).size(), 3u);
+  EXPECT_EQ(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("odd")))).size(), 3u);
+  EXPECT_EQ(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("even")))).size(), 3u);
 }
 
 TEST(DbIndexTest, IndexMaintainedAcrossMutations) {
@@ -246,17 +250,21 @@ TEST(DbIndexTest, IndexMaintainedAcrossMutations) {
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(2)),
                                    Value(std::string("a")), Value(0.0)})
                   .ok());
-  EXPECT_EQ(db.Lookup("events", "name", Value(std::string("a"))).size(), 2u);
+  EXPECT_EQ(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("a")))).size(), 2u);
 
   // Update row 1's name: it must move between index buckets.
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("b")), Value(0.0)})
                   .ok());
-  EXPECT_EQ(db.Lookup("events", "name", Value(std::string("a"))).size(), 1u);
-  EXPECT_EQ(db.Lookup("events", "name", Value(std::string("b"))).size(), 1u);
+  EXPECT_EQ(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("a")))).size(), 1u);
+  EXPECT_EQ(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("b")))).size(), 1u);
 
   ASSERT_TRUE(db.Delete("events", Value(int64_t(2))).ok());
-  EXPECT_TRUE(db.Lookup("events", "name", Value(std::string("a"))).empty());
+  EXPECT_TRUE(CopyRows(db, "events", 
+                     RowFilter::Equals("name", Value(std::string("a")))).empty());
 }
 
 TEST(DbIndexTest, LookupWithoutIndexFallsBackToScan) {
@@ -265,10 +273,12 @@ TEST(DbIndexTest, LookupWithoutIndexFallsBackToScan) {
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("x")), Value(2.5)})
                   .ok());
-  const auto rows = db.Lookup("events", "score", Value(2.5));
+  const auto rows =
+      CopyRows(db, "events", RowFilter::Equals("score", Value(2.5)));
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(std::get<int64_t>(rows[0][0]), 1);
-  EXPECT_TRUE(db.Lookup("events", "ghost", Value(1.0)).empty());
+  EXPECT_TRUE(CopyRows(db, "events", 
+                     RowFilter::Equals("ghost", Value(1.0))).empty());
 }
 
 TEST(DbIndexTest, LookupMatchesScanUnderRandomOps) {
@@ -290,9 +300,11 @@ TEST(DbIndexTest, LookupMatchesScanUnderRandomOps) {
       (void)db.Delete("events", Value(key));
     }
     const std::string group = "g" + std::to_string(rng.NextBelow(5));
-    const auto indexed = db.Lookup("events", "name", Value(group));
-    const auto scanned = db.Scan("events", [&](const Row& r) {
-      return std::get<std::string>(r[1]) == group;
+    const auto indexed =
+        CopyRows(db, "events", RowFilter::Equals("name", Value(group)));
+    auto scanned = CopyRows(db, "events");
+    std::erase_if(scanned, [&](const Row& r) {
+      return std::get<std::string>(r[1]) != group;
     });
     ASSERT_EQ(indexed.size(), scanned.size()) << "step " << step;
     for (size_t i = 0; i < indexed.size(); ++i) {
@@ -319,8 +331,10 @@ TEST(DbIndexTest, ReplicatedApplyMaintainsReplicaIndexes) {
   for (const auto& change : ChangesAfter(master, 0)) {
     ASSERT_TRUE(replica.ApplyReplicated(change).ok());
   }
-  EXPECT_TRUE(replica.Lookup("events", "name", Value(std::string("a"))).empty());
-  EXPECT_TRUE(replica.Lookup("events", "name", Value(std::string("b"))).empty());
+  EXPECT_TRUE(CopyRows(replica, "events", 
+                     RowFilter::Equals("name", Value(std::string("a")))).empty());
+  EXPECT_TRUE(CopyRows(replica, "events", 
+                     RowFilter::Equals("name", Value(std::string("b")))).empty());
 }
 
 // --- change log ----------------------------------------------------------------
@@ -458,7 +472,7 @@ TEST(DbWakeupTest, WokenReaderMayReadDatabase) {
       seen.push_back(change.seqno);
     }
     cursor = batch.value().next;
-    observed_rows = db.ScanAll("events").size();
+    observed_rows = CopyRows(db, "events").size();
   });
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("a")), Value(0.0)})

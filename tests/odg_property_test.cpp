@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/object_cache.h"
@@ -17,6 +19,7 @@
 #include "odg/graph.h"
 #include "pagegen/renderer.h"
 #include "trigger/trigger_monitor.h"
+#include "db_rows.h"
 
 namespace nagano::odg {
 namespace {
@@ -234,6 +237,295 @@ TEST_P(DupSimpleAgreementTest, FastPathMatchesGeneral) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DupSimpleAgreementTest,
                          ::testing::Range<uint64_t>(100, 110));
 
+// --- differential: closure-scoped DUP vs the whole-graph reference ---------
+//
+// ReferenceDup is the whole-graph formulation of DUP: every array sized to
+// the graph, Tarjan rooted at every reachable vertex in NodeId order. The
+// closure-scoped engine must reproduce its output exactly — same affected
+// order, obsolescence, levels and closure.
+
+DupResult ReferenceDup(const ObjectDependenceGraph& graph,
+                       const std::vector<NodeId>& changed) {
+  return graph.WithSnapshot([&](const std::vector<std::vector<Edge>>& out,
+                                const std::vector<std::vector<Edge>>& in,
+                                const std::vector<NodeKind>& kinds) {
+    DupResult result;
+    const size_t n = kinds.size();
+    std::vector<char> is_changed(n, 0), reachable(n, 0);
+    std::vector<NodeId> frontier;
+    for (NodeId c : changed) {
+      if (c < n && !is_changed[c]) {
+        is_changed[c] = reachable[c] = 1;
+        frontier.push_back(c);
+      }
+    }
+    while (!frontier.empty()) {
+      const NodeId v = frontier.back();
+      frontier.pop_back();
+      for (const Edge& e : out[v]) {
+        if (!reachable[e.to]) {
+          reachable[e.to] = 1;
+          frontier.push_back(e.to);
+        }
+      }
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (reachable[v]) result.obsolete.push_back(v);
+    }
+    result.visited = result.obsolete.size();
+
+    // Recursive Tarjan (test graphs are small).
+    constexpr uint32_t kNone = UINT32_MAX;
+    std::vector<uint32_t> index(n, kNone), low(n, 0), comp(n, kNone);
+    std::vector<char> on_stack(n, 0);
+    std::vector<NodeId> stack;
+    uint32_t next_index = 0, next_comp = 0;
+    std::function<void(NodeId)> visit = [&](NodeId v) {
+      index[v] = low[v] = next_index++;
+      stack.push_back(v);
+      on_stack[v] = 1;
+      for (const Edge& e : out[v]) {
+        if (index[e.to] == kNone) {
+          visit(e.to);
+          low[v] = std::min(low[v], low[e.to]);
+        } else if (on_stack[e.to]) {
+          low[v] = std::min(low[v], index[e.to]);
+        }
+      }
+      if (low[v] != index[v]) return;
+      for (;;) {
+        const NodeId w = stack.back();
+        stack.pop_back();
+        on_stack[w] = 0;
+        comp[w] = next_comp;
+        if (w == v) break;
+      }
+      ++next_comp;
+    };
+    for (NodeId v = 0; v < n; ++v) {
+      if (reachable[v] && index[v] == kNone) visit(v);
+    }
+
+    std::vector<std::vector<NodeId>> members(next_comp);
+    for (NodeId v = 0; v < n; ++v) {
+      if (reachable[v]) members[comp[v]].push_back(v);
+    }
+    std::vector<double> obs(n, 0.0);
+    std::vector<uint32_t> comp_level(next_comp, 0);
+    for (uint32_t ci = next_comp; ci-- > 0;) {
+      uint32_t stage = 0;
+      double score = 0.0;
+      for (const NodeId v : members[ci]) {
+        for (const Edge& e : in[v]) {
+          if (reachable[e.to] && comp[e.to] != ci) {
+            stage = std::max(stage, comp_level[comp[e.to]] + 1);
+          }
+        }
+      }
+      for (const NodeId v : members[ci]) {
+        if (is_changed[v]) {
+          score = 1.0;
+          break;
+        }
+        double total_in = 0.0, changed_in = 0.0;
+        for (const Edge& e : in[v]) {
+          total_in += e.weight;
+          if (reachable[e.to] && comp[e.to] != ci) {
+            changed_in += e.weight * obs[e.to];
+          }
+        }
+        if (total_in > 0.0) {
+          score = std::max(score, std::min(1.0, changed_in / total_in));
+        }
+      }
+      comp_level[ci] = stage;
+      for (const NodeId v : members[ci]) obs[v] = score;
+    }
+    for (uint32_t ci = next_comp; ci-- > 0;) {
+      for (const NodeId v : members[ci]) {
+        const bool cacheable =
+            kinds[v] == NodeKind::kObject || kinds[v] == NodeKind::kBoth;
+        if (!is_changed[v] && cacheable && obs[v] > 0.0) {
+          result.affected.push_back(
+              AffectedObject{v, obs[v], comp_level[comp[v]]});
+        }
+      }
+    }
+    std::vector<uint32_t> seen;
+    for (const auto& a : result.affected) seen.push_back(a.level);
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    for (auto& a : result.affected) {
+      a.level = static_cast<uint32_t>(
+          std::lower_bound(seen.begin(), seen.end(), a.level) - seen.begin());
+    }
+    result.num_levels = static_cast<uint32_t>(seen.size());
+    return result;
+  });
+}
+
+void ExpectSameDup(const DupResult& want, const DupResult& got,
+                   const std::string& where) {
+  ASSERT_EQ(got.affected.size(), want.affected.size()) << where;
+  for (size_t i = 0; i < want.affected.size(); ++i) {
+    EXPECT_EQ(got.affected[i].id, want.affected[i].id) << where << " #" << i;
+    EXPECT_EQ(got.affected[i].obsolescence, want.affected[i].obsolescence)
+        << where << " #" << i;
+    EXPECT_EQ(got.affected[i].level, want.affected[i].level)
+        << where << " #" << i;
+  }
+  EXPECT_EQ(got.obsolete, want.obsolete) << where;
+  EXPECT_EQ(got.visited, want.visited) << where;
+  EXPECT_EQ(got.num_levels, want.num_levels) << where;
+}
+
+// Adds `count` vertices of random kinds and random weighted edges (cycles
+// included) touching them, to a graph that may already hold vertices.
+void GrowRandomWeighted(ObjectDependenceGraph& g, Rng& rng, int count,
+                        int edges_per_node) {
+  const size_t first = g.node_count();
+  for (int i = 0; i < count; ++i) {
+    const NodeKind kind = static_cast<NodeKind>(rng.NextBelow(3));
+    g.EnsureNode("w" + std::to_string(first + size_t(i)), kind);
+  }
+  const size_t n = g.node_count();
+  for (size_t v = first; v < n; ++v) {
+    for (int k = 0; k < edges_per_node; ++k) {
+      const auto u = static_cast<NodeId>(rng.NextBelow(n));
+      const double weight = 1.0 + double(rng.NextBelow(5));
+      if (rng.NextBool(0.5)) {
+        (void)g.AddDependence(static_cast<NodeId>(v), u, weight);
+      } else {
+        (void)g.AddDependence(u, static_cast<NodeId>(v), weight);
+      }
+    }
+  }
+}
+
+std::vector<NodeId> RandomChangeSet(Rng& rng, size_t n) {
+  std::vector<NodeId> changed;
+  const size_t count = 1 + rng.NextBelow(4);
+  for (size_t i = 0; i < count; ++i) {
+    changed.push_back(static_cast<NodeId>(rng.NextBelow(n)));
+  }
+  if (rng.NextBool(0.3)) changed.push_back(changed.front());  // duplicate
+  return changed;
+}
+
+class DupDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DupDifferentialTest, MatchesWholeGraphReference) {
+  Rng rng(GetParam());
+  ObjectDependenceGraph g;
+  GrowRandomWeighted(g, rng, 60, 2);
+  DupOptions general;
+  general.enable_simple_fast_path = false;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto changed = RandomChangeSet(rng, g.node_count());
+    ExpectSameDup(ReferenceDup(g, changed),
+                  DupEngine::ComputeAffected(g, changed, general),
+                  "trial " + std::to_string(trial));
+  }
+}
+
+TEST_P(DupDifferentialTest, GraphGrowsBetweenCalls) {
+  // The closure scratch persists per thread; vertices added after a call
+  // must still be mapped (the scratch resizes) and old stamps must not leak
+  // into the next closure.
+  Rng rng(GetParam() ^ 0x5eed);
+  ObjectDependenceGraph g;
+  GrowRandomWeighted(g, rng, 8, 2);
+  DupOptions general;
+  general.enable_simple_fast_path = false;
+  for (int round = 0; round < 12; ++round) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto changed = RandomChangeSet(rng, g.node_count());
+      ExpectSameDup(ReferenceDup(g, changed),
+                    DupEngine::ComputeAffected(g, changed, general),
+                    "round " + std::to_string(round));
+    }
+    GrowRandomWeighted(g, rng, 10 * (round + 1), 2);
+  }
+}
+
+TEST_P(DupDifferentialTest, ConcurrentCallersAgree) {
+  Rng rng(GetParam() ^ 0xc0ffee);
+  ObjectDependenceGraph g;
+  GrowRandomWeighted(g, rng, 120, 2);
+  DupOptions general;
+  general.enable_simple_fast_path = false;
+  std::vector<std::vector<NodeId>> change_sets;
+  std::vector<DupResult> expected;
+  for (int i = 0; i < 16; ++i) {
+    change_sets.push_back(RandomChangeSet(rng, g.node_count()));
+    expected.push_back(ReferenceDup(g, change_sets.back()));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int iter = 0; iter < 200; ++iter) {
+        const size_t i = static_cast<size_t>(iter + t) % change_sets.size();
+        const DupResult got =
+            DupEngine::ComputeAffected(g, change_sets[i], general);
+        bool same = got.obsolete == expected[i].obsolete &&
+                    got.affected.size() == expected[i].affected.size();
+        for (size_t a = 0; same && a < got.affected.size(); ++a) {
+          same = got.affected[a].id == expected[i].affected[a].id &&
+                 got.affected[a].level == expected[i].affected[a].level;
+        }
+        if (!same) ++mismatches[size_t(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(mismatches[size_t(t)], 0) << "thread " << t;
+  }
+}
+
+TEST(DupDifferentialSimpleTest, FastPathClosureMatchesReference) {
+  // On a bipartite graph the fast path's closure, visited count and
+  // affected set equal the reference's (the fast path emits in id order and
+  // reports full obsolescence).
+  Rng rng(77);
+  ObjectDependenceGraph g;
+  std::vector<NodeId> data;
+  for (int i = 0; i < 30; ++i) {
+    data.push_back(
+        g.EnsureNode("d" + std::to_string(i), NodeKind::kUnderlyingData));
+  }
+  for (int i = 0; i < 90; ++i) {
+    const NodeId o = g.EnsureNode("o" + std::to_string(i), NodeKind::kObject);
+    for (int k = 0; k < 2; ++k) {
+      (void)g.AddDependence(data[rng.NextBelow(data.size())], o);
+    }
+  }
+  ASSERT_TRUE(g.IsSimple());
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto changed = RandomChangeSet(rng, data.size());
+    const DupResult want = ReferenceDup(g, changed);
+    const DupResult got = DupEngine::ComputeAffected(g, changed);
+    ASSERT_TRUE(got.used_simple_path);
+    EXPECT_EQ(got.obsolete, want.obsolete);
+    EXPECT_EQ(got.visited, want.visited);
+    std::vector<NodeId> got_ids, want_ids;
+    for (const auto& a : got.affected) got_ids.push_back(a.id);
+    for (const auto& a : want.affected) want_ids.push_back(a.id);
+    std::sort(want_ids.begin(), want_ids.end());  // fast path: id order
+    EXPECT_EQ(got_ids, want_ids);
+  }
+  // One edge out of an object breaks the simple shape; removing it
+  // restores it (IsSimple is maintained incrementally).
+  ASSERT_TRUE(g.AddDependence(g.Find("o0"), g.Find("o1")).ok());
+  EXPECT_FALSE(g.IsSimple());
+  ASSERT_TRUE(g.RemoveDependence(g.Find("o0"), g.Find("o1")).ok());
+  EXPECT_TRUE(g.IsSimple());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DupDifferentialTest,
+                         ::testing::Range<uint64_t>(300, 310));
+
 // --- fragment composition over random sites ---------------------------------
 //
 // Drives the full pipeline (database -> trigger -> DUP -> renderer -> plan
@@ -291,8 +583,8 @@ TEST_P(FragmentCompositionTest, ComposedPagesMatchWholePageRenders) {
   const auto read_key = [&db](const pagegen::RenderRequest& req, int k) {
     const std::string key = "k" + std::to_string(k);
     req.deps.DependsOnData("kv:" + key);
-    auto row = db.Get("kv", db::Value(key));
-    return row.ok() ? std::get<std::string>(row.value()[1]) : std::string("?");
+    auto row = CopyRow(db, "kv", db::Value(key));
+    return row ? std::get<std::string>(row.value()[1]) : std::string("?");
   };
   for (auto* r : {&renderer, &reference}) {
     for (int f = 0; f < kFragments; ++f) {

@@ -10,6 +10,7 @@
 #include "odg/graph.h"
 #include "pagegen/olympic.h"
 #include "pagegen/renderer.h"
+#include "db_rows.h"
 
 namespace nagano::pagegen {
 namespace {
@@ -120,7 +121,7 @@ TEST_F(OlympicTest, AllLanguageVariantsShareDataNodes) {
 
 TEST_F(OlympicTest, VenuePagesListTheirProgramme) {
   // §3.1 category 4: venue pages carry that venue's events.
-  const auto venues = db_.ScanAll("venues");
+  const auto venues = CopyRows(db_, "venues");
   ASSERT_FALSE(venues.empty());
   const std::string name = std::get<std::string>(venues[0][0]);
   const auto body = renderer_.RenderAndCache(OlympicSite::VenuePage(name));
@@ -138,8 +139,8 @@ TEST_F(OlympicTest, VenuePagesListTheirProgramme) {
 TEST_F(OlympicTest, EventChangePropagatesToVenuePage) {
   // Render a venue page, then flip an event at that venue to in_progress:
   // DUP must cover the venue page.
-  const auto event = db_.Get("events", db::Value(int64_t(1)));
-  ASSERT_TRUE(event.ok());
+  const auto event = CopyRow(db_, "events", db::Value(int64_t(1)));
+  ASSERT_TRUE(event.has_value());
   const std::string venue = std::get<std::string>(event.value()[4]);
   const std::string page = OlympicSite::VenuePage(venue);
   ASSERT_TRUE(renderer_.RenderAndCache(page).ok());
@@ -213,7 +214,7 @@ TEST_F(OlympicTest, PhotosOnCountryAndVenuePages) {
   ASSERT_TRUE(country.ok());
   EXPECT_NE(country.value()->find("Flag ceremony"), std::string::npos);
 
-  const auto venues = db_.ScanAll("venues");
+  const auto venues = CopyRows(db_, "venues");
   const std::string venue = std::get<std::string>(venues[0][0]);
   ASSERT_TRUE(
       OlympicSite::PublishPhoto(&db_, 4, "Crowd shot", "venue", venue, 1).ok());
@@ -226,7 +227,7 @@ TEST_F(OlympicTest, PhotoReachesDayHomeThroughEventFragment) {
   // Day homes embed the event fragments; a photo classified to an event
   // therefore changes the day home too (Fig. 15's fan-out).
   ASSERT_TRUE(renderer_.RenderAndCache("/day/1").ok());
-  const auto event = db_.Get("events", db::Value(int64_t(1)));
+  const auto event = CopyRow(db_, "events", db::Value(int64_t(1)));
   const int day = static_cast<int>(std::get<int64_t>(event.value()[3]));
   const std::string day_home = OlympicSite::DayHomePage(day);
   ASSERT_TRUE(renderer_.RenderAndCache(day_home).ok());
@@ -268,8 +269,8 @@ TEST_F(OlympicTest, UnknownIdsAreNotFound) {
 
 TEST_F(OlympicTest, RecordResultMarksEventInProgress) {
   ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 95.0).ok());
-  const auto event = db_.Get("events", db::Value(int64_t(1)));
-  ASSERT_TRUE(event.ok());
+  const auto event = CopyRow(db_, "events", db::Value(int64_t(1)));
+  ASSERT_TRUE(event.has_value());
   EXPECT_EQ(std::get<std::string>(event.value()[5]), "in_progress");
   EXPECT_EQ(db_.RowCount("results"), 1u);
 }
@@ -281,17 +282,17 @@ TEST_F(OlympicTest, CompleteEventAwardsMedalsAndTallies) {
   }
   ASSERT_TRUE(OlympicSite::CompleteEvent(&db_, 1).ok());
 
-  const auto event = db_.Get("events", db::Value(int64_t(1)));
+  const auto event = CopyRow(db_, "events", db::Value(int64_t(1)));
   EXPECT_EQ(std::get<std::string>(event.value()[5]), "final");
 
-  const auto medal = db_.Get("medals", db::Value(int64_t(1)));
-  ASSERT_TRUE(medal.ok());
+  const auto medal = CopyRow(db_, "medals", db::Value(int64_t(1)));
+  ASSERT_TRUE(medal.has_value());
   EXPECT_EQ(std::get<int64_t>(medal.value()[1]), 1);  // gold = athlete 1
   EXPECT_EQ(std::get<int64_t>(medal.value()[2]), 2);
 
   // Exactly three medals were tallied across all countries.
   int64_t total = 0;
-  for (const auto& row : db_.ScanAll("countries")) {
+  for (const auto& row : CopyRows(db_, "countries")) {
     total += std::get<int64_t>(row[2]) + std::get<int64_t>(row[3]) +
              std::get<int64_t>(row[4]);
   }

@@ -33,6 +33,20 @@ TEST_F(RendererTest, ExactGeneratorRendersAndCaches) {
   EXPECT_EQ(cache_.Peek("/medals")->body, "medal table");
 }
 
+TEST_F(RendererTest, FlatRenderSharesTheCachedBytes) {
+  // One body per flat render: the returned body aliases the stored
+  // object's bytes rather than carrying a second copy.
+  renderer_.RegisterExact("/flat", [](const RenderRequest&) {
+    return Result<std::string>("flat page bytes");
+  });
+  const auto body = renderer_.RenderAndCache("/flat");
+  ASSERT_TRUE(body.ok());
+  const auto cached = cache_.Peek("/flat");
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(body.value().get(), &cached->body);
+  EXPECT_EQ(body.value()->data(), cached->body.data());
+}
+
 TEST_F(RendererTest, RenderOnlyDoesNotCache) {
   renderer_.RegisterExact("/p", [](const RenderRequest&) {
     return Result<std::string>("x");

@@ -223,9 +223,14 @@ TEST(TemplateContextTest, ListAndStringShapesDistinct) {
 }
 
 TEST(HtmlEscapeTest, EscapesAll) {
-  EXPECT_EQ(HtmlEscape("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
-  EXPECT_EQ(HtmlEscape("plain"), "plain");
-  EXPECT_EQ(HtmlEscape(""), "");
+  const auto escape = [](std::string_view s) {
+    std::string out = "[";  // appends after what is already there
+    AppendHtmlEscaped(out, s);
+    return out;
+  };
+  EXPECT_EQ(escape("a<b>&\"c"), "[a&lt;b&gt;&amp;&quot;c");
+  EXPECT_EQ(escape("plain"), "[plain");
+  EXPECT_EQ(escape(""), "[");
 }
 
 }  // namespace

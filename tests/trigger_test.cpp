@@ -2,6 +2,7 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "cache/object_cache.h"
@@ -280,6 +281,143 @@ TEST_F(TriggerTest, StatsTrackLatencyAndFanout) {
   EXPECT_GT(stats.update_latency_ms.count(), 0u);
   EXPECT_GT(stats.fanout.count(), 0u);
   EXPECT_GT(stats.fanout.max(), 0.0);
+}
+
+// --- plan patches ------------------------------------------------------------
+
+// The fragment chunks of `page`'s cached plan, keyed by fragment name.
+std::map<std::string, std::shared_ptr<const cache::CachedObject>> PinsOf(
+    const cache::CachedObject& page) {
+  std::map<std::string, std::shared_ptr<const cache::CachedObject>> pins;
+  for (const cache::PlanChunk& chunk : page.plan) {
+    if (chunk.is_fragment()) pins[*chunk.fragment] = chunk.source;
+  }
+  return pins;
+}
+
+int64_t DayOfEvent(const db::Database& db, int64_t event_id) {
+  int64_t day = 0;
+  db.Read("events", db::RowFilter::Key(db::Value(event_id)),
+          [&](const db::Row& r) { day = std::get<int64_t>(r[3]); });
+  return day;
+}
+
+TEST_F(TriggerTest, PatchRepinsExactlyTheClosureFragments) {
+  // A result for event 1 changes frag:event:1 only. The day home embedding
+  // it is patched: that chunk pins the fresh fragment, every other pin and
+  // every static byte run is the very object the old version held.
+  Prefetch();
+  const std::string day_home =
+      OlympicSite::DayHomePage(static_cast<int>(DayOfEvent(db_, 1)));
+  const auto before = cache_.Peek(day_home);
+  ASSERT_NE(before, nullptr);
+  ASSERT_TRUE(before->is_plan());
+  const auto pins_before = PinsOf(*before);
+  ASSERT_TRUE(pins_before.contains("frag:event:1"));
+  ASSERT_GT(pins_before.size(), 1u);
+
+  TriggerOptions options;
+  options.policy = CachePolicy::kDupUpdateInPlace;
+  auto monitor = MakeMonitor(options);
+  monitor->Start();
+  ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 97.0).ok());
+  monitor->Quiesce();
+  monitor->Stop();
+
+  const auto after = cache_.Peek(day_home);
+  ASSERT_NE(after, nullptr);
+  ASSERT_TRUE(after->is_plan());
+  EXPECT_GT(after->version, before->version);
+  EXPECT_GT(monitor->stats().plans_patched, 0u);
+  for (const auto& [fragment, pin] : PinsOf(*after)) {
+    if (fragment == "frag:event:1") {
+      EXPECT_NE(pin, pins_before.at(fragment));
+      EXPECT_EQ(pin, cache_.Peek(fragment));
+    } else {
+      EXPECT_EQ(pin, pins_before.at(fragment)) << fragment << " was re-pinned";
+    }
+  }
+  ASSERT_EQ(after->plan.size(), before->plan.size());
+  for (size_t i = 0; i < after->plan.size(); ++i) {
+    if (!after->plan[i].is_fragment()) {
+      EXPECT_EQ(after->plan[i].text, before->plan[i].text) << "chunk " << i;
+    }
+  }
+  const auto fresh = renderer_.RenderOnly(day_home);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(after->Materialize(), fresh.value());
+}
+
+TEST_F(TriggerTest, SkippedClosureFragmentForcesRerender) {
+  // frag:event:1 is not cached when its result lands, so the trigger skips
+  // it. The day home embedding it must then be re-rendered (which renders
+  // and caches the fragment afresh), not patched around a stale pin.
+  Prefetch();
+  const std::string day_home =
+      OlympicSite::DayHomePage(static_cast<int>(DayOfEvent(db_, 1)));
+  ASSERT_TRUE(cache_.Invalidate("frag:event:1"));
+
+  TriggerOptions options;
+  options.policy = CachePolicy::kDupUpdateInPlace;
+  auto monitor = MakeMonitor(options);
+  monitor->Start();
+  ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 97.0).ok());
+  monitor->Quiesce();
+  monitor->Stop();
+
+  EXPECT_GT(monitor->stats().objects_skipped, 0u);
+  EXPECT_GT(monitor->stats().renders_attempted, 0u);
+  const auto after = cache_.Peek(day_home);
+  ASSERT_NE(after, nullptr);
+  const auto fragment = cache_.Peek("frag:event:1");
+  ASSERT_NE(fragment, nullptr);
+  EXPECT_EQ(PinsOf(*after).at("frag:event:1"), fragment);
+  const auto fresh = renderer_.RenderOnly(day_home);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(after->Materialize(), fresh.value());
+}
+
+TEST(TriggerPatchTest, NewsUpdatePatchesEveryEmbeddingPage) {
+  metrics::MetricRegistry registry;
+  core::SiteOptions options;
+  options.olympic.days = 3;
+  options.olympic.num_sports = 2;
+  options.olympic.events_per_sport = 3;
+  options.olympic.athletes_per_event = 5;
+  options.olympic.num_countries = 6;
+  options.olympic.initial_news_articles = 3;
+  options.metrics.registry = &registry;
+  auto site_or = core::ServingSite::Create(std::move(options));
+  ASSERT_TRUE(site_or.ok()) << site_or.status().ToString();
+  core::ServingSite& site = *site_or.value();
+  ASSERT_TRUE(site.PrefetchAll().ok());
+  site.StartTrigger();
+
+  std::map<std::string, uint64_t> embedding;  // page -> version before
+  for (const auto& [key, object] : site.cache().Snapshot()) {
+    if (PinsOf(*object).contains("frag:news:latest")) {
+      embedding[key] = object->version;
+    }
+  }
+  ASSERT_GT(embedding.size(), 2u);
+  const uint64_t patched_before = site.trigger_monitor().stats().plans_patched;
+
+  ASSERT_TRUE(site.PublishNews(100, 2, "Late-breaking", "Story.", 1).ok());
+  site.Quiesce();
+
+  const auto latest = site.cache().Peek("frag:news:latest");
+  ASSERT_NE(latest, nullptr);
+  for (const auto& [page, version] : embedding) {
+    const auto now = site.cache().Peek(page);
+    ASSERT_NE(now, nullptr) << page;
+    EXPECT_GT(now->version, version) << page;
+    EXPECT_EQ(PinsOf(*now).at("frag:news:latest"), latest) << page;
+  }
+  EXPECT_GE(site.trigger_monitor().stats().plans_patched - patched_before,
+            embedding.size());
+  const auto verified = site.VerifyCacheConsistency();
+  EXPECT_TRUE(verified.ok()) << verified.status().message();
+  site.StopTrigger();
 }
 
 // The gap rule: changes that retention truncated before the tail read them

@@ -19,6 +19,7 @@
 #include "common/fault.h"
 #include "db/database.h"
 #include "wal/wal.h"
+#include "db_rows.h"
 
 namespace nagano::wal {
 namespace {
@@ -474,7 +475,7 @@ TEST(WalCrashPointTest, DatabaseRecoversPrefixStateAtEveryBoundary) {
         << "cut at offset " << cut;
     EXPECT_EQ(recovered.TableNames(), reference.TableNames());
     for (const std::string& table : reference.TableNames()) {
-      EXPECT_EQ(recovered.ScanAll(table), reference.ScanAll(table))
+      EXPECT_EQ(CopyRows(recovered, table), CopyRows(reference, table))
           << "table " << table << " cut at offset " << cut;
       EXPECT_EQ(recovered.HasIndex(table, "name"),
                 reference.HasIndex(table, "name"));
@@ -554,7 +555,7 @@ TEST(WalDbTest, CheckpointPlusTailRecovery) {
   ASSERT_TRUE(recovered.Recover().ok());
   EXPECT_EQ(recovered.LastSeqno(), 8u);
   EXPECT_EQ(recovered.RowCount("events"), 8u);
-  EXPECT_EQ(db::KeyString(recovered.Get("events", Value(int64_t(7)))
+  EXPECT_EQ(db::KeyString(CopyRow(recovered, "events", Value(int64_t(7)))
                               .value()[1]),
             "post-7");
   // The change log rebuilt from the tail starts after the checkpoint.

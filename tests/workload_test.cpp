@@ -12,6 +12,7 @@
 #include "workload/profiles.h"
 #include "workload/sampler.h"
 #include "workload/scenarios.h"
+#include "db_rows.h"
 
 namespace nagano::workload {
 namespace {
@@ -195,9 +196,8 @@ TEST_F(FeedTest, EveryEventOnDayGetsResultsAndCompletion) {
     if (u.kind == FeedUpdate::Kind::kCompleteEvent) completed.insert(u.event_id);
     if (u.kind == FeedUpdate::Kind::kResult) ++results_per_event[u.event_id];
   }
-  const auto day_events = db_.Scan("events", [](const db::Row& r) {
-    return std::get<int64_t>(r[3]) == 1;
-  });
+  const auto day_events = CopyRows(
+      db_, "events", db::RowFilter::Equals("day", db::Value(int64_t(1))));
   EXPECT_EQ(completed.size(), day_events.size());
   for (const auto& [event, count] : results_per_event) {
     EXPECT_GE(count, 3) << "event " << event;
@@ -211,11 +211,10 @@ TEST_F(FeedTest, RunDayAppliesEverything) {
   EXPECT_GT(applied.value(), 0u);
 
   // Every day-1 event is final with medals awarded.
-  for (const auto& row : db_.Scan("events", [](const db::Row& r) {
-         return std::get<int64_t>(r[3]) == 1;
-       })) {
+  for (const auto& row : CopyRows(db_, "events",
+                                 db::RowFilter::Equals("day", db::Value(int64_t(1))))) {
     EXPECT_EQ(std::get<std::string>(row[5]), "final");
-    EXPECT_TRUE(db_.Get("medals", row[0]).ok());
+    EXPECT_TRUE(CopyRow(db_, "medals", row[0]));
   }
   // News was published.
   EXPECT_GT(db_.RowCount("news"),
@@ -225,13 +224,11 @@ TEST_F(FeedTest, RunDayAppliesEverything) {
 TEST_F(FeedTest, RanksOrderedByScore) {
   ResultFeed feed(&db_, FeedOptions{}, 42);
   ASSERT_TRUE(feed.RunDay(1).ok());
-  for (const auto& event_row : db_.Scan("events", [](const db::Row& r) {
-         return std::get<int64_t>(r[3]) == 1;
-       })) {
+  for (const auto& event_row : CopyRows(
+           db_, "events", db::RowFilter::Equals("day", db::Value(int64_t(1))))) {
     const int64_t event_id = std::get<int64_t>(event_row[0]);
-    auto results = db_.Scan("results", [&](const db::Row& r) {
-      return std::get<int64_t>(r[1]) == event_id;
-    });
+    auto results = CopyRows(db_, "results",
+                            db::RowFilter::Equals("event_id", db::Value(event_id)));
     std::sort(results.begin(), results.end(),
               [](const db::Row& a, const db::Row& b) {
                 return std::get<int64_t>(a[2]) < std::get<int64_t>(b[2]);
