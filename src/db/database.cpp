@@ -92,6 +92,34 @@ Database::Database(DatabaseOptions options)
 
 namespace {
 
+// Every WAL payload starts with a kind tag so replay can rebuild schema and
+// content in commit order (schema records carry the seqno watermark of the
+// last data change and are appended to every shard stream, keeping each
+// stream self-contained; data records carry their own seqno). A commit of
+// one record is one kChange frame; any larger commit is one kBatch frame
+// per touched shard, naming the commit's seqno range and every shard it
+// touched so recovery can tell whether all of its parts are durable.
+enum class WalRecordKind : uint8_t {
+  kChange = 1,
+  kCreateTable = 2,
+  kCreateIndex = 3,
+  kBatch = 4,
+};
+
+struct WalRecord {
+  WalRecordKind kind = WalRecordKind::kChange;
+  // kChange: one record; kBatch: this shard's records of the commit.
+  std::vector<ChangeRecord> changes;
+  uint64_t batch_first = 0;             // kBatch: the commit's seqno range
+  uint64_t batch_last = 0;
+  std::vector<uint32_t> batch_shards;   // kBatch: every shard it touched
+  std::string table;               // kCreateTable / kCreateIndex
+  std::vector<ColumnSpec> columns; // kCreateTable
+  size_t key_column = 0;           // kCreateTable
+  std::string column;              // kCreateIndex
+};
+
+
 void EncodeValue(wal::Encoder& e, const Value& v) {
   if (const auto* i = std::get_if<int64_t>(&v)) {
     e.PutU8(0);
@@ -133,11 +161,8 @@ bool DecodeRow(wal::Decoder& d, Row* out) {
   return true;
 }
 
-}  // namespace
 
-std::string EncodeWalChange(const ChangeRecord& change) {
-  wal::Encoder e;
-  e.PutU8(static_cast<uint8_t>(WalRecordKind::kChange));
+void EncodeChangeBody(wal::Encoder& e, const ChangeRecord& change) {
   e.PutU64(change.seqno);
   e.PutU32(change.shard);
   e.PutU64(change.shard_seqno);
@@ -146,6 +171,40 @@ std::string EncodeWalChange(const ChangeRecord& change) {
   e.PutU8(static_cast<uint8_t>(change.op));
   e.PutI64(change.committed_at);
   EncodeRow(e, change.row);
+}
+
+bool DecodeChangeBody(wal::Decoder& d, ChangeRecord* change) {
+  change->seqno = d.GetU64();
+  change->shard = d.GetU32();
+  change->shard_seqno = d.GetU64();
+  change->table = d.GetString();
+  change->key = d.GetString();
+  const uint8_t op = d.GetU8();
+  if (op > static_cast<uint8_t>(ChangeOp::kDelete)) return false;
+  change->op = static_cast<ChangeOp>(op);
+  change->committed_at = d.GetI64();
+  return DecodeRow(d, &change->row);
+}
+
+
+std::string EncodeWalChange(const ChangeRecord& change) {
+  wal::Encoder e;
+  e.PutU8(static_cast<uint8_t>(WalRecordKind::kChange));
+  EncodeChangeBody(e, change);
+  return e.Take();
+}
+
+std::string EncodeWalBatch(uint64_t first, uint64_t last,
+                           std::span<const uint32_t> shards,
+                           std::span<const ChangeRecord* const> changes) {
+  wal::Encoder e;
+  e.PutU8(static_cast<uint8_t>(WalRecordKind::kBatch));
+  e.PutU64(first);
+  e.PutU64(last);
+  e.PutU32(static_cast<uint32_t>(shards.size()));
+  for (const uint32_t k : shards) e.PutU32(k);
+  e.PutU32(static_cast<uint32_t>(changes.size()));
+  for (const ChangeRecord* change : changes) EncodeChangeBody(e, *change);
   return e.Take();
 }
 
@@ -180,19 +239,37 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   switch (kind) {
     case static_cast<uint8_t>(WalRecordKind::kChange): {
       rec.kind = WalRecordKind::kChange;
-      rec.change.seqno = d.GetU64();
-      rec.change.shard = d.GetU32();
-      rec.change.shard_seqno = d.GetU64();
-      rec.change.table = d.GetString();
-      rec.change.key = d.GetString();
-      const uint8_t op = d.GetU8();
-      if (op > static_cast<uint8_t>(ChangeOp::kDelete)) {
-        return DataLossError("DecodeWalRecord: bad change op");
+      ChangeRecord& change = rec.changes.emplace_back();
+      if (!DecodeChangeBody(d, &change)) {
+        return DataLossError("DecodeWalRecord: bad change");
       }
-      rec.change.op = static_cast<ChangeOp>(op);
-      rec.change.committed_at = d.GetI64();
-      if (!DecodeRow(d, &rec.change.row)) {
-        return DataLossError("DecodeWalRecord: bad change row");
+      change.batch_end = change.seqno;
+      break;
+    }
+    case static_cast<uint8_t>(WalRecordKind::kBatch): {
+      rec.kind = WalRecordKind::kBatch;
+      rec.batch_first = d.GetU64();
+      rec.batch_last = d.GetU64();
+      const uint32_t nshards = d.GetU32();
+      if (!d.ok() || nshards == 0 || nshards > 4096 ||
+          rec.batch_first > rec.batch_last) {
+        return DataLossError("DecodeWalRecord: bad batch header");
+      }
+      for (uint32_t i = 0; i < nshards; ++i) {
+        rec.batch_shards.push_back(d.GetU32());
+      }
+      const uint32_t nchanges = d.GetU32();
+      if (!d.ok() || nchanges == 0 ||
+          nchanges > rec.batch_last - rec.batch_first + 1) {
+        return DataLossError("DecodeWalRecord: bad batch size");
+      }
+      rec.changes.resize(nchanges);
+      for (ChangeRecord& change : rec.changes) {
+        if (!DecodeChangeBody(d, &change) || change.seqno < rec.batch_first ||
+            change.seqno > rec.batch_last) {
+          return DataLossError("DecodeWalRecord: bad batch change");
+        }
+        change.batch_end = rec.batch_last;
       }
       break;
     }
@@ -230,6 +307,8 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
   }
   return rec;
 }
+
+}  // namespace
 
 // --- schema -----------------------------------------------------------------
 
@@ -310,18 +389,12 @@ Status Database::ValidateRow(const TableSchema& schema, const Row& row) const {
 
 // --- commit path ------------------------------------------------------------
 
-Status Database::WalAppend(uint32_t shard, uint64_t seqno,
-                           const std::string& payload) {
-  wal::WriteAheadLog* wal = shards_[shard]->wal;
-  if (wal == nullptr) return Status::Ok();
-  return wal->Append(seqno, payload);
-}
-
 Status Database::WalAppendAll(uint64_t seqno, const std::string& payload) {
   // A failure part-way leaves the DDL in some streams only; replay
   // tolerates that (DDL application is idempotent) and the commit fails.
-  for (uint32_t k = 0; k < shards(); ++k) {
-    if (Status s = WalAppend(k, seqno, payload); !s.ok()) return s;
+  for (const auto& shard : shards_) {
+    if (shard->wal == nullptr) continue;
+    if (Status s = shard->wal->Append(seqno, payload); !s.ok()) return s;
   }
   return Status::Ok();
 }
@@ -368,13 +441,6 @@ void Database::ApplyChange(Partition& p, const ChangeRecord& change) {
   }
 }
 
-void Database::ApplyAndLog(Shard& shard, const TableSchema&,
-                           const ChangeRecord& change) {
-  ApplyChange(shard.tables[change.table], change);
-  shard.log.push_back(change);
-  commits_->Increment();
-}
-
 void Database::RingCommitWakeup() {
   std::lock_guard lock(wakeup_mutex_);
   if (commit_wakeup_) commit_wakeup_();
@@ -385,140 +451,186 @@ void Database::SetCommitWakeup(std::function<void()> wakeup) {
   commit_wakeup_ = std::move(wakeup);
 }
 
-Status Database::Upsert(std::string_view table, Row row) {
+Status Database::CommitRecords(std::vector<ChangeRecord> records) {
+  const uint64_t first = records.front().seqno;
+  const uint64_t last = records.back().seqno;
+  std::vector<uint32_t> touched;
+  for (ChangeRecord& r : records) {
+    r.batch_end = last;
+    touched.push_back(r.shard);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  // Write-ahead: one frame per touched stream, synced per its policy, before
+  // anything becomes visible. Only the commit mutex is held, so readers do
+  // not wait on the flush. A failed first append commits nothing and
+  // consumes no seqno.
+  size_t appended = 0;
+  for (const uint32_t k : touched) {
+    wal::WriteAheadLog* wal = shards_[k]->wal;
+    if (wal == nullptr) continue;
+    std::vector<const ChangeRecord*> part;
+    for (const ChangeRecord& r : records) {
+      if (r.shard == k) part.push_back(&r);
+    }
+    const std::string payload =
+        records.size() == 1 ? EncodeWalChange(records.front())
+                            : EncodeWalBatch(first, last, touched, part);
+    if (Status s = wal->Append(part.back()->seqno, payload); !s.ok()) {
+      // Another stream already holds part of this batch; only Recover()
+      // can settle it.
+      if (appended > 0) wedged_ = true;
+      return s;
+    }
+    ++appended;
+  }
+
+  // Every touched shard's write lock (ascending, the global order) is held
+  // across the whole apply, so a reader sees all of the batch or none.
+  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  locks.reserve(touched.size());
+  for (const uint32_t k : touched) locks.emplace_back(shards_[k]->mutex);
+  for (ChangeRecord& r : records) {
+    Shard& shard = *shards_[r.shard];
+    ApplyChange(shard.tables[r.table], r);
+    shard.next_shard_seqno = r.shard_seqno + 1;
+    shard.log.push_back(std::move(r));
+  }
+  // On a replica the total order is the feed's: track its high-water mark.
+  if (last >= next_seqno_.load(std::memory_order_relaxed)) {
+    next_seqno_.store(last + 1, std::memory_order_release);
+  }
+  commits_->Increment(records.size());
+  return Status::Ok();
+}
+
+Status Database::Commit(WriteBatch batch) {
+  if (batch.empty()) return Status::Ok();
   // Decide the commit fate before taking the locks; an injected error fails
-  // the mutation cleanly, an injected delay stalls the commit timestamp.
+  // the batch cleanly, an injected delay stalls the commit timestamp.
   const auto fate = fault::Decide(faults_, "db", instance_, "commit");
   if (!fate.status.ok()) return fate.status;
   std::unique_lock commit(commit_mutex_);
+  if (wedged_) return WedgedError();
   std::shared_lock schema_lock(schema_mutex_);
-  auto it = schemas_.find(std::string(table));
-  if (it == schemas_.end()) {
-    return NotFoundError("Upsert: no table " + std::string(table));
+
+  const TimeNs committed_at = clock_->Now() + fate.delay;
+  uint64_t seqno = next_seqno_.load(std::memory_order_relaxed);
+  std::vector<uint64_t> next_shard_seqno;
+  for (const auto& shard : shards_) {
+    next_shard_seqno.push_back(shard->next_shard_seqno);
   }
-  const TableSchema& schema = it->second;
-  if (Status s = ValidateRow(schema, row); !s.ok()) return s;
-
-  ChangeRecord change;
-  change.table = std::string(table);
-  change.key = KeyString(row[schema.key_column]);
-  change.row = std::move(row);
-  change.committed_at = clock_->Now() + fate.delay;
-  change.seqno = next_seqno_.load(std::memory_order_relaxed);
-  change.shard = ShardOf(change.key, shards());
-
-  Shard& shard = *shards_[change.shard];
-  std::unique_lock shard_lock(shard.mutex);
-  change.shard_seqno = shard.next_shard_seqno;
-  change.op = shard.tables[change.table].rows.contains(change.key)
-                  ? ChangeOp::kUpdate
-                  : ChangeOp::kInsert;
-
-  // Write-ahead: the record must be durable before the mutation becomes
-  // visible. A failed append fails the commit without consuming a seqno.
-  if (Status s = WalAppend(change.shard, change.seqno, EncodeWalChange(change));
-      !s.ok()) {
-    return s;
+  // Whether a (table, key) this batch already wrote exists after it.
+  std::unordered_map<std::string, bool> written;
+  std::vector<ChangeRecord> records;
+  records.reserve(batch.size());
+  for (WriteBatch::Op& op : batch.ops_) {
+    auto it = schemas_.find(op.table);
+    if (it == schemas_.end()) {
+      return NotFoundError("Commit: no table " + op.table);
+    }
+    const TableSchema& schema = it->second;
+    if (!op.erase) {
+      if (Status s = ValidateRow(schema, op.row); !s.ok()) return s;
+    }
+    ChangeRecord& change = records.emplace_back();
+    change.key = KeyString(op.erase ? op.key : op.row[schema.key_column]);
+    change.shard = ShardOf(change.key, shards());
+    // The commit mutex excludes every writer, so rows are read here
+    // without the shard lock.
+    const std::string written_key = op.table + '\0' + change.key;
+    bool exists;
+    if (auto w = written.find(written_key); w != written.end()) {
+      exists = w->second;
+    } else {
+      const auto& partitions = shards_[change.shard]->tables;
+      auto p = partitions.find(op.table);
+      exists = p != partitions.end() && p->second.rows.contains(change.key);
+    }
+    if (op.erase && !exists) {
+      return NotFoundError("Delete: no row " + change.key);
+    }
+    written[written_key] = !op.erase;
+    change.op = op.erase ? ChangeOp::kDelete
+                         : exists ? ChangeOp::kUpdate : ChangeOp::kInsert;
+    change.row = std::move(op.row);
+    change.table = std::move(op.table);
+    change.committed_at = committed_at;
+    change.seqno = seqno++;
+    change.shard_seqno = next_shard_seqno[change.shard]++;
   }
-  next_seqno_.store(change.seqno + 1, std::memory_order_release);
-  shard.next_shard_seqno = change.shard_seqno + 1;
-  ApplyAndLog(shard, schema, change);
-  shard_lock.unlock();
+  Status s = CommitRecords(std::move(records));
   schema_lock.unlock();
   commit.unlock();
-  RingCommitWakeup();
-  return Status::Ok();
+  if (s.ok()) RingCommitWakeup();
+  return s;
+}
+
+Status Database::Upsert(std::string_view table, Row row) {
+  WriteBatch batch;
+  batch.Upsert(table, std::move(row));
+  return Commit(std::move(batch));
 }
 
 Status Database::Delete(std::string_view table, const Value& key) {
-  const auto fate = fault::Decide(faults_, "db", instance_, "commit");
-  if (!fate.status.ok()) return fate.status;
-  std::unique_lock commit(commit_mutex_);
-  std::shared_lock schema_lock(schema_mutex_);
-  auto it = schemas_.find(std::string(table));
-  if (it == schemas_.end()) {
-    return NotFoundError("Delete: no table " + std::string(table));
-  }
-  const TableSchema& schema = it->second;
-
-  ChangeRecord change;
-  change.table = std::string(table);
-  change.key = KeyString(key);
-  change.op = ChangeOp::kDelete;
-  change.committed_at = clock_->Now() + fate.delay;
-  change.seqno = next_seqno_.load(std::memory_order_relaxed);
-  change.shard = ShardOf(change.key, shards());
-
-  Shard& shard = *shards_[change.shard];
-  std::unique_lock shard_lock(shard.mutex);
-  if (!shard.tables[change.table].rows.contains(change.key)) {
-    return NotFoundError("Delete: no row " + change.key);
-  }
-  change.shard_seqno = shard.next_shard_seqno;
-  if (Status s = WalAppend(change.shard, change.seqno, EncodeWalChange(change));
-      !s.ok()) {
-    return s;
-  }
-  next_seqno_.store(change.seqno + 1, std::memory_order_release);
-  shard.next_shard_seqno = change.shard_seqno + 1;
-  ApplyAndLog(shard, schema, change);
-  shard_lock.unlock();
-  schema_lock.unlock();
-  commit.unlock();
-  RingCommitWakeup();
-  return Status::Ok();
+  WriteBatch batch;
+  batch.Delete(table, key);
+  return Commit(std::move(batch));
 }
 
-Status Database::ApplyReplicated(const ChangeRecord& change) {
+Status Database::ApplyReplicated(std::span<const ChangeRecord> batch) {
+  if (batch.empty()) return Status::Ok();
   std::unique_lock commit(commit_mutex_);
+  if (wedged_) return WedgedError();
   std::shared_lock schema_lock(schema_mutex_);
-  auto it = schemas_.find(change.table);
-  if (it == schemas_.end()) {
-    return NotFoundError("ApplyReplicated: no table " + change.table);
+  std::vector<uint64_t> next_shard_seqno;
+  for (const auto& shard : shards_) {
+    next_shard_seqno.push_back(shard->next_shard_seqno);
   }
-  const TableSchema& schema = it->second;
-  if (change.shard >= shards()) {
-    return InvalidArgumentError(
-        "ApplyReplicated: record for shard " + std::to_string(change.shard) +
-        " but this store has " + std::to_string(shards()) +
-        " — replicas must mirror their feed's shard layout");
+  for (const ChangeRecord& change : batch) {
+    auto it = schemas_.find(change.table);
+    if (it == schemas_.end()) {
+      return NotFoundError("ApplyReplicated: no table " + change.table);
+    }
+    if (change.shard >= shards()) {
+      return InvalidArgumentError(
+          "ApplyReplicated: record for shard " + std::to_string(change.shard) +
+          " but this store has " + std::to_string(shards()) +
+          " — replicas must mirror their feed's shard layout");
+    }
+    if (ShardOf(change.key, shards()) != change.shard) {
+      return InvalidArgumentError(
+          "ApplyReplicated: this store places key " + change.key +
+          " on a different shard than the feed did");
+    }
+    // Per-shard density is the in-order/exactly-once guarantee: a hole in
+    // one shard's stream stalls only the batches touching that shard, and
+    // the consumer re-pulls them.
+    uint64_t& next = next_shard_seqno[change.shard];
+    if (change.shard_seqno != next) {
+      return DataLossError(
+          "ApplyReplicated: shard " + std::to_string(change.shard) +
+          " expected shard seqno " + std::to_string(next) + ", got " +
+          std::to_string(change.shard_seqno));
+    }
+    ++next;
+    if (change.op != ChangeOp::kDelete) {
+      if (Status s = ValidateRow(it->second, change.row); !s.ok()) return s;
+    }
   }
-  if (ShardOf(change.key, shards()) != change.shard) {
-    return InvalidArgumentError(
-        "ApplyReplicated: this store places key " + change.key +
-        " on a different shard than the feed did");
-  }
-  Shard& shard = *shards_[change.shard];
-  std::unique_lock shard_lock(shard.mutex);
-  // Per-shard density is the in-order/exactly-once guarantee: a hole in one
-  // shard's stream stalls only that shard, and the consumer re-pulls it
-  // while the other shards keep applying.
-  if (change.shard_seqno != shard.next_shard_seqno) {
-    return DataLossError(
-        "ApplyReplicated: shard " + std::to_string(change.shard) +
-        " expected shard seqno " + std::to_string(shard.next_shard_seqno) +
-        ", got " + std::to_string(change.shard_seqno));
-  }
-  if (change.op != ChangeOp::kDelete) {
-    if (Status s = ValidateRow(schema, change.row); !s.ok()) return s;
-  }
-  if (Status s = WalAppend(change.shard, change.seqno, EncodeWalChange(change));
-      !s.ok()) {
-    return s;
-  }
-  shard.next_shard_seqno = change.shard_seqno + 1;
-  // The total order is the feed's; track the high-water mark so LastSeqno()
-  // reports how far this replica has seen, independent of arrival order
-  // across shards.
-  if (change.seqno >= next_seqno_.load(std::memory_order_relaxed)) {
-    next_seqno_.store(change.seqno + 1, std::memory_order_release);
-  }
-  ApplyAndLog(shard, schema, change);
-  shard_lock.unlock();
+  Status s =
+      CommitRecords(std::vector<ChangeRecord>(batch.begin(), batch.end()));
   schema_lock.unlock();
   commit.unlock();
-  RingCommitWakeup();
-  return Status::Ok();
+  if (s.ok()) RingCommitWakeup();
+  return s;
+}
+
+Status Database::WedgedError() {
+  return FailedPreconditionError(
+      "commit refused: an earlier batch reached only some WAL streams; "
+      "reopen them and Recover()");
 }
 
 // --- query ------------------------------------------------------------------
@@ -673,6 +785,9 @@ Status Database::Checkpoint() {
     return FailedPreconditionError("Checkpoint: no WAL attached");
   }
   std::lock_guard commit(commit_mutex_);
+  // Every stream is synced before any image is written, so no image covers
+  // a batch whose part on another shard could still be lost.
+  if (Status s = Sync(); !s.ok()) return s;
   std::shared_lock schema_lock(schema_mutex_);
   const uint64_t watermark = next_seqno_.load(std::memory_order_relaxed) - 1;
   std::vector<std::string> names;
@@ -756,19 +871,28 @@ Status Database::Sync() {
   return Status::Ok();
 }
 
-void Database::RecoverShard(uint32_t index, ShardRecoveryScratch& sc) {
+struct Database::ShardRecoveryScratch {
+  std::map<std::string, TableSchema, std::less<>> schema;
+  ShardRecovery result;
+  uint64_t after_lsn = 0;  // the loaded checkpoint's lsn
+  // The stream's tail past the checkpoint, decoded in LSN order; only the
+  // records of frames [0, keep) are applied.
+  std::vector<std::pair<uint64_t, WalRecord>> frames;  // (lsn, record)
+  size_t keep = 0;
+  Status batch_loss = Status::Ok();  // lost records of a partial batch
+};
+
+void Database::ReadShardTail(uint32_t index, ShardRecoveryScratch& sc) {
   const auto t0 = std::chrono::steady_clock::now();
   Shard& shard = *shards_[index];
   ShardRecovery& r = sc.result;
   r.torn_bytes = shard.wal->torn_bytes_dropped();
   const auto done = [&] {
-    r.shard_seqno = shard.next_shard_seqno - 1;
-    r.replay_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    r.replay_ms += std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
   };
 
-  uint64_t after_lsn = 0;
   auto ckpt = shard.wal->ReadLatestCheckpoint();
   if (ckpt.ok()) {
     wal::Decoder d(ckpt.value().image);
@@ -854,96 +978,237 @@ void Database::RecoverShard(uint32_t index, ShardRecoveryScratch& sc) {
     r.last_global_seqno = global_mark;
     shard.next_shard_seqno = shard_mark + 1;
     shard.log_head = shard_mark + 1;
-    after_lsn = ckpt.value().lsn;
+    sc.after_lsn = ckpt.value().lsn;
   } else if (ckpt.status().code() != ErrorCode::kNotFound) {
     r.status = ckpt.status();
     return done();
   }
 
-  Status replay = shard.wal->Replay(
-      after_lsn,
-      [&](uint64_t, uint64_t, std::string_view payload) -> Status {
-        auto rec_or = DecodeWalRecord(payload);
-        if (!rec_or.ok()) return rec_or.status();
-        WalRecord& rec = rec_or.value();
-        switch (rec.kind) {
-          case WalRecordKind::kCreateTable: {
-            if (sc.schema.contains(rec.table)) break;  // in the checkpoint
-            TableSchema schema;
-            schema.columns = std::move(rec.columns);
-            schema.key_column = rec.key_column;
-            sc.schema.emplace(rec.table, std::move(schema));
-            shard.tables.try_emplace(rec.table);
-            break;
-          }
-          case WalRecordKind::kCreateIndex: {
-            auto it = sc.schema.find(rec.table);
-            if (it == sc.schema.end()) {
-              return DataLossError("Recover: index on unknown table " +
-                                   rec.table);
-            }
-            TableSchema& schema = it->second;
-            size_t column_index = schema.columns.size();
-            for (size_t i = 0; i < schema.columns.size(); ++i) {
-              if (schema.columns[i].name == rec.column) {
-                column_index = i;
-                break;
-              }
-            }
-            if (column_index == schema.columns.size()) {
-              return DataLossError("Recover: index on unknown column " +
-                                   rec.column);
-            }
-            if (std::find(schema.indexed_columns.begin(),
-                          schema.indexed_columns.end(),
-                          column_index) == schema.indexed_columns.end()) {
-              schema.indexed_columns.push_back(column_index);
-              std::sort(schema.indexed_columns.begin(),
-                        schema.indexed_columns.end());
-            }
-            Partition& p = shard.tables[rec.table];
-            auto [index_it, created] = p.indexes.try_emplace(column_index);
-            if (created) {
-              for (const RowEntry& entry : p.rows) {
-                index_it->second.emplace(KeyString(entry.second[column_index]),
-                                         &entry);
-              }
-            }
-            break;
-          }
-          case WalRecordKind::kChange: {
-            if (rec.change.shard != index) {
-              return DataLossError(
-                  "Recover: record for shard " +
-                  std::to_string(rec.change.shard) + " in shard " +
-                  std::to_string(index) + "'s stream");
-            }
-            if (rec.change.shard_seqno != shard.next_shard_seqno) {
-              return DataLossError(
-                  "Recover: shard " + std::to_string(index) +
-                  " expected shard seqno " +
-                  std::to_string(shard.next_shard_seqno) + ", got " +
-                  std::to_string(rec.change.shard_seqno));
-            }
-            auto pit = shard.tables.find(rec.change.table);
-            if (pit == shard.tables.end()) {
-              return DataLossError("Recover: change for unknown table " +
-                                   rec.change.table);
-            }
-            ApplyChange(pit->second, rec.change);
-            shard.next_shard_seqno = rec.change.shard_seqno + 1;
-            r.last_global_seqno = rec.change.seqno;
-            shard.log.push_back(std::move(rec.change));
-            ++r.replayed;
+  // A decode error keeps the clean prefix before it — the shard serves what
+  // it has and is flagged kDataLoss by the merge step.
+  r.status = shard.wal->Replay(
+      sc.after_lsn, [&](uint64_t lsn, uint64_t, std::string_view payload) {
+        auto rec = DecodeWalRecord(payload);
+        if (!rec.ok()) return rec.status();
+        sc.frames.emplace_back(lsn, std::move(rec).value());
+        return Status::Ok();
+      });
+  sc.keep = sc.frames.size();
+  done();
+}
+
+void Database::CutPartialBatches(std::vector<ShardRecoveryScratch>& scratch) {
+  const size_t n = scratch.size();
+  // Every multi-shard batch in the tails: its range, its shards, and the
+  // frame holding its part on each shard that has one.
+  struct Parts {
+    uint64_t last = 0;
+    std::vector<uint32_t> shards;
+    std::map<uint32_t, size_t> frame;
+  };
+  std::map<uint64_t, Parts> batches;
+  for (uint32_t k = 0; k < n; ++k) {
+    const auto& frames = scratch[k].frames;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      const WalRecord& rec = frames[i].second;
+      if (rec.kind != WalRecordKind::kBatch || rec.batch_shards.size() < 2) {
+        continue;
+      }
+      Parts& b = batches[rec.batch_first];
+      b.last = rec.batch_last;
+      b.shards = rec.batch_shards;
+      b.frame[k] = i;
+    }
+  }
+  if (batches.empty()) return;
+
+  // A shard's checkpoint covers every batch at or below its watermark
+  // (Checkpoint syncs every stream before writing any image).
+  const auto covered = [&](const Parts& b, uint32_t t) {
+    return t < n && b.last <= scratch[t].result.checkpoint_seqno;
+  };
+  const auto durable = [&](const Parts& b, uint32_t t) {
+    if (covered(b, t)) return true;
+    auto it = b.frame.find(t);
+    return it != b.frame.end() && it->second < scratch[t].keep;
+  };
+  // Each shard keeps the frames before its first batch with a part that is
+  // not durable. Cutting one tail can orphan a later batch's parts on
+  // another shard, so repeat until no cut moves.
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (auto& sc : scratch) {
+      for (size_t i = 0; i < sc.keep; ++i) {
+        const WalRecord& rec = sc.frames[i].second;
+        if (rec.kind != WalRecordKind::kBatch || rec.batch_shards.size() < 2) {
+          continue;
+        }
+        const Parts& b = batches.at(rec.batch_first);
+        if (std::all_of(b.shards.begin(), b.shards.end(),
+                        [&](uint32_t t) { return durable(b, t); })) {
+          continue;
+        }
+        sc.keep = i;
+        moved = true;
+        break;
+      }
+    }
+  }
+
+  // Flag the shards that lost records: those without their part of a
+  // batch another shard holds, and those that drop a record of a batch
+  // whose every part reached disk (only a stream's tail past a partial
+  // batch can hold one).
+  const auto missing = [&](const Parts& b, uint32_t t) {
+    return t >= n || (!covered(b, t) && !b.frame.contains(t));
+  };
+  const auto broken = [&](const Parts& b) {
+    return std::any_of(b.shards.begin(), b.shards.end(),
+                       [&](uint32_t t) { return missing(b, t); });
+  };
+  const auto flag = [&](uint32_t k, std::string why) {
+    if (scratch[k].batch_loss.ok()) {
+      scratch[k].batch_loss = DataLossError("shard " + std::to_string(k) +
+                                            ": " + std::move(why));
+    }
+  };
+  for (const auto& [first, b] : batches) {
+    if (!broken(b)) continue;
+    for (const uint32_t t : b.shards) {
+      if (t < n && missing(b, t)) {
+        flag(t, "its part of the batch at seqno " + std::to_string(first) +
+                    " never reached the WAL; heal via catch-up");
+      }
+    }
+  }
+  for (uint32_t k = 0; k < n; ++k) {
+    auto& sc = scratch[k];
+    for (size_t i = sc.keep; i < sc.frames.size(); ++i) {
+      const WalRecord& rec = sc.frames[i].second;
+      if (rec.changes.empty()) continue;  // DDL
+      sc.result.dropped_records += rec.changes.size();
+      const bool part_of_broken = rec.kind == WalRecordKind::kBatch &&
+                                  rec.batch_shards.size() > 1 &&
+                                  broken(batches.at(rec.batch_first));
+      if (!part_of_broken) {
+        flag(k, "dropped a durable commit behind a partial batch; heal via "
+                "catch-up");
+      }
+    }
+  }
+}
+
+void Database::ReplayShardTail(uint32_t index, ShardRecoveryScratch& sc) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Shard& shard = *shards_[index];
+  ShardRecovery& r = sc.result;
+  const auto apply = [&](WalRecord& rec) -> Status {
+    switch (rec.kind) {
+      case WalRecordKind::kCreateTable: {
+        if (sc.schema.contains(rec.table)) break;  // in the checkpoint
+        TableSchema schema;
+        schema.columns = std::move(rec.columns);
+        schema.key_column = rec.key_column;
+        sc.schema.emplace(rec.table, std::move(schema));
+        shard.tables.try_emplace(rec.table);
+        break;
+      }
+      case WalRecordKind::kCreateIndex: {
+        auto it = sc.schema.find(rec.table);
+        if (it == sc.schema.end()) {
+          return DataLossError("Recover: index on unknown table " + rec.table);
+        }
+        TableSchema& schema = it->second;
+        size_t column_index = schema.columns.size();
+        for (size_t i = 0; i < schema.columns.size(); ++i) {
+          if (schema.columns[i].name == rec.column) {
+            column_index = i;
             break;
           }
         }
-        return Status::Ok();
-      });
+        if (column_index == schema.columns.size()) {
+          return DataLossError("Recover: index on unknown column " +
+                               rec.column);
+        }
+        if (std::find(schema.indexed_columns.begin(),
+                      schema.indexed_columns.end(),
+                      column_index) == schema.indexed_columns.end()) {
+          schema.indexed_columns.push_back(column_index);
+          std::sort(schema.indexed_columns.begin(),
+                    schema.indexed_columns.end());
+        }
+        Partition& p = shard.tables[rec.table];
+        auto [index_it, created] = p.indexes.try_emplace(column_index);
+        if (created) {
+          for (const RowEntry& entry : p.rows) {
+            index_it->second.emplace(KeyString(entry.second[column_index]),
+                                     &entry);
+          }
+        }
+        break;
+      }
+      case WalRecordKind::kChange:
+      case WalRecordKind::kBatch: {
+        for (ChangeRecord& change : rec.changes) {
+          if (change.shard != index) {
+            return DataLossError("Recover: record for shard " +
+                                 std::to_string(change.shard) + " in shard " +
+                                 std::to_string(index) + "'s stream");
+          }
+          if (change.shard_seqno != shard.next_shard_seqno) {
+            return DataLossError(
+                "Recover: shard " + std::to_string(index) +
+                " expected shard seqno " +
+                std::to_string(shard.next_shard_seqno) + ", got " +
+                std::to_string(change.shard_seqno));
+          }
+          auto pit = shard.tables.find(change.table);
+          if (pit == shard.tables.end()) {
+            return DataLossError("Recover: change for unknown table " +
+                                 change.table);
+          }
+          ApplyChange(pit->second, change);
+          shard.next_shard_seqno = change.shard_seqno + 1;
+          r.last_global_seqno = change.seqno;
+          shard.log.push_back(std::move(change));
+          ++r.replayed;
+        }
+        break;
+      }
+    }
+    return Status::Ok();
+  };
+
+  // Schema records past the cut were committed on their own: they still
+  // apply, and go back into the stream after the truncation.
+  Status replay = Status::Ok();
+  std::vector<std::string> ddl_past_cut;
+  for (size_t i = 0; i < sc.frames.size() && replay.ok(); ++i) {
+    WalRecord& rec = sc.frames[i].second;
+    if (i >= sc.keep) {
+      if (!rec.changes.empty()) continue;
+      ddl_past_cut.push_back(
+          rec.kind == WalRecordKind::kCreateTable
+              ? EncodeWalCreateTable(rec.table, rec.columns, rec.key_column)
+              : EncodeWalCreateIndex(rec.table, rec.column));
+    }
+    replay = apply(rec);
+  }
+  if (replay.ok() && sc.keep < sc.frames.size()) {
+    replay = shard.wal->TruncateAfter(
+        sc.keep == 0 ? sc.after_lsn : sc.frames[sc.keep - 1].first);
+    for (size_t i = 0; i < ddl_past_cut.size() && replay.ok(); ++i) {
+      replay = shard.wal->Append(shard.wal->last_seqno(), ddl_past_cut[i]);
+    }
+  }
   // A replay error keeps the clean prefix applied before it — the shard
   // serves what it has and is flagged kDataLoss by the merge step.
-  if (!replay.ok()) r.status = replay;
-  done();
+  if (!replay.ok() && r.status.ok()) r.status = replay;
+  sc.frames.clear();
+  r.shard_seqno = shard.next_shard_seqno - 1;
+  r.replay_ms += std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
 }
 
 Status Database::Recover() {
@@ -962,9 +1227,11 @@ Status Database::Recover() {
     }
   }
 
-  // Replay every shard in parallel: each worker owns its shard's state
-  // exclusively (plus private schema scratch merged serially below), so no
-  // locks are needed while the pool runs.
+  // Read, then replay, every shard in parallel: each worker owns its
+  // shard's state exclusively (plus private schema scratch merged serially
+  // below), so no locks are needed while the pool runs. Between the two
+  // passes every tail is cut before its first batch that is not durable on
+  // every shard it touched.
   const size_t n = shards_.size();
   std::vector<ShardRecoveryScratch> scratch(n);
   size_t workers =
@@ -972,16 +1239,22 @@ Status Database::Recover() {
           ? recovery_threads_
           : std::max<size_t>(1, std::thread::hardware_concurrency());
   workers = std::min(workers, n);
-  if (workers <= 1) {
-    for (uint32_t k = 0; k < n; ++k) RecoverShard(k, scratch[k]);
-  } else {
-    ThreadPool pool(workers);
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+  using Pass = void (Database::*)(uint32_t, ShardRecoveryScratch&);
+  const auto each_shard = [&](Pass pass) {
     for (uint32_t k = 0; k < n; ++k) {
-      pool.Submit([this, k, &scratch] { RecoverShard(k, scratch[k]); });
+      const auto run = [this, pass, k, &scratch] {
+        (this->*pass)(k, scratch[k]);
+      };
+      if (pool == nullptr || !pool->Submit(run)) run();
     }
-    pool.Wait();
-    pool.Shutdown();
-  }
+    if (pool != nullptr) pool->Wait();
+  };
+  each_shard(&Database::ReadShardTail);
+  CutPartialBatches(scratch);
+  each_shard(&Database::ReplayShardTail);
+  pool.reset();
 
   // Merge the per-shard schema views (identical by construction — every
   // stream carries every DDL record; a stream torn before a late DDL just
@@ -1045,6 +1318,8 @@ Status Database::Recover() {
       r.status = DataLossError(
           "shard " + std::to_string(k) + ": torn WAL tail (" +
           std::to_string(r.torn_bytes) + " bytes dropped); heal via catch-up");
+    } else {
+      r.status = scratch[k].batch_loss;
     }
     // A clean-boundary tail loss (group commit: frames unsynced at the
     // crash, nothing torn) leaves no per-shard evidence — a short stream
@@ -1132,31 +1407,44 @@ Result<ChangeBatch> Database::ReadChanges(const ChangeCursor& cursor,
   batch.next.positions.resize(n);
   for (size_t k = 0; k < n; ++k) batch.next.positions[k] = cursor.at(k);
 
-  // Per shard: the tail past the cursor (bounded by limit — the merge can
-  // never consume more than `limit` from one shard).
+  // Per shard: the tail past the cursor. One shard contributes at most
+  // `limit` records plus the rest of the batch the last of them belongs
+  // to, so the tails hold everything the merge below can take. Every shard
+  // is read under its lock at once: a batch is applied under all of its
+  // shards' locks, so the read holds all of it or none.
+  const auto batch_continues = [limit](const std::vector<ChangeRecord>& out,
+                                       const ChangeRecord& next) {
+    return out.size() < limit ||
+           (!out.empty() && next.seqno <= out.back().batch_end);
+  };
   std::vector<std::vector<ChangeRecord>> tails(n);
-  for (size_t k = 0; k < n; ++k) {
-    const Shard& shard = *shards_[k];
-    std::shared_lock lock(shard.mutex);
-    const uint64_t pos = cursor.at(k);
-    if (pos + 1 < shard.log_head) {
-      // This shard's records at the cursor were truncated after a
-      // checkpoint: withhold the shard (position unmoved) and report the
-      // gap; the healthy shards still flow below.
-      batch.gap_shards.push_back(static_cast<uint32_t>(k));
-      continue;
-    }
-    auto it = std::lower_bound(
-        shard.log.begin(), shard.log.end(), pos + 1,
-        [](const ChangeRecord& r, uint64_t s) { return r.shard_seqno < s; });
-    for (; it != shard.log.end() && tails[k].size() < limit; ++it) {
-      tails[k].push_back(*it);
+  {
+    std::vector<std::shared_lock<std::shared_mutex>> locks;
+    locks.reserve(n);
+    for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+    for (size_t k = 0; k < n; ++k) {
+      const Shard& shard = *shards_[k];
+      const uint64_t pos = cursor.at(k);
+      if (pos + 1 < shard.log_head) {
+        // This shard's records at the cursor were truncated after a
+        // checkpoint: withhold the shard (position unmoved) and report the
+        // gap; the healthy shards still flow below.
+        batch.gap_shards.push_back(static_cast<uint32_t>(k));
+        continue;
+      }
+      auto it = std::lower_bound(
+          shard.log.begin(), shard.log.end(), pos + 1,
+          [](const ChangeRecord& r, uint64_t s) { return r.shard_seqno < s; });
+      for (; it != shard.log.end() && batch_continues(tails[k], *it); ++it) {
+        tails[k].push_back(*it);
+      }
     }
   }
 
-  // K-way merge by global seqno.
+  // K-way merge by global seqno, up to `limit` and then to the end of the
+  // batch it stopped in.
   std::vector<size_t> heads(n, 0);
-  while (batch.records.size() < limit) {
+  for (;;) {
     size_t best = n;
     for (size_t k = 0; k < n; ++k) {
       if (heads[k] >= tails[k].size()) continue;
@@ -1165,7 +1453,10 @@ Result<ChangeBatch> Database::ReadChanges(const ChangeCursor& cursor,
         best = k;
       }
     }
-    if (best == n) break;
+    if (best == n ||
+        !batch_continues(batch.records, tails[best][heads[best]])) {
+      break;
+    }
     ChangeRecord& rec = tails[best][heads[best]++];
     batch.next.positions[best] = rec.shard_seqno;
     batch.records.push_back(std::move(rec));

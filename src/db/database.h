@@ -6,10 +6,13 @@
 //  * typed tables with primary keys and secondary indexes, read in place
 //    through one visitor (point, index or full-table), used by the page
 //    generators to render content;
-//  * a shard-aware change feed: every commit carries a total-order seqno
+//  * atomic commits: one WriteBatch (one scoring result) commits as a
+//    unit — one seqno range, one WAL frame per touched shard, one visible
+//    step for readers and one commit wake-up;
+//  * a shard-aware change feed: every record carries a total-order seqno
 //    plus a dense per-shard (shard, shard_seqno) pair, consumed through
-//    per-shard cursors (ReadChanges) — the feed the trigger monitor tails
-//    and the replication shipper pulls;
+//    per-shard cursors (ReadChanges, which never splits a commit) — the
+//    feed the trigger monitor tails and the replication shipper pulls;
 //  * a data-free commit wake-up for the consumer that tails the feed.
 //
 // Sharding: rows are partitioned across N independent shards by ShardOf
@@ -20,10 +23,13 @@
 // the store.
 //
 // Concurrency: one reader/writer lock per shard plus a global commit mutex
-// that serializes mutations (assigning the total-order seqno). Writes were
-// rare relative to reads at the Olympic site (tens of thousands of updates
-// per day vs tens of millions of requests), so serialized commits are
-// faithful; reads only take the shard locks they touch.
+// that serializes commits (assigning the total-order seqno). A commit
+// writes and syncs its WAL frames under the commit mutex alone and takes
+// the touched shards' write locks only to apply, so readers never wait on
+// a disk flush. Writes were rare relative to reads at the Olympic site
+// (tens of thousands of updates per day vs tens of millions of requests),
+// so serialized commits are faithful; reads only take the shard locks they
+// touch.
 #pragma once
 
 #include <atomic>
@@ -34,6 +40,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -97,11 +104,13 @@ enum class ChangeOp : uint8_t { kInsert, kUpdate, kDelete };
 // One committed mutation. Carries the full row image so replicas can apply
 // the log without reading back from the master. `seqno` is the total commit
 // order across the store; (shard, shard_seqno) is the dense per-shard
-// numbering that cursors, replication and recovery actually track.
+// numbering that cursors, replication and recovery actually track. The
+// records of one commit hold contiguous seqnos ending at `batch_end`.
 struct ChangeRecord {
   uint64_t seqno = 0;
   uint32_t shard = 0;
   uint64_t shard_seqno = 0;
+  uint64_t batch_end = 0;  // seqno of the last record of this commit
   std::string table;
   std::string key;  // KeyString of the primary key
   ChangeOp op = ChangeOp::kInsert;
@@ -110,15 +119,41 @@ struct ChangeRecord {
 };
 
 // One page of the shard-aware change feed (ReadChanges). Records are merged
-// across shards in total (global seqno) order; `next` resumes after the
-// last record returned. Shards whose cursor position was truncated after a
-// checkpoint are listed in `gap_shards` — their records are withheld and
-// their cursor position left unmoved, so the consumer resyncs exactly those
-// shards while the healthy ones keep flowing.
+// across shards in total (global seqno) order and end on a commit
+// boundary; `next` resumes after the last record returned. Shards whose
+// cursor position was truncated after a checkpoint are listed in
+// `gap_shards` — their records are withheld and their cursor position
+// left unmoved, so the consumer resyncs exactly those shards while the
+// healthy ones keep flowing.
 struct ChangeBatch {
   std::vector<ChangeRecord> records;
   ChangeCursor next;
   std::vector<uint32_t> gap_shards;
+};
+
+// One logical update — rows upserted and deleted as a unit (Database::
+// Commit). Later operations see earlier ones: a row upserted twice commits
+// two records, the second image last.
+class WriteBatch {
+ public:
+  void Upsert(std::string_view table, Row row) {
+    ops_.push_back({std::string(table), std::move(row), Value(), false});
+  }
+  void Delete(std::string_view table, Value key) {
+    ops_.push_back({std::string(table), Row(), std::move(key), true});
+  }
+  size_t size() const { return ops_.size(); }
+  bool empty() const { return ops_.empty(); }
+
+ private:
+  friend class Database;
+  struct Op {
+    std::string table;
+    Row row;    // upsert: the row image
+    Value key;  // delete: the primary key
+    bool erase = false;
+  };
+  std::vector<Op> ops_;
 };
 
 struct DatabaseOptions : OptionsBase {
@@ -150,40 +185,12 @@ struct DatabaseOptions : OptionsBase {
   Status Validate() const;
 };
 
-// --- WAL payload codec ---
-// Every WAL payload starts with a kind tag so replay can rebuild schema and
-// content in commit order (schema records carry the seqno watermark of the
-// last data change and are appended to every shard stream, keeping each
-// stream self-contained; data records carry their own seqno).
-enum class WalRecordKind : uint8_t {
-  kChange = 1,
-  kCreateTable = 2,
-  kCreateIndex = 3,
-};
-
-struct WalRecord {
-  WalRecordKind kind = WalRecordKind::kChange;
-  ChangeRecord change;             // kChange
-  std::string table;               // kCreateTable / kCreateIndex
-  std::vector<ColumnSpec> columns; // kCreateTable
-  size_t key_column = 0;           // kCreateTable
-  std::string column;              // kCreateIndex
-};
-
-std::string EncodeWalChange(const ChangeRecord& change);
-std::string EncodeWalCreateTable(std::string_view table,
-                                 const std::vector<ColumnSpec>& columns,
-                                 size_t key_column);
-std::string EncodeWalCreateIndex(std::string_view table,
-                                 std::string_view column);
-// kDataLoss on a malformed payload.
-Result<WalRecord> DecodeWalRecord(std::string_view payload);
-
 // Per-shard outcome of the last Recover() call. A shard whose WAL stream
-// had a torn tail (or failed replay outright) carries kDataLoss here while
-// the other shards come back healthy — the caller (WarmRestart) heals
-// exactly that shard through per-shard replication instead of resyncing
-// the world. Clean-boundary group-commit tail losses leave no per-shard
+// had a torn tail (or failed replay outright), or lacks its part of a
+// commit another shard holds, carries kDataLoss here while the other
+// shards come back healthy — the caller (WarmRestart) heals exactly that
+// shard through per-shard replication instead of resyncing the world.
+// Other clean-boundary group-commit tail losses leave no per-shard
 // evidence and surface only as RecoveryReport::missing_records.
 struct ShardRecovery {
   Status status = Status::Ok();
@@ -192,6 +199,9 @@ struct ShardRecovery {
   uint64_t last_global_seqno = 0;  // highest global seqno this shard holds
   uint64_t shard_seqno = 0;        // dense per-shard watermark after recovery
   uint64_t torn_bytes = 0;         // bytes the WAL dropped from a torn tail
+  // Durable records dropped because their commit was not durable on every
+  // shard it touched (they are truncated from the stream).
+  uint64_t dropped_records = 0;
   double replay_ms = 0.0;          // this shard's checkpoint-load + replay time
 };
 
@@ -233,15 +243,27 @@ class Database {
                              std::string_view column) const;
 
   // --- mutation (goes through the change log) ---
+  // Commits `batch` as one unit: every row is validated first (any failure
+  // commits nothing), the records take one contiguous seqno range, each
+  // touched shard's WAL stream gets one frame and one sync, and readers,
+  // the change feed and the commit wake-up see the whole batch at once.
+  // An empty batch commits nothing. If a WAL append fails after another
+  // shard's frame of the same batch reached its stream, the store refuses
+  // every later commit (kFailedPrecondition) — the in-process stand-in for
+  // dying mid-commit; reopen and Recover(), which drops the partial batch.
+  Status Commit(WriteBatch batch);
+  // Batches of one.
   Status Upsert(std::string_view table, Row row);
   Status Delete(std::string_view table, const Value& key);
 
-  // Applies a replicated change without assigning new local seqnos — used
-  // by replicas so their logs mirror the master's numbering exactly.
-  // Enforces per-shard density (change.shard_seqno must be the shard's
-  // next), so each shard's stream is in-order and exactly-once while the
-  // shards heal independently of one another.
-  Status ApplyReplicated(const ChangeRecord& change);
+  // Applies one replicated commit (its records, in seqno order) without
+  // assigning new local seqnos — used by replicas so their logs mirror the
+  // master's numbering exactly — through the same commit path, so a
+  // replica's readers and tail see whole commits too. Enforces per-shard
+  // density (each record's shard_seqno must be its shard's next), so each
+  // shard's stream is in-order and exactly-once; any violation applies
+  // nothing.
+  Status ApplyReplicated(std::span<const ChangeRecord> batch);
 
   // --- secondary indexes ---
   // Builds (and thereafter maintains) an index on `column`. Idempotent.
@@ -269,7 +291,10 @@ class Database {
   Status Checkpoint();
   // Rebuilds an empty database (no tables, no commits) from each shard's
   // newest checkpoint plus its WAL tail, replaying shards in parallel on a
-  // thread pool (recovery_threads). Original seqnos are preserved:
+  // thread pool (recovery_threads). A commit is applied only if every
+  // shard it touched holds its part durably; a partial one is dropped on
+  // every shard and truncated from the streams, together with anything a
+  // stream holds after it. Original seqnos are preserved:
   // LastSeqno() afterwards equals the last durably committed seqno and new
   // commits continue densely from it; per-shard seqnos likewise. The commit
   // wake-up does not ring during recovery.
@@ -297,10 +322,12 @@ class Database {
   // checkpoint-based recovery moves it.
   uint64_t log_head_seqno() const;
 
-  // The one fallible cursor API (ISSUE 8): records past `cursor`, merged
-  // across shards in total order, up to `limit`. ChangeBatch::next resumes
-  // after the last record returned; truncated shards are reported in
-  // gap_shards (position unmoved) while healthy shards keep flowing.
+  // The one fallible cursor API: records past `cursor`, merged across
+  // shards in total order, up to `limit` — rounded up to the end of the
+  // commit the limit falls in, so a commit is never split. The read sees
+  // every shard at one instant. ChangeBatch::next resumes after the last
+  // record returned; truncated shards are reported in gap_shards (position
+  // unmoved) while healthy shards keep flowing.
   // Errors only when the read itself fails (the fault plan's
   // {"db", <instance>, "changes"} point) — kUnavailable, retry later.
   Result<ChangeBatch> ReadChanges(const ChangeCursor& cursor,
@@ -320,8 +347,9 @@ class Database {
   // global watermark.
   ChangeCursor CursorAtGlobal(uint64_t seqno) const;
 
-  // Installs the commit wake-up (empty function = none): rung after every
-  // Upsert, Delete and ApplyReplicated, with no data lock held, so it may
+  // Installs the commit wake-up (empty function = none): rung once after
+  // every Commit (Upsert, Delete) and ApplyReplicated, with no data lock
+  // held, so it may
   // read the database; it must not commit. It carries no data — the woken
   // consumer reads the records with ReadChanges. One slot; once this call
   // returns, the previous wake-up is no longer running or rung.
@@ -368,31 +396,32 @@ class Database {
 
   // Scratch state one shard's recovery worker builds in isolation; merged
   // serially after every worker joins.
-  struct ShardRecoveryScratch {
-    std::map<std::string, TableSchema, std::less<>> schema;
-    ShardRecovery result;
-  };
+  struct ShardRecoveryScratch;
 
   Status ValidateRow(const TableSchema& schema, const Row& row) const;
-  // Appends one encoded record to shard `shard`'s WAL (no-op without one).
-  // Called with the commit mutex held, *before* the mutation is applied — a
-  // failed append fails the commit without consuming either seqno.
-  Status WalAppend(uint32_t shard, uint64_t seqno, const std::string& payload);
   // Appends a DDL record to every shard stream (each stream replays alone).
   Status WalAppendAll(uint64_t seqno, const std::string& payload);
-  // Applies a validated change to one shard's partition (rows + indexes)
-  // and appends it to the shard log; callers hold the commit mutex and are
-  // about to take (or hold) the shard's write lock.
-  void ApplyAndLog(Shard& shard, const TableSchema& schema,
-                   const ChangeRecord& change);
+  // The one commit path (Commit and ApplyReplicated): `records` are
+  // validated and numbered, in seqno order; the caller holds the commit
+  // mutex and the schema lock. Writes one WAL frame per touched shard, then
+  // applies and logs every record under all the touched shards' write
+  // locks and publishes the seqno.
+  Status CommitRecords(std::vector<ChangeRecord> records);
+  static Status WedgedError();
   // Rings the commit wake-up. Called with no data lock held.
   void RingCommitWakeup();
   static void ApplyChange(Partition& p, const ChangeRecord& change);
   // Index maintenance around a row mutation.
   static void UnindexRow(Partition& p, const RowEntry& entry);
   static void IndexRow(Partition& p, const RowEntry& entry);
-  // One shard's checkpoint-load + tail-replay, run on the recovery pool.
-  void RecoverShard(uint32_t index, ShardRecoveryScratch& scratch);
+  // Recovery, in three passes: each shard's checkpoint load and tail
+  // decode (on the recovery pool); then, serially, every tail is cut
+  // before its first batch with a part that is not durable (flagging the
+  // shards that lost records); then each shard's replay of what it keeps,
+  // truncating the rest from its stream (on the pool).
+  void ReadShardTail(uint32_t index, ShardRecoveryScratch& scratch);
+  static void CutPartialBatches(std::vector<ShardRecoveryScratch>& scratch);
+  void ReplayShardTail(uint32_t index, ShardRecoveryScratch& scratch);
 
   const Clock* clock_;
   fault::FaultInjector* faults_;
@@ -404,6 +433,8 @@ class Database {
   // index). Readers may take schema + any subset of shard locks (ascending)
   // without the commit mutex.
   std::mutex commit_mutex_;
+  // A batch reached some WAL streams but not all (commit_mutex_).
+  bool wedged_ = false;
   mutable std::shared_mutex schema_mutex_;
   std::map<std::string, TableSchema, std::less<>> schemas_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <map>
 #include <optional>
 
 namespace nagano::pagegen {
@@ -493,6 +494,16 @@ std::string PhotoStrip(const Database& db, DependencyRecorder& deps,
 
 // --- schema & population -----------------------------------------------------
 
+namespace {
+
+Row NewsRow(int64_t article_id, int day, std::string_view title,
+            std::string_view body, int64_t sport_id) {
+  return Row{Value(article_id), Value(int64_t(day)), Value(std::string(title)),
+             Value(std::string(body)), Value(sport_id)};
+}
+
+}  // namespace
+
 Status OlympicSite::CreateSchema(Database* db) {
   assert(db != nullptr);
   Status s;
@@ -564,31 +575,32 @@ Status OlympicSite::Build(const OlympicConfig& config, Database* db) {
   Status s = CreateSchema(db);
   if (!s.ok()) return s;
 
+  // The seed rows commit as one batch: one WAL frame per shard, not one
+  // fsynced commit per row.
   Rng rng(config.seed);
+  db::WriteBatch batch;
 
   const int num_sports =
       std::min<int>(config.num_sports, std::size(kSportNames));
   for (int i = 0; i < num_sports; ++i) {
-    s = db->Upsert("sports", Row{Value(int64_t(i + 1)), Value(std::string(kSportNames[i]))});
-    if (!s.ok()) return s;
+    batch.Upsert("sports", Row{Value(int64_t(i + 1)),
+                                 Value(std::string(kSportNames[i]))});
   }
 
   for (size_t v = 0; v < std::size(kVenueNames); ++v) {
-    s = db->Upsert("venues",
-                   Row{Value(std::string(kVenueNames[v])),
-                       Value(std::string(v < 4 ? "Nagano City" : "Nagano Prefecture")),
-                       Value(int64_t(5000 + 1500 * (v % 5)))});
-    if (!s.ok()) return s;
+    batch.Upsert("venues",
+                 Row{Value(std::string(kVenueNames[v])),
+                     Value(std::string(v < 4 ? "Nagano City" : "Nagano Prefecture")),
+                     Value(int64_t(5000 + 1500 * (v % 5)))});
   }
 
   const int num_countries =
       std::min<int>(config.num_countries, std::size(kCountryCodes));
   for (int i = 0; i < num_countries; ++i) {
     const std::string code = kCountryCodes[i];
-    s = db->Upsert("countries",
-                   Row{Value(code), Value("Team " + code), Value(int64_t(0)),
-                       Value(int64_t(0)), Value(int64_t(0))});
-    if (!s.ok()) return s;
+    batch.Upsert("countries",
+                 Row{Value(code), Value("Team " + code), Value(int64_t(0)),
+                     Value(int64_t(0)), Value(int64_t(0))});
   }
 
   // Events: spread each sport's events evenly across the days.
@@ -602,11 +614,10 @@ Status OlympicSite::Build(const OlympicConfig& config, Database* db) {
                                " #" + std::to_string(k / 2 + 1);
       const std::string venue =
           kVenueNames[rng.NextBelow(std::size(kVenueNames))];
-      s = db->Upsert("events",
-                     Row{Value(event_id), Value(int64_t(sp)), Value(name),
-                         Value(int64_t(day)), Value(venue),
-                         Value(std::string("scheduled"))});
-      if (!s.ok()) return s;
+      batch.Upsert("events",
+                   Row{Value(event_id), Value(int64_t(sp)), Value(name),
+                       Value(int64_t(day)), Value(venue),
+                       Value(std::string("scheduled"))});
     }
   }
 
@@ -620,20 +631,19 @@ Status OlympicSite::Build(const OlympicConfig& config, Database* db) {
           kCountryCodes[(k + rng.NextBelow(3)) % num_countries];
       const std::string name =
           cc + " " + kSportNames[sp - 1][0] + std::to_string(athlete_id);
-      s = db->Upsert("athletes", Row{Value(athlete_id), Value(name), Value(cc),
-                                     Value(int64_t(sp))});
-      if (!s.ok()) return s;
+      batch.Upsert("athletes", Row{Value(athlete_id), Value(name), Value(cc),
+                                   Value(int64_t(sp))});
     }
   }
 
   for (int i = 1; i <= config.initial_news_articles; ++i) {
     const int day = 1 + (i - 1) % config.days;
-    s = PublishNews(db, i, day, "Preview article " + std::to_string(i),
-                    "Ahead of the games: story number " + std::to_string(i) + ".",
-                    1 + (i % num_sports));
-    if (!s.ok()) return s;
+    batch.Upsert("news", NewsRow(i, day, "Preview article " + std::to_string(i),
+                                 "Ahead of the games: story number " +
+                                     std::to_string(i) + ".",
+                                 1 + (i % num_sports)));
   }
-  return Status::Ok();
+  return db->Commit(std::move(batch));
 }
 
 // --- page names ---------------------------------------------------------------
@@ -1333,15 +1343,14 @@ Status OlympicSite::RecordResult(Database* db, int64_t event_id, int64_t rank,
   db->Read("events", db::RowFilter::Key(Value(event_id)),
            [&](const Row& r) { event = r; });
   if (!event) return NotFoundError("no event " + std::to_string(event_id));
-  Status s = db->Upsert(
-      "results", Row{Value(ResultKey(event_id, rank)), Value(event_id),
-                     Value(rank), Value(athlete_id), Value(score)});
-  if (!s.ok()) return s;
+  db::WriteBatch batch;
+  batch.Upsert("results", Row{Value(ResultKey(event_id, rank)), Value(event_id),
+                              Value(rank), Value(athlete_id), Value(score)});
   if (AsString((*event)[events_col::kStatus]) == "scheduled") {
     (*event)[events_col::kStatus] = std::string("in_progress");
-    return db->Upsert("events", std::move(*event));
+    batch.Upsert("events", std::move(*event));
   }
-  return Status::Ok();
+  return db->Commit(std::move(batch));
 }
 
 Status OlympicSite::CompleteEvent(Database* db, int64_t event_id) {
@@ -1359,29 +1368,37 @@ Status OlympicSite::CompleteEvent(Database* db, int64_t event_id) {
   const int64_t silver = results[1].athlete_id;
   const int64_t bronze = results[2].athlete_id;
 
-  Status s = db->Upsert("medals", Row{Value(event_id), Value(gold),
-                                      Value(silver), Value(bronze)});
-  if (!s.ok()) return s;
-
-  // Bump each medalist country's tally.
+  // One commit: the medals row, each medallist country's tally, then the
+  // event's status, so no reader sees a medal without its tally or a
+  // medallist list without the final status.
+  db::WriteBatch batch;
+  batch.Upsert("medals", Row{Value(event_id), Value(gold), Value(silver),
+                             Value(bronze)});
+  // A country with two medallists is bumped twice on one row; each bump
+  // commits the row's image after it.
+  std::map<std::string, Row> tallies;
   const std::pair<int64_t, size_t> awards[] = {
       {gold, countries_col::kGolds},
       {silver, countries_col::kSilvers},
       {bronze, countries_col::kBronzes}};
   for (const auto& [athlete, column] : awards) {
     const std::string cc = LoadAthlete(*db, athlete).country;
-    std::optional<Row> country;
-    db->Read("countries", db::RowFilter::Key(Value(cc)),
-             [&](const Row& r) { country = r; });
-    if (!country) return NotFoundError("no country " + cc);
-    Row& row = *country;
+    auto it = tallies.find(cc);
+    if (it == tallies.end()) {
+      std::optional<Row> country;
+      db->Read("countries", db::RowFilter::Key(Value(cc)),
+               [&](const Row& r) { country = r; });
+      if (!country) return NotFoundError("no country " + cc);
+      it = tallies.emplace(cc, std::move(*country)).first;
+    }
+    Row& row = it->second;
     row[column] = AsInt(row[column]) + 1;
-    s = db->Upsert("countries", std::move(row));
-    if (!s.ok()) return s;
+    batch.Upsert("countries", row);
   }
 
   (*event)[events_col::kStatus] = std::string("final");
-  return db->Upsert("events", std::move(*event));
+  batch.Upsert("events", std::move(*event));
+  return db->Commit(std::move(batch));
 }
 
 Status OlympicSite::PublishPhoto(Database* db, int64_t photo_id,
@@ -1397,10 +1414,7 @@ Status OlympicSite::PublishPhoto(Database* db, int64_t photo_id,
 Status OlympicSite::PublishNews(Database* db, int64_t article_id, int day,
                                 std::string_view title, std::string_view body,
                                 int64_t sport_id) {
-  return db->Upsert("news",
-                    Row{Value(article_id), Value(int64_t(day)),
-                        Value(std::string(title)), Value(std::string(body)),
-                        Value(sport_id)});
+  return db->Upsert("news", NewsRow(article_id, day, title, body, sport_id));
 }
 
 }  // namespace nagano::pagegen

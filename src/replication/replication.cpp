@@ -1,6 +1,8 @@
 #include "replication/replication.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace nagano::replication {
 
@@ -162,31 +164,55 @@ size_t ReplicationTopology::PumpNode(Node& node) {
   size_t applied = 0;
   // A shard that observes a gap mid-round wedges for the rest of the round
   // (its cursor stays put, so the next pump re-reads from the hole) without
-  // blocking its siblings.
+  // blocking its siblings; so does every shard of a commit that touches a
+  // wedged one, since commits apply whole or not at all.
   std::vector<bool> wedged(feed->database->shards(), false);
-  for (const db::ChangeRecord& record : batch.records) {
-    if (record.committed_at + lag > now) break;  // not yet arrived
-    if (record.shard < wedged.size() && wedged[record.shard]) continue;
-    if (!fault::Check(faults_, "replication", node.name, "gap").ok()) {
-      // Drop this record on the floor without advancing its shard's
-      // cursor: the shard's next record observes the hole as kDataLoss,
-      // and the following pump re-reads the dropped record — the §3
-      // resynchronisation path, now scoped to one shard.
+  const std::vector<db::ChangeRecord>& records = batch.records;
+  for (size_t begin = 0; begin < records.size();) {
+    // One commit: its records are contiguous up to its batch_end.
+    size_t end = begin + 1;
+    while (end < records.size() &&
+           records[end].seqno <= records[begin].batch_end) {
+      ++end;
+    }
+    const std::span<const db::ChangeRecord> commit(&records[begin],
+                                                   end - begin);
+    begin = end;
+    if (commit.front().committed_at + lag > now) break;  // not yet arrived
+    const auto wedge = [&] {
+      for (const db::ChangeRecord& r : commit) {
+        if (r.shard < wedged.size()) wedged[r.shard] = true;
+      }
+    };
+    if (std::any_of(commit.begin(), commit.end(),
+                    [&](const db::ChangeRecord& r) {
+                      return r.shard < wedged.size() && wedged[r.shard];
+                    })) {
+      wedge();
       continue;
     }
-    Status s = node.database->ApplyReplicated(record);
+    if (!fault::Check(faults_, "replication", node.name, "gap").ok()) {
+      // Drop this commit on the floor without advancing its shards'
+      // cursors: the next commit on those shards observes the hole as
+      // kDataLoss, and the following pump re-reads the dropped one — the §3
+      // resynchronisation path, scoped to the shards it touched.
+      continue;
+    }
+    Status s = node.database->ApplyReplicated(commit);
     if (!s.ok()) {
       if (s.code() == ErrorCode::kDataLoss) gaps_->Increment();
-      if (record.shard < wedged.size()) wedged[record.shard] = true;
+      wedge();
       continue;
     }
-    if (node.cursor.positions.size() <= record.shard) {
-      node.cursor.positions.resize(record.shard + 1, 0);
+    for (const db::ChangeRecord& record : commit) {
+      if (node.cursor.positions.size() <= record.shard) {
+        node.cursor.positions.resize(record.shard + 1, 0);
+      }
+      node.cursor.positions[record.shard] = record.shard_seqno;
+      apply_lag_.Add(ToMillis(now - record.committed_at));
+      ++node.records_applied;
+      ++applied;
     }
-    node.cursor.positions[record.shard] = record.shard_seqno;
-    apply_lag_.Add(ToMillis(now - record.committed_at));
-    ++node.records_applied;
-    ++applied;
   }
   return applied;
 }

@@ -8,11 +8,13 @@
 //
 // Model: each node owns a Database. A child pulls its feed's change log
 // through a per-shard cursor (ReadChanges(ChangeCursor)) and applies
-// records whose commit time plus the link lag has passed — a deterministic
-// store-and-forward model under SimClock. ApplyReplicated() enforces dense
-// *per-shard* seqnos, so delivery is provably in-order and exactly-once
-// within each shard, and a gap in one shard's stream wedges only that
-// shard while the others keep flowing. A node whose feed is down stalls
+// whole commits whose commit time plus the link lag has passed — a
+// deterministic store-and-forward model under SimClock — so a replica's
+// own readers and tail never see half an update. ApplyReplicated()
+// enforces dense *per-shard* seqnos, so delivery is provably in-order and
+// exactly-once within each shard, and a gap in one shard's stream wedges
+// only that shard (and commits touching it) while the others keep
+// flowing. A node whose feed is down stalls
 // until the feed recovers or the operator (or auto-failover) re-parents it
 // to a backup feed — the Tokyo -> Schaumburg recovery path.
 #pragma once
@@ -49,7 +51,7 @@ struct ReplicationOptions : OptionsBase {
   //     kDelay = a lag spike added to the link for this round.
   //   {"replication", <child>, "pull-from:<feed>"}  same, but scoped to the
   //     link from one named feed — the failed-over path stays usable.
-  //   {"replication", <child>, "gap"}   drop one due record on the floor so
+  //   {"replication", <child>, "gap"}   drop one due commit on the floor so
   //     the next apply observes a dense-seqno violation (kDataLoss) and the
   //     recovery path re-reads from the child's true applied seqno.
   fault::FaultInjector* faults = nullptr;

@@ -68,7 +68,8 @@ struct TriggerOptions : OptionsBase {
   // the machine's hardware concurrency.
   size_t worker_threads = 1;
 
-  // Read up to this many change records per DUP run.
+  // Read up to this many change records per DUP run, rounded up to the end
+  // of a commit (a commit is never split across runs).
   size_t batch_max = 64;
 
   // Passed through to the DUP engine.
@@ -177,7 +178,8 @@ class TriggerMonitor {
   // The commit wake-up, passed through the {"trigger", <instance>,
   // "notify"} fault site.
   void OnCommitWakeup();
-  // Reads the log past cursor_ in batches of batch_max and applies them,
+  // Reads the log past cursor_ in pages of about batch_max records, whole
+  // commits each, and applies them,
   // waiting for a wake-up whenever it has caught up.
   void TailLoop();
   // Records truncated by retention before the tail read them are lost for

@@ -633,6 +633,50 @@ Result<size_t> WriteAheadLog::TruncateThrough(uint64_t through_seqno) {
   return deleted;
 }
 
+Status WriteAheadLog::TruncateAfter(uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (lsn + 1 >= next_lsn_) return Status::Ok();
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  // Segments are named by their first LSN: the ones starting past lsn + 1
+  // go whole, and the one holding lsn + 1 is cut at that frame.
+  while (segments_.size() > 1 && segments_.back().first_lsn > lsn + 1) {
+    std::error_code ec;
+    std::filesystem::remove(segments_.back().path, ec);
+    if (ec) {
+      return UnavailableError("WAL: remove " + segments_.back().path + ": " +
+                              ec.message());
+    }
+    segments_.pop_back();
+    segments_deleted_->Increment();
+  }
+  const std::string path = segments_.back().path;
+  auto data_or = ReadWholeFile(path);
+  if (!data_or.ok()) return data_or.status();
+  const std::string& data = data_or.value();
+  size_t off = kMagicLen;
+  while (off < data.size()) {
+    const auto frame = ParseFrame(data, off);
+    if (!frame || frame->lsn > lsn) break;
+    off += frame->frame_bytes;
+  }
+  if (::truncate(path.c_str(), static_cast<off_t>(off)) != 0) {
+    return ErrnoError("WAL: truncate " + path);
+  }
+  // Rebuild the in-memory view from disk, exactly as Open() does.
+  const uint64_t torn = torn_bytes_;
+  segments_.clear();
+  next_lsn_ = 1;
+  last_seqno_ = 0;
+  if (Status s = ScanExistingLocked(); !s.ok()) return s;
+  torn_bytes_ = torn;
+  if (Status s = OpenActiveLocked(); !s.ok()) return s;
+  if (::fsync(fd_) != 0) return ErrnoError("WAL: fsync " + path);
+  return SyncDir(options_.dir);
+}
+
 uint64_t WriteAheadLog::last_lsn() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_lsn_ - 1;

@@ -8,8 +8,9 @@
 // appends every commit here *before* making it visible, periodically
 // writes a checkpoint (full table image + last applied seqno), and on
 // restart rebuilds itself from checkpoint + log tail — the classic
-// ARIES-shaped contract, reduced to redo-only because nagano commits are
-// single-record and never abort.
+// ARIES-shaped contract, reduced to redo-only because nagano commits never
+// abort. A commit writes one frame per stream it touches, so one frame's
+// CRC makes a whole multi-record commit atomic on that stream.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -182,6 +183,11 @@ class WriteAheadLog {
   // Retires sealed segments whose every record has seqno <= through, and
   // all but the two newest checkpoint images. Returns files deleted.
   Result<size_t> TruncateThrough(uint64_t through_seqno);
+
+  // Drops every frame with lsn > `lsn` from disk; appends continue after
+  // it. Recovery's rollback of a commit that is not durable on every
+  // stream it touched.
+  Status TruncateAfter(uint64_t lsn);
 
   uint64_t last_lsn() const;
   uint64_t last_seqno() const;

@@ -1118,8 +1118,8 @@ TEST(ChaosDbTest, InjectedCommitErrorFailsCleanly) {
   EXPECT_TRUE(IsTransient(failed));
   EXPECT_EQ(db.LastSeqno(), before);
   EXPECT_TRUE(pagegen::OlympicSite::RecordResult(&db, 1, 1, 101, 9.5).ok());
-  // The retry lands both commits: the result row plus the event's
-  // scheduled -> in_progress status flip.
+  // The retry lands both records of the one commit: the result row plus
+  // the event's scheduled -> in_progress status flip.
   EXPECT_EQ(db.LastSeqno(), before + 2);
 }
 

@@ -1,11 +1,17 @@
 // Concurrency stress suite for the structures on the trigger monitor's hot
-// path: ObjectCache shards, BlockingQueue, and ThreadPool shutdown. These
+// path: ObjectCache shards, BlockingQueue, ThreadPool shutdown, and atomic
+// WAL-backed commits racing readers and the trigger's tail. These
 // tests are labelled `stress` so the CI matrix runs them under
 // ThreadSanitizer (see ci.sh) — their value is as much the interleavings
 // they generate under TSan as the assertions they make.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,11 +19,13 @@
 #include "cache/object_cache.h"
 #include "common/queue.h"
 #include "common/thread_pool.h"
+#include "core/serving_site.h"
 #include "db/database.h"
 #include "odg/graph.h"
 #include "pagegen/olympic.h"
 #include "pagegen/renderer.h"
 #include "trigger/trigger_monitor.h"
+#include "wal/wal.h"
 
 namespace nagano {
 namespace {
@@ -231,6 +239,214 @@ TEST(TriggerShutdownTest, StopDrainsQueuedChangesAndQuiesceReturns) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(cached->Materialize(), fresh.value());
   monitor.Stop();  // idempotent
+}
+
+// --- atomic commits: WAL-backed batches racing readers ---------------------
+
+// Self-cleaning mkdtemp directory for WAL streams.
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/nagano_concurrency_XXXXXX";
+    const char* created = ::mkdtemp(tmpl);
+    EXPECT_NE(created, nullptr);
+    path = created;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string path;
+};
+
+// Every commit rewrites all rows of a 4-shard WAL-backed table to one
+// generation. Commits append and sync under the commit mutex and take the
+// shard locks only to apply, so this races full-table reads, point reads
+// and a change-feed tail against the flush and the apply: every read must
+// see exactly one generation, and every feed page whole batches.
+TEST(CommitConcurrencyTest, WalBackedBatchesRaceReaders) {
+  constexpr int kRows = 16;
+  constexpr int kRounds = 60;
+  TempDir dir;
+  wal::WalOptions wal_options;
+  wal_options.dir = dir.path;
+  auto wals = wal::OpenShardWals(std::move(wal_options), 4);
+  ASSERT_TRUE(wals.ok()) << wals.status().ToString();
+  db::DatabaseOptions options;
+  options.shards = 4;
+  options.shard_wals = wals.value().pointers();
+  db::Database db(std::move(options));
+  ASSERT_TRUE(db.CreateTable("gen", {{"id", db::ColumnType::kInt},
+                                     {"gen", db::ColumnType::kInt}})
+                  .ok());
+  const auto generation = [&](int64_t g) {
+    db::WriteBatch batch;
+    for (int i = 0; i < kRows; ++i) {
+      batch.Upsert("gen", {db::Value(int64_t(i)), db::Value(g)});
+    }
+    return db.Commit(std::move(batch));
+  };
+  ASSERT_TRUE(generation(0).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0}, reads{0};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&] {  // whole-table reads
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::set<int64_t> seen;
+      db.Read("gen", db::RowFilter::All(), [&](const db::Row& row) {
+        seen.insert(std::get<int64_t>(row[1]));
+      });
+      if (seen.size() != 1) torn.fetch_add(1, std::memory_order_relaxed);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  readers.emplace_back([&] {  // point reads across shards
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (int i = 0; i < kRows; ++i) {
+        db.Read("gen", db::RowFilter::Key(db::Value(int64_t(i))),
+                [](const db::Row&) {});
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  readers.emplace_back([&] {  // a tail reading the feed in small pages
+    db::ChangeCursor cursor = db.AppliedCursor();
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto page = db.ReadChanges(cursor, 3);
+      if (!page.ok()) continue;
+      const auto& records = page.value().records;
+      if (records.size() % kRows != 0 ||
+          (!records.empty() &&
+           records.back().seqno != records.back().batch_end)) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+      }
+      cursor = page.value().next;
+    }
+  });
+
+  Status committed = Status::Ok();
+  for (int g = 1; g <= kRounds && committed.ok(); ++g) {
+    committed = generation(g);
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(db.LastSeqno(), uint64_t{kRows} * (kRounds + 1));
+}
+
+// A WAL-backed 4-shard site with the trigger running and the result feed
+// landing, one update at a time. Concurrent readers of the current event's
+// page and of the medal table check every body: an event page lists
+// medallists iff its status is final and shows no result while still
+// "scheduled"; the medal table awards as many golds as silvers and
+// bronzes. A scoring result split across commits lets the tail render a
+// page between them.
+TEST(CommitConcurrencyTest, PagesNeverShowHalfAResult) {
+  TempDir dir;
+  metrics::MetricRegistry registry;
+  wal::WalOptions wal_options;
+  wal_options.dir = dir.path;
+  wal_options.metrics.registry = &registry;
+  auto wals = wal::OpenShardWals(std::move(wal_options), 4);
+  ASSERT_TRUE(wals.ok()) << wals.status().ToString();
+
+  core::SiteOptions options;
+  options.olympic.days = 2;
+  options.olympic.num_sports = 12;
+  options.olympic.events_per_sport = 16;
+  options.olympic.athletes_per_event = 4;
+  options.olympic.num_countries = 4;
+  options.olympic.initial_news_articles = 1;
+  options.olympic.languages = {"en"};
+  options.metrics.registry = &registry;
+  db::DatabaseOptions db_options;
+  db_options.shards = 4;
+  db_options.shard_wals = wals.value().pointers();
+  db_options.metrics.registry = &registry;
+  auto database = std::make_unique<db::Database>(std::move(db_options));
+  ASSERT_TRUE(pagegen::OlympicSite::Build(options.olympic, database.get()).ok());
+  const int64_t events = static_cast<int64_t>(database->RowCount("events"));
+  auto site_or = core::ServingSite::CreateAround(options, std::move(database));
+  ASSERT_TRUE(site_or.ok()) << site_or.status().ToString();
+  core::ServingSite& site = *site_or.value();
+  ASSERT_TRUE(site.PrefetchAll().ok());
+  site.StartTrigger();
+
+  std::atomic<int64_t> current{1};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bodies{0}, torn{0};
+  std::mutex example_mutex;
+  std::string example;
+  const auto torn_medal_table = [](const std::string& body) {
+    // Every final event awards one gold, one silver and one bronze.
+    int64_t sums[3] = {0, 0, 0};
+    for (size_t at = body.find("</a></td>"); at != std::string::npos;
+         at = body.find("</a></td>", at + 1)) {
+      size_t cell = at + 4;
+      for (int64_t& sum : sums) {
+        cell = body.find("<td>", cell) + 4;
+        sum += std::stoll(body.substr(cell, body.find('<', cell) - cell));
+      }
+    }
+    return sums[0] != sums[1] || sums[1] != sums[2];
+  };
+  const auto torn_event_page = [](const std::string& body) {
+    const auto has = [&](const char* text) {
+      return body.find(text) != std::string::npos;
+    };
+    // Results link their athletes; medallists close the page.
+    return (has("/athlete/") && has("Status: scheduled")) ||
+           has("Gold: ") != has("Status: final");
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (const std::string& page :
+             {pagegen::OlympicSite::EventPage(
+                  current.load(std::memory_order_relaxed)),
+              pagegen::OlympicSite::MedalsPage()}) {
+          const auto out = site.Serve(page, /*include_body=*/true);
+          if (out.body.empty()) continue;
+          bodies.fetch_add(1, std::memory_order_relaxed);
+          const bool event_page = page != pagegen::OlympicSite::MedalsPage();
+          if (event_page ? torn_event_page(out.body)
+                         : torn_medal_table(out.body)) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+            std::lock_guard lock(example_mutex);
+            if (example.empty()) example = page + ":\n" + out.body;
+          }
+        }
+      }
+    });
+  }
+
+  // Medallists come from the event's own sport, so countries repeat.
+  const int64_t per_sport = options.olympic.athletes_per_event * 2;
+  Status fed = Status::Ok();
+  for (int64_t event = 1; event <= events && fed.ok(); ++event) {
+    current.store(event, std::memory_order_relaxed);
+    const int64_t first_athlete =
+        (event - 1) / options.olympic.events_per_sport * per_sport + 1;
+    for (int64_t rank = 1; rank <= 3 && fed.ok(); ++rank) {
+      fed = site.RecordResult(event, rank,
+                              first_athlete + (event + rank) % per_sport,
+                              90.0 - rank);
+      site.Quiesce();
+    }
+    if (fed.ok()) fed = site.CompleteEvent(event);
+    site.Quiesce();
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  site.StopTrigger();
+  ASSERT_TRUE(fed.ok()) << fed.ToString();
+  EXPECT_GT(bodies.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << example;
+  auto verified = site.VerifyCacheConsistency();
+  EXPECT_TRUE(verified.ok()) << verified.status().ToString();
 }
 
 }  // namespace

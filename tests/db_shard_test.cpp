@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/metrics.h"
 #include "db/database.h"
 #include "db/shard_map.h"
@@ -364,6 +365,209 @@ TEST(DbShardTest, TornTailOnOneShardWedgesOnlyThatShard) {
   // consumer re-pulls the lost record from the master, exactly-once.
   const uint64_t victim_mark = recovered.AppliedCursor().at(victim);
   EXPECT_EQ(victim_mark, keys_by_shard[victim].size() - 1);
+}
+
+// --- atomic batches across shards -----------------------------------------
+
+// Newest segment file of one shard's stream.
+std::filesystem::path NewestSegment(const std::string& base_dir,
+                                    uint32_t shard) {
+  const std::string dir = base_dir + "/shard-" + std::to_string(shard);
+  std::filesystem::path newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".seg") continue;
+    if (newest.empty() || entry.path().filename() > newest.filename()) {
+      newest = entry.path();
+    }
+  }
+  return newest;
+}
+
+// Upserts keys [from, to] as one batch; the range is wide enough that every
+// shard holds part of it.
+WriteBatch RowsBatch(int from, int to, const std::string& name) {
+  WriteBatch batch;
+  for (int i = from; i <= to; ++i) {
+    batch.Upsert("events", {Value(int64_t(i)), Value(name), Value(double(i))});
+  }
+  return batch;
+}
+
+// A batch whose part on one shard never reached disk (that stream ends at a
+// clean frame boundary before it) is dropped on every shard, and the shard
+// missing its part is flagged; the dropped parts are truncated from their
+// streams, so later commits recover normally.
+TEST(DbShardTest, BatchMissingOneShardPartIsDroppedEverywhere) {
+  TempDir dir;
+  constexpr uint32_t kVictim = 2;
+  std::map<std::string, std::vector<Row>> before_batch;
+  uintmax_t victim_size_before = 0;
+  {
+    metrics::MetricRegistry registry;
+    auto set = OpenSet(dir.path, kShards, &registry);
+    Database db = MakeShardedDb(set, &registry);
+    CreateEventsTable(db);
+    UpsertN(db, 1, 20);
+    before_batch = Snapshot(db);
+    victim_size_before =
+        std::filesystem::file_size(NewestSegment(dir.path, kVictim));
+    ASSERT_TRUE(db.Commit(RowsBatch(101, 116, "batch")).ok());
+    const auto batch = db.ReadChanges(db.CursorAtGlobal(20));
+    ASSERT_TRUE(batch.ok());
+    std::set<uint32_t> touched;
+    for (const auto& r : batch.value().records) touched.insert(r.shard);
+    ASSERT_EQ(touched.size(), kShards) << "the batch must span every shard";
+  }
+  // The victim's stream loses its frame at a clean boundary: no torn bytes,
+  // only the other parts' batch headers prove it existed.
+  ASSERT_EQ(::truncate(NewestSegment(dir.path, kVictim).c_str(),
+                       static_cast<off_t>(victim_size_before)),
+            0);
+
+  {
+    metrics::MetricRegistry registry;
+    auto set = OpenSet(dir.path, kShards, &registry);
+    Database recovered = MakeShardedDb(set, &registry, /*recovery_threads=*/4);
+    ASSERT_TRUE(recovered.Recover().ok());
+    const auto& report = recovered.last_recovery();
+    ASSERT_EQ(report.shards.size(), kShards);
+    for (uint32_t k = 0; k < kShards; ++k) {
+      EXPECT_EQ(report.shards[k].torn_bytes, 0u);
+      if (k == kVictim) {
+        EXPECT_EQ(report.shards[k].status.code(), ErrorCode::kDataLoss);
+        EXPECT_EQ(report.shards[k].dropped_records, 0u);
+      } else {
+        EXPECT_TRUE(report.shards[k].status.ok())
+            << "shard " << k << ": " << report.shards[k].status.ToString();
+        EXPECT_GT(report.shards[k].dropped_records, 0u) << "shard " << k;
+      }
+    }
+    EXPECT_EQ(Snapshot(recovered), before_batch);
+    EXPECT_EQ(recovered.LastSeqno(), 20u);
+    // Commits continue from the pre-batch watermark.
+    ASSERT_TRUE(recovered.Commit(RowsBatch(201, 216, "after")).ok());
+    EXPECT_EQ(recovered.LastSeqno(), 36u);
+  }
+
+  // The dropped parts were truncated: a second recovery holds the new batch
+  // on every shard and nothing of the dropped one.
+  metrics::MetricRegistry registry;
+  auto set = OpenSet(dir.path, kShards, &registry);
+  Database again = MakeShardedDb(set, &registry);
+  ASSERT_TRUE(again.Recover().ok());
+  EXPECT_TRUE(again.last_recovery().healthy());
+  EXPECT_EQ(again.LastSeqno(), 36u);
+  EXPECT_EQ(again.RowCount("events"), 36u);
+  EXPECT_FALSE(CopyRow(again, "events", Value(int64_t(101))));
+  EXPECT_TRUE(CopyRow(again, "events", Value(int64_t(216))));
+}
+
+// Dying mid-batch: the append on the last shard tears, so the other three
+// hold their parts. The store refuses further commits until it is
+// recovered, and recovery drops the batch on every shard.
+TEST(DbShardTest, TornBatchWedgesCommitsUntilRecover) {
+  TempDir dir;
+  std::map<std::string, std::vector<Row>> before_batch;
+  {
+    metrics::MetricRegistry registry;
+    fault::FaultPlan plan;
+    fault::FaultRule tear;
+    tear.subsystem = "wal";
+    tear.site = "w/s3";
+    tear.operation = "append";
+    tear.kind = fault::FaultKind::kError;
+    tear.error = ErrorCode::kUnavailable;
+    tear.skip_first = 2 + 5;  // the DDL record, the index, then five rows
+    tear.max_fires = 1;
+    plan.rules.push_back(tear);
+    fault::FaultInjector faults(plan);
+    wal::WalOptions base;
+    base.dir = dir.path;
+    base.faults = &faults;
+    base.metrics = {&registry, "w"};
+    auto set = wal::OpenShardWals(std::move(base), kShards);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    Database db = MakeShardedDb(set.value(), &registry);
+    CreateEventsTable(db);
+    ASSERT_TRUE(db.CreateIndex("events", "name").ok());
+    int on_victim = 0;
+    for (int i = 1; on_victim < 5; ++i) {
+      UpsertN(db, i, i);
+      if (OwnerOf(i) == 3) ++on_victim;
+    }
+    before_batch = Snapshot(db);
+    EXPECT_EQ(db.Commit(RowsBatch(101, 116, "batch")).code(),
+              ErrorCode::kUnavailable);
+    EXPECT_EQ(Snapshot(db), before_batch);
+    EXPECT_EQ(db.Upsert("events", {Value(int64_t(900)), Value(std::string("x")),
+                                   Value(0.0)})
+                  .code(),
+              ErrorCode::kFailedPrecondition);
+  }
+  metrics::MetricRegistry registry;
+  auto set = OpenSet(dir.path, kShards, &registry);
+  Database recovered = MakeShardedDb(set, &registry);
+  ASSERT_TRUE(recovered.Recover().ok());
+  const auto& report = recovered.last_recovery();
+  EXPECT_EQ(report.shards[3].status.code(), ErrorCode::kDataLoss);
+  EXPECT_GT(report.shards[3].torn_bytes, 0u);
+  for (uint32_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(report.shards[k].status.ok()) << "shard " << k;
+    EXPECT_GT(report.shards[k].dropped_records, 0u) << "shard " << k;
+  }
+  EXPECT_EQ(Snapshot(recovered), before_batch);
+  EXPECT_TRUE(recovered.HasIndex("events", "name"));
+  ASSERT_TRUE(recovered.Commit(RowsBatch(101, 116, "retry")).ok());
+}
+
+// Recovery after a run of batched commits rebuilds exactly the live store:
+// the same rows and the same change feed, record for record, with every
+// batch still whole.
+TEST(DbShardTest, RecoveryAfterBatchedCommitsMatchesLiveStore) {
+  TempDir dir;
+  std::map<std::string, std::vector<Row>> live_rows;
+  std::vector<ChangeRecord> live_log;
+  {
+    metrics::MetricRegistry registry;
+    auto set = OpenSet(dir.path, kShards, &registry);
+    Database db = MakeShardedDb(set, &registry);
+    CreateEventsTable(db);
+    for (int round = 0; round < 6; ++round) {
+      WriteBatch batch = RowsBatch(round * 3 + 1, round * 3 + 9,
+                                   "round-" + std::to_string(round));
+      if (round > 0) batch.Delete("events", Value(int64_t(round * 3 - 1)));
+      ASSERT_TRUE(db.Commit(std::move(batch)).ok());
+      UpsertN(db, 500 + round, 500 + round);
+      if (round == 2) {
+        ASSERT_TRUE(db.Checkpoint().ok());
+      }
+    }
+    live_rows = Snapshot(db);
+    live_log = db.ReadChanges(db.RetainedCursor()).value().records;
+  }
+  metrics::MetricRegistry registry;
+  auto set = OpenSet(dir.path, kShards, &registry);
+  Database recovered = MakeShardedDb(set, &registry);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_TRUE(recovered.last_recovery().healthy());
+  EXPECT_EQ(Snapshot(recovered), live_rows);
+  // The recovered log starts at the checkpoint; compare the common suffix.
+  const auto log = recovered.ReadChanges(recovered.RetainedCursor()).value().records;
+  ASSERT_FALSE(log.empty());
+  ASSERT_LE(log.size(), live_log.size());
+  const size_t offset = live_log.size() - log.size();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const ChangeRecord& want = live_log[offset + i];
+    EXPECT_EQ(log[i].seqno, want.seqno);
+    EXPECT_EQ(log[i].shard, want.shard);
+    EXPECT_EQ(log[i].shard_seqno, want.shard_seqno);
+    EXPECT_EQ(log[i].batch_end, want.batch_end) << "seqno " << want.seqno;
+    EXPECT_EQ(log[i].table, want.table);
+    EXPECT_EQ(log[i].key, want.key);
+    EXPECT_EQ(log[i].op, want.op);
+    EXPECT_EQ(log[i].row, want.row);
+    EXPECT_EQ(log[i].committed_at, want.committed_at);
+  }
 }
 
 // --- group commit ----------------------------------------------------------

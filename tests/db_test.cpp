@@ -13,6 +13,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "db/database.h"
+#include "pagegen/olympic.h"
 #include "wal/wal.h"
 #include "db_rows.h"
 
@@ -329,7 +330,7 @@ TEST(DbIndexTest, ReplicatedApplyMaintainsReplicaIndexes) {
                   .ok());
   ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
   for (const auto& change : ChangesAfter(master, 0)) {
-    ASSERT_TRUE(replica.ApplyReplicated(change).ok());
+    ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }
   EXPECT_TRUE(CopyRows(replica, "events", 
                      RowFilter::Equals("name", Value(std::string("a")))).empty());
@@ -429,6 +430,145 @@ TEST(DbChangeLogTest, CommitTimesUseClock) {
   EXPECT_EQ(changes[1].committed_at, 15 * kSecond);
 }
 
+// --- atomic commits ------------------------------------------------------------
+
+TEST(DbCommitTest, BatchTakesOneSeqnoRangeAndOneWakeup) {
+  DatabaseOptions options;
+  options.shards = 4;
+  Database db = MakeDb(std::move(options));
+  CreateEventsTable(db);
+  int rings = 0;
+  db.SetCommitWakeup([&] { ++rings; });
+  WriteBatch batch;
+  for (int i = 1; i <= 8; ++i) {
+    batch.Upsert("events", {Value(int64_t(i)), Value(std::string("e")),
+                            Value(double(i))});
+  }
+  batch.Upsert("events", {Value(int64_t(3)), Value(std::string("again")),
+                          Value(0.0)});
+  batch.Delete("events", Value(int64_t(4)));
+  ASSERT_TRUE(db.Commit(std::move(batch)).ok());
+  EXPECT_EQ(rings, 1);
+  EXPECT_EQ(db.LastSeqno(), 10u);
+  EXPECT_EQ(db.RowCount("events"), 7u);
+  auto feed = db.ReadChanges(ChangeCursor{});
+  ASSERT_TRUE(feed.ok());
+  const auto& records = feed.value().records;
+  ASSERT_EQ(records.size(), 10u);
+  std::set<uint32_t> shards;
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seqno, i + 1);
+    EXPECT_EQ(records[i].batch_end, 10u);
+    shards.insert(records[i].shard);
+  }
+  EXPECT_GT(shards.size(), 1u);
+  // Later operations see earlier ones of the same batch.
+  EXPECT_EQ(records[2].op, ChangeOp::kInsert);
+  EXPECT_EQ(records[8].op, ChangeOp::kUpdate);
+  EXPECT_EQ(records[9].op, ChangeOp::kDelete);
+  EXPECT_EQ(CopyRow(db, "events", Value(int64_t(3))),
+            (Row{Value(int64_t(3)), Value(std::string("again")), Value(0.0)}));
+}
+
+TEST(DbCommitTest, AnyInvalidOperationCommitsNothing) {
+  Database db = MakeDb();
+  CreateEventsTable(db);
+  int rings = 0;
+  db.SetCommitWakeup([&] { ++rings; });
+  const Row good{Value(int64_t(1)), Value(std::string("a")), Value(0.0)};
+
+  WriteBatch bad_row;
+  bad_row.Upsert("events", good);
+  bad_row.Upsert("events", {Value(int64_t(2))});
+  EXPECT_EQ(db.Commit(std::move(bad_row)).code(), ErrorCode::kInvalidArgument);
+
+  WriteBatch missing_row;
+  missing_row.Upsert("events", good);
+  missing_row.Delete("events", Value(int64_t(7)));
+  EXPECT_EQ(db.Commit(std::move(missing_row)).code(), ErrorCode::kNotFound);
+
+  WriteBatch missing_table;
+  missing_table.Upsert("events", good);
+  missing_table.Upsert("nope", good);
+  EXPECT_EQ(db.Commit(std::move(missing_table)).code(), ErrorCode::kNotFound);
+
+  EXPECT_EQ(db.LastSeqno(), 0u);
+  EXPECT_EQ(db.RowCount("events"), 0u);
+  EXPECT_EQ(rings, 0);
+  EXPECT_TRUE(db.Commit(WriteBatch()).ok());
+  EXPECT_EQ(db.LastSeqno(), 0u);
+
+  // A row upserted then deleted in one batch is a valid pair.
+  WriteBatch transient;
+  transient.Upsert("events", good);
+  transient.Delete("events", Value(int64_t(1)));
+  ASSERT_TRUE(db.Commit(std::move(transient)).ok());
+  EXPECT_EQ(db.LastSeqno(), 2u);
+  EXPECT_EQ(db.RowCount("events"), 0u);
+}
+
+TEST(DbCommitTest, ReadChangesRoundsTheLimitUpToTheBatchEnd) {
+  DatabaseOptions options;
+  options.shards = 4;
+  Database db = MakeDb(std::move(options));
+  CreateEventsTable(db);
+  const auto row = [](int i) {
+    return Row{Value(int64_t(i)), Value(std::string("e")), Value(0.0)};
+  };
+  ASSERT_TRUE(db.Upsert("events", row(1)).ok());  // seqno 1
+  WriteBatch batch;
+  for (int i = 2; i <= 6; ++i) batch.Upsert("events", row(i));
+  ASSERT_TRUE(db.Commit(std::move(batch)).ok());  // seqnos 2..6
+  ASSERT_TRUE(db.Upsert("events", row(7)).ok());  // seqno 7
+
+  const size_t want[] = {0, 1, 6, 6, 6, 6, 6, 7};
+  for (size_t limit = 0; limit <= 7; ++limit) {
+    auto page = db.ReadChanges(ChangeCursor{}, limit);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(page.value().records.size(), want[limit]) << "limit " << limit;
+  }
+  // From inside the feed: one record asked, the whole batch returned, and
+  // the next read resumes after it.
+  auto first = db.ReadChanges(ChangeCursor{}, 1);
+  ASSERT_TRUE(first.ok());
+  auto second = db.ReadChanges(first.value().next, 1);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second.value().records.size(), 5u);
+  EXPECT_EQ(second.value().records.front().seqno, 2u);
+  auto third = db.ReadChanges(second.value().next, 1);
+  ASSERT_TRUE(third.ok());
+  ASSERT_EQ(third.value().records.size(), 1u);
+  EXPECT_EQ(third.value().records.front().seqno, 7u);
+}
+
+// A scoring result is one commit: whatever limit the tail reads with, it
+// gets all of CompleteEvent's records or none of them.
+TEST(DbCommitTest, CompleteEventIsReadWholeAtEveryLimit) {
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    DatabaseOptions options;
+    options.shards = shards;
+    Database db = MakeDb(std::move(options));
+    pagegen::OlympicConfig config;
+    config.num_sports = 1;
+    config.events_per_sport = 2;
+    ASSERT_TRUE(pagegen::OlympicSite::Build(config, &db).ok());
+    for (int rank = 1; rank <= 3; ++rank) {
+      ASSERT_TRUE(pagegen::OlympicSite::RecordResult(&db, 1, rank, rank,
+                                                     90.0 - rank)
+                      .ok());
+    }
+    const uint64_t before = db.LastSeqno();
+    ASSERT_TRUE(pagegen::OlympicSite::CompleteEvent(&db, 1).ok());
+    ASSERT_EQ(db.LastSeqno(), before + 5);
+    for (size_t limit = 1; limit <= 5; ++limit) {
+      auto page = db.ReadChanges(db.CursorAtGlobal(before), limit);
+      ASSERT_TRUE(page.ok());
+      EXPECT_EQ(page.value().records.size(), 5u)
+          << shards << " shard(s), limit " << limit;
+    }
+  }
+}
+
 // --- commit wake-up -----------------------------------------------------------------
 
 TEST(DbWakeupTest, RingsForUpsertDeleteAndReplicatedApply) {
@@ -452,7 +592,7 @@ TEST(DbWakeupTest, RingsForUpsertDeleteAndReplicatedApply) {
   EXPECT_EQ(master_rings, 2);
 
   for (const ChangeRecord& change : ChangesAfter(master, 0)) {
-    ASSERT_TRUE(replica.ApplyReplicated(change).ok());
+    ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }
   EXPECT_EQ(replica_rings, 2);
 }
@@ -533,7 +673,7 @@ TEST(DbReplicateTest, MirrorsMasterSeqnos) {
                     .ok());
   }
   for (const auto& change : ChangesAfter(master, 0)) {
-    ASSERT_TRUE(replica.ApplyReplicated(change).ok());
+    ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }
   EXPECT_EQ(replica.LastSeqno(), master.LastSeqno());
   EXPECT_EQ(replica.RowCount("events"), 4u);
@@ -551,13 +691,13 @@ TEST(DbReplicateTest, RejectsGaps) {
                     .ok());
   }
   const auto changes = ChangesAfter(master, 0);
-  ASSERT_TRUE(replica.ApplyReplicated(changes[0]).ok());
+  ASSERT_TRUE(replica.ApplyReplicated({&changes[0], 1}).ok());
   // Skipping shard seqno 2 must be refused.
-  EXPECT_EQ(replica.ApplyReplicated(changes[2]).code(), ErrorCode::kDataLoss);
+  EXPECT_EQ(replica.ApplyReplicated({&changes[2], 1}).code(), ErrorCode::kDataLoss);
   // Re-applying seqno 1 (duplicate) must also be refused.
-  EXPECT_EQ(replica.ApplyReplicated(changes[0]).code(), ErrorCode::kDataLoss);
-  ASSERT_TRUE(replica.ApplyReplicated(changes[1]).ok());
-  ASSERT_TRUE(replica.ApplyReplicated(changes[2]).ok());
+  EXPECT_EQ(replica.ApplyReplicated({&changes[0], 1}).code(), ErrorCode::kDataLoss);
+  ASSERT_TRUE(replica.ApplyReplicated({&changes[1], 1}).ok());
+  ASSERT_TRUE(replica.ApplyReplicated({&changes[2], 1}).ok());
   EXPECT_EQ(replica.LastSeqno(), 3u);
 }
 
@@ -575,7 +715,7 @@ TEST(DbReplicateTest, RejectsForeignShardLayout) {
   Database replica = MakeDb();
   CreateEventsTable(replica);
   change.shard = 3;
-  EXPECT_EQ(replica.ApplyReplicated(change).code(),
+  EXPECT_EQ(replica.ApplyReplicated({&change, 1}).code(),
             ErrorCode::kInvalidArgument);
 
   // So is a shard index that disagrees with the replica's own placement.
@@ -585,7 +725,7 @@ TEST(DbReplicateTest, RejectsForeignShardLayout) {
   CreateEventsTable(sharded_replica);
   const uint32_t owner = ShardOf("1", 4);
   change.shard = (owner + 1) % 4;
-  EXPECT_EQ(sharded_replica.ApplyReplicated(change).code(),
+  EXPECT_EQ(sharded_replica.ApplyReplicated({&change, 1}).code(),
             ErrorCode::kInvalidArgument);
 }
 
@@ -600,7 +740,7 @@ TEST(DbReplicateTest, ReplicatedDeleteApplies) {
                   .ok());
   ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
   for (const auto& change : ChangesAfter(master, 0)) {
-    ASSERT_TRUE(replica.ApplyReplicated(change).ok());
+    ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }
   EXPECT_EQ(replica.RowCount("events"), 0u);
 }

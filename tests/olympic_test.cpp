@@ -343,7 +343,8 @@ TEST_F(OlympicTest, ChangeMapperResultRow) {
   const uint64_t before = db_.LastSeqno();
   ASSERT_TRUE(OlympicSite::RecordResult(&db_, 2, 1, 5, 90.0).ok());
   const auto changes = ChangesAfter(before);
-  // RecordResult commits a results row then an events status row.
+  // RecordResult commits a results row and an events status row as one
+  // batch, the results row first.
   ASSERT_GE(changes.size(), 2u);
   const auto nodes = OlympicSite::MapChangeToDataNodes(changes[0], db_);
   EXPECT_NE(std::find(nodes.begin(), nodes.end(), "results:event:2"),

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -334,6 +336,57 @@ TEST_F(FaultedReplicationTest, InjectedGapHealsThroughDataLossResync) {
   EXPECT_EQ(dbs_["Schaumburg"]->LastSeqno(), 5u);
   for (const char* node : {"Tokyo", "Schaumburg", "Columbus", "Bethesda"}) {
     ExpectDenseLog(node, 5);
+  }
+}
+
+// Replicas apply whole commits, so a replica's own readers and tail never
+// see half of one: every commit wake-up a replica rings leaves it at the
+// end of a master commit — also while a dropped commit heals through the
+// kDataLoss resync path.
+TEST_F(FaultedReplicationTest, ReplicasApplyWholeCommitsOnly) {
+  fault::FaultPlan plan;
+  fault::FaultRule gap;
+  gap.subsystem = "replication";
+  gap.site = "Schaumburg";
+  gap.operation = "gap";
+  gap.kind = fault::FaultKind::kError;
+  gap.error = ErrorCode::kDataLoss;
+  gap.skip_first = 1;
+  gap.max_fires = 1;
+  plan.rules = {gap};
+  Init(std::move(plan));
+
+  const char* const replicas[] = {"Tokyo", "Schaumburg", "Columbus",
+                                  "Bethesda"};
+  std::map<std::string, std::vector<uint64_t>> seen;
+  for (const char* node : replicas) {
+    Database* replica = dbs_[node].get();
+    replica->SetCommitWakeup(
+        [&seen, node, replica] { seen[node].push_back(replica->LastSeqno()); });
+  }
+  std::set<uint64_t> commit_ends;
+  for (int c = 0; c < 5; ++c) {
+    db::WriteBatch batch;
+    for (int k = 0; k < 3; ++k) {
+      batch.Upsert("results", {Value(int64_t(c * 3 + k)),
+                               Value("c" + std::to_string(c))});
+    }
+    ASSERT_TRUE(dbs_["Nagano"]->Commit(std::move(batch)).ok());
+    commit_ends.insert(dbs_["Nagano"]->LastSeqno());
+  }
+  clock_.AdvanceTo(kSecond);
+  topology_->PumpUntilQuiet();
+
+  EXPECT_GE(topology_->gaps(), 1u);
+  for (const char* node : replicas) {
+    ExpectDenseLog(node, 15);
+    ASSERT_EQ(seen[node].size(), 5u) << node;
+    for (const uint64_t seqno : seen[node]) {
+      EXPECT_TRUE(commit_ends.contains(seqno)) << node << " at " << seqno;
+    }
+    for (const db::ChangeRecord& r : FullLog(*dbs_[node])) {
+      EXPECT_EQ(r.batch_end, (r.seqno + 2) / 3 * 3) << node;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -506,6 +507,81 @@ TEST(WalCrashPointTest, DatabaseRecoversPrefixStateAtEveryBoundary) {
                       .ok());
       EXPECT_EQ(recovered.LastSeqno(), reference.LastSeqno() + 1);
     }
+  }
+}
+
+// A multi-record commit is one frame: a crash at any byte inside it
+// recovers the state before the whole batch, never part of it.
+TEST(WalCrashPointTest, BatchFrameTornAnywhereIsDroppedWhole) {
+  using db::ColumnType;
+  using db::Database;
+  using db::DatabaseOptions;
+  using db::Row;
+  using db::Value;
+  const auto open_db = [](WriteAheadLog* wal,
+                          metrics::MetricRegistry* registry) {
+    DatabaseOptions dbo;
+    dbo.metrics.registry = registry;
+    dbo.wal = wal;
+    return std::make_unique<Database>(std::move(dbo));
+  };
+  const auto row = [](int64_t id, const char* name) {
+    return Row{Value(id), Value(std::string(name))};
+  };
+
+  TempDir recorded;
+  size_t before = 0;
+  size_t after = 0;
+  {
+    metrics::MetricRegistry registry;
+    WalOptions wo = Opts(recorded.path);
+    wo.metrics.registry = &registry;
+    auto wal = MustOpen(std::move(wo));
+    auto db = open_db(wal.get(), &registry);
+    ASSERT_TRUE(db->CreateTable("events", {{"event_id", ColumnType::kInt},
+                                           {"name", ColumnType::kString}})
+                    .ok());
+    ASSERT_TRUE(db->Upsert("events", row(1, "one")).ok());
+    ASSERT_TRUE(db->Upsert("events", row(2, "two")).ok());
+    before = FileSize(OnlySegment(recorded.path));
+    db::WriteBatch batch;
+    batch.Upsert("events", row(3, "three"));
+    batch.Upsert("events", row(4, "four"));
+    batch.Upsert("events", row(1, "one-updated"));
+    batch.Delete("events", Value(int64_t(2)));
+    ASSERT_TRUE(db->Commit(std::move(batch)).ok());
+    after = FileSize(OnlySegment(recorded.path));
+    EXPECT_EQ(wal->stats().appends, 4u);  // DDL, two rows, one batch frame
+  }
+  const std::string recorded_segment = OnlySegment(recorded.path);
+  const std::string segment_name =
+      std::filesystem::path(recorded_segment).filename().string();
+
+  for (size_t cut = before; cut <= after; ++cut) {
+    TempDir replayed;
+    const std::string copy = replayed.path + "/" + segment_name;
+    std::filesystem::copy_file(recorded_segment, copy);
+    ASSERT_EQ(::truncate(copy.c_str(), static_cast<off_t>(cut)), 0);
+    metrics::MetricRegistry registry;
+    WalOptions wo = Opts(replayed.path);
+    wo.metrics.registry = &registry;
+    auto wal = MustOpen(std::move(wo));
+    auto db = open_db(wal.get(), &registry);
+    ASSERT_TRUE(db->Recover().ok()) << "cut at offset " << cut;
+    const bool whole = cut == after;
+    EXPECT_EQ(db->LastSeqno(), whole ? 6u : 2u) << "cut at offset " << cut;
+    const std::vector<Row> want =
+        whole ? std::vector<Row>{row(1, "one-updated"), row(3, "three"),
+                                 row(4, "four")}
+              : std::vector<Row>{row(1, "one"), row(2, "two")};
+    EXPECT_EQ(CopyRows(*db, "events"), want)
+        << "cut at offset " << cut;
+    auto log = db->ReadChanges(db::ChangeCursor{});
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ(log.value().records.size(), whole ? 6u : 2u);
+    // Only a cut strictly inside the frame leaves torn bytes to flag.
+    EXPECT_EQ(db->last_recovery().healthy(), cut == before || whole)
+        << "cut at offset " << cut;
   }
 }
 
