@@ -231,31 +231,6 @@ uint64_t ObjectCache::PatchPlan(
   return current->version + 1;
 }
 
-uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  // Stale-retained counts as absent: a regeneration racing the
-  // invalidation must not resurrect the entry as live.
-  if (it == shard.map.end() || it->second->stale) return 0;
-
-  const size_t old_footprint = EntryFootprint(it->first, *it->second);
-  shard.bytes -= old_footprint;
-  auto obj = std::make_shared<CachedObject>();
-  obj->body = std::move(body);
-  obj->version = it->second->version + 1;
-  obj->stored_at = clock_->Now();
-  BuildEntityHeaders(*obj);
-  const uint64_t version = obj->version;
-  const size_t new_footprint = EntryFootprint(it->first, *obj);
-  shard.bytes += new_footprint;
-  bytes_gauge_->Add(static_cast<double>(new_footprint) -
-                    static_cast<double>(old_footprint));
-  it->second = std::move(obj);
-  updates_->Increment();
-  return version;
-}
-
 bool ObjectCache::InvalidateLocked(Shard& shard, Map::iterator it) {
   if (it->second->stale) return false;  // already downgraded
   if (retain_stale_) {
@@ -297,19 +272,6 @@ size_t ObjectCache::InvalidatePrefix(std::string_view prefix) {
     }
   }
   return removed;
-}
-
-void ObjectCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    entries_gauge_->Add(
-        -static_cast<double>(shard.map.size() - shard.stale));
-    bytes_gauge_->Add(-static_cast<double>(shard.bytes));
-    shard.map.clear();
-    shard.bytes = 0;
-    shard.stale = 0;
-  }
 }
 
 bool ObjectCache::Contains(std::string_view key) const {

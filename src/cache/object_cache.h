@@ -72,7 +72,7 @@ struct CachedObject {
   size_t plan_bytes = 0;
   // Ready-to-send entity-header lines for this body, each CRLF-terminated:
   // "Content-Length: N\r\nX-Nagano-Version: V\r\n". Built once per store
-  // (Put/UpdateInPlace/PutPlan/PatchPlan) so a cache hit assembles its HTTP
+  // (Put/PutPlan/PatchPlan) so a cache hit assembles its HTTP
   // header block by appending this span — Vcache's complete-entity caching:
   // no per-request itoa, no per-request length math. The version line is
   // the ETag-style change stamp.
@@ -209,13 +209,6 @@ class ObjectCache {
   std::shared_ptr<const CachedObject> Put(std::string_view key,
                                           std::string body);
 
-  // Update-in-place only if `key` is present; returns the new version, or 0
-  // without storing when the key is absent. The trigger monitor's
-  // concurrent re-render path uses this so a regeneration racing an
-  // invalidation can never resurrect a dropped entry; a stale-retained
-  // entry counts as absent for the same reason.
-  uint64_t UpdateInPlace(std::string_view key, std::string body);
-
   // Store a composition plan (ordered static chunks + pinned fragment
   // refs) under `key`. Same versioning semantics as Put; the
   // entity headers are computed from the summed chunk lengths. Fragment
@@ -245,8 +238,6 @@ class ObjectCache {
   // Invalidates every key starting with `prefix`; returns the count. This
   // is the 1996-Atlanta conservative bulk invalidation primitive.
   size_t InvalidatePrefix(std::string_view prefix);
-
-  void Clear();
 
   bool Contains(std::string_view key) const;
   CacheStats stats() const;

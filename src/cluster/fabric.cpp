@@ -413,17 +413,6 @@ const std::string& ServingFabric::complex_name(size_t i) const {
   return complexes_[i].name;
 }
 
-size_t ServingFabric::AliveNodes(size_t complex_index) const {
-  const Complex& cx = complexes_[complex_index];
-  if (!cx.up) return 0;
-  size_t alive = 0;
-  for (const auto& frame : cx.frames) {
-    if (!frame.up) continue;
-    for (const auto& node : frame.nodes) alive += node.up;
-  }
-  return alive;
-}
-
 double ServingFabric::Utilization(size_t complex_index, TimeNs elapsed) const {
   if (elapsed <= 0) return 0.0;
   const Complex& cx = complexes_[complex_index];
@@ -438,12 +427,6 @@ double ServingFabric::Utilization(size_t complex_index, TimeNs elapsed) const {
   if (nodes == 0) return 0.0;
   return static_cast<double>(busy) /
          (static_cast<double>(elapsed) * static_cast<double>(nodes));
-}
-
-size_t ServingFabric::RouteTarget(size_t region, int address) const {
-  size_t ci = SIZE_MAX, di = SIZE_MAX;
-  if (!SelectTarget(region, address, 0, &ci, &di)) return SIZE_MAX;
-  return ci;
 }
 
 }  // namespace nagano::cluster

@@ -126,12 +126,8 @@ class ServingFabric {
   FabricStats stats() const;
   size_t num_complexes() const { return complexes_.size(); }
   const std::string& complex_name(size_t i) const;
-  // Alive serving nodes at a complex (up, frame up, complex up).
-  size_t AliveNodes(size_t complex_index) const;
   // Mean node utilization (busy time / elapsed) at a complex.
   double Utilization(size_t complex_index, TimeNs elapsed) const;
-  // Which complex currently wins for (region, address); SIZE_MAX if none.
-  size_t RouteTarget(size_t region, int address) const;
 
  private:
   struct Node {

@@ -12,14 +12,6 @@ Status EventQueue::At(TimeNs t, std::function<void()> fn) {
   return Status::Ok();
 }
 
-Status EventQueue::After(TimeNs delay, std::function<void()> fn) {
-  if (delay < 0) {
-    return InvalidArgumentError("EventQueue::After: negative delay " +
-                                std::to_string(delay));
-  }
-  return At(clock_->Now() + delay, std::move(fn));
-}
-
 void EventQueue::RunUntil(TimeNs deadline) {
   while (!events_.empty() && events_.top().at <= deadline) {
     // Copy out before pop: the handler may schedule new events.
@@ -29,15 +21,6 @@ void EventQueue::RunUntil(TimeNs deadline) {
     event.fn();
   }
   if (clock_->Now() < deadline) clock_->AdvanceTo(deadline);
-}
-
-void EventQueue::RunAll() {
-  while (!events_.empty()) {
-    Event event = events_.top();
-    events_.pop();
-    clock_->AdvanceTo(event.at);
-    event.fn();
-  }
 }
 
 }  // namespace nagano::cluster

@@ -20,15 +20,10 @@ class EventQueue {
   // caller bug and returns kInvalidArgument (the event is dropped); it used
   // to assert, which hid the error in release builds.
   Status At(TimeNs t, std::function<void()> fn);
-  // Schedules fn after a delay (>= 0) from the current simulated time.
-  Status After(TimeNs delay, std::function<void()> fn);
 
   // Runs events with time <= deadline, advancing the clock to each event's
   // time; finally advances the clock to the deadline.
   void RunUntil(TimeNs deadline);
-
-  // Runs until the queue is empty.
-  void RunAll();
 
   size_t pending() const { return events_.size(); }
   TimeNs now() const { return clock_->Now(); }

@@ -32,9 +32,4 @@ std::string_view StringInterner::Name(InternId id) const {
   return storage_[id];
 }
 
-size_t StringInterner::size() const {
-  std::shared_lock lock(mutex_);
-  return storage_.size();
-}
-
 }  // namespace nagano

@@ -28,8 +28,6 @@ class StringInterner {
   // interner's lifetime (storage is a deque, never reallocated).
   std::string_view Name(InternId id) const;
 
-  size_t size() const;
-
  private:
   // Reader/writer: lookups far outnumber first-time interns once the site
   // is built, and the re-render path resolves every name through here.

@@ -140,11 +140,6 @@ std::string MetricRegistry::AutoInstance(std::string_view prefix) {
   return std::string(prefix) + std::to_string(n);
 }
 
-size_t MetricRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 std::vector<Sample> MetricRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Sample> out;

@@ -162,8 +162,6 @@ class MetricRegistry {
   // the subsystem segment of their name, histograms as Summary() lines.
   std::string RenderStatusz() const;
 
-  size_t size() const;
-
  private:
   struct Entry {
     std::string name;

@@ -19,22 +19,6 @@ void RunningStat::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const uint64_t total = n_ + other.n_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / static_cast<double>(total);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = total;
-}
-
 size_t Histogram::BucketFor(double value) {
   // Octave = floor(log2(value)) - kMinExponent; the sub-bucket is the linear
   // position within the octave. Values outside the covered range land in

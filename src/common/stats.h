@@ -10,12 +10,10 @@
 
 namespace nagano {
 
-// Online mean / variance (Welford). Not thread-safe; aggregate per-thread
-// instances with Merge().
+// Online mean / variance (Welford). Not thread-safe.
 class RunningStat {
  public:
   void Add(double x);
-  void Merge(const RunningStat& other);
 
   uint64_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }

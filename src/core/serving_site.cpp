@@ -22,12 +22,7 @@ Status SiteOptions::Validate() const {
     return InvalidArgumentError(
         "SiteOptions: a sharded database takes shard_wals, not wal");
   }
-  if (Status s = trigger.Validate(); !s.ok()) return s;
-  if (Status s = retry.Validate(); !s.ok()) return s;
-  if (default_deadline < 0) {
-    return InvalidArgumentError("SiteOptions.default_deadline must be >= 0");
-  }
-  return Status::Ok();
+  return trigger.Validate();
 }
 
 ServingSite::ServingSite(SiteOptions options)
@@ -129,9 +124,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
 
   server::DynamicPageServer::Options serve_options;
   serve_options.costs = site->options_.costs;
-  serve_options.retry = site->options_.retry;
-  serve_options.default_deadline = site->options_.default_deadline;
-  serve_options.serve_stale_on_error = site->options_.serve_stale_on_error;
   serve_options.clock = site->clock_;
   serve_options.metrics = site_metrics;
   site->page_server_ = std::make_unique<server::DynamicPageServer>(

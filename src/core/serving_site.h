@@ -50,14 +50,9 @@ struct SiteOptions : OptionsBase {
   // checkpoint image, recovered in parallel by WarmRestart().
   size_t db_shards = 1;
   std::vector<wal::WriteAheadLog*> shard_wals;
-  // Keep invalidated cache entries reachable for degraded serving
-  // (ObjectCache retain_stale); pairs with serve_stale_on_error below.
+  // Keep invalidated cache entries reachable for the serving path's
+  // last-known-good fallback (ObjectCache retain_stale).
   bool retain_stale = false;
-  // Serving-path resilience: bounded retry on transient generation
-  // failures, per-request deadline budget, last-known-good fallback.
-  server::RetryOptions retry;
-  TimeNs default_deadline = 0;      // 0 = unbounded
-  bool serve_stale_on_error = true;
   // Fragment-first composition (pagegen::RendererOptions::compose_pages):
   // pages embedding fragments are cached as composition plans — static
   // chunks + pinned fragment refs — so a fragment commit patches every

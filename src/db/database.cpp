@@ -360,20 +360,6 @@ std::vector<std::string> Database::TableNames() const {
   return names;  // schemas_ is an ordered map — already sorted
 }
 
-Result<size_t> Database::ColumnIndex(std::string_view table,
-                                     std::string_view column) const {
-  std::shared_lock lock(schema_mutex_);
-  auto it = schemas_.find(std::string(table));
-  if (it == schemas_.end()) {
-    return NotFoundError("ColumnIndex: no table " + std::string(table));
-  }
-  const auto& cols = it->second.columns;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    if (cols[i].name == column) return i;
-  }
-  return NotFoundError("ColumnIndex: no column " + std::string(column));
-}
-
 Status Database::ValidateRow(const TableSchema& schema, const Row& row) const {
   if (row.size() != schema.columns.size()) {
     return InvalidArgumentError("row arity mismatch");
@@ -570,12 +556,6 @@ Status Database::Commit(WriteBatch batch) {
 Status Database::Upsert(std::string_view table, Row row) {
   WriteBatch batch;
   batch.Upsert(table, std::move(row));
-  return Commit(std::move(batch));
-}
-
-Status Database::Delete(std::string_view table, const Value& key) {
-  WriteBatch batch;
-  batch.Delete(table, key);
   return Commit(std::move(batch));
 }
 

@@ -238,9 +238,6 @@ class Database {
                      size_t key_column = 0);
   bool HasTable(std::string_view table) const;
   std::vector<std::string> TableNames() const;
-  // Index of `column` in `table`'s schema, or error.
-  Result<size_t> ColumnIndex(std::string_view table,
-                             std::string_view column) const;
 
   // --- mutation (goes through the change log) ---
   // Commits `batch` as one unit: every row is validated first (any failure
@@ -252,9 +249,8 @@ class Database {
   // every later commit (kFailedPrecondition) — the in-process stand-in for
   // dying mid-commit; reopen and Recover(), which drops the partial batch.
   Status Commit(WriteBatch batch);
-  // Batches of one.
+  // A batch of one.
   Status Upsert(std::string_view table, Row row);
-  Status Delete(std::string_view table, const Value& key);
 
   // Applies one replicated commit (its records, in seqno order) without
   // assigning new local seqnos — used by replicas so their logs mirror the
@@ -348,7 +344,7 @@ class Database {
   ChangeCursor CursorAtGlobal(uint64_t seqno) const;
 
   // Installs the commit wake-up (empty function = none): rung once after
-  // every Commit (Upsert, Delete) and ApplyReplicated, with no data lock
+  // every Commit (Upsert too) and ApplyReplicated, with no data lock
   // held, so it may
   // read the database; it must not commit. It carries no data — the woken
   // consumer reads the records with ReadChanges. One slot; once this call

@@ -13,6 +13,14 @@
 namespace nagano::dispatch {
 namespace {
 
+// EWMA smoothing for the advisor's latency and error-rate folds.
+constexpr double kEwmaAlpha = 0.3;
+// Drain(i): how long past drain_grace to wait for the rest of the
+// backend's connections to close.
+constexpr TimeNs kDrainDeadline = 2 * kSecond;
+// Seeds the per-thread power-of-two-choices draws.
+constexpr uint64_t kPickSeed = 0x64697370ULL;  // "disp"
+
 TimeNs SteadyNow() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -47,13 +55,8 @@ Status DispatcherOptions::Validate() const {
   if (probe_interval <= 0 || probe_timeout <= 0) {
     return InvalidArgumentError("probe_interval and probe_timeout must be > 0");
   }
-  if (latency_alpha <= 0.0 || latency_alpha > 1.0 || error_alpha <= 0.0 ||
-      error_alpha > 1.0) {
-    return InvalidArgumentError("EWMA alphas must be in (0, 1]");
-  }
-  if (drain_grace < 0 || drain_deadline <= 0) {
-    return InvalidArgumentError(
-        "drain_grace must be >= 0 and drain_deadline > 0");
+  if (drain_grace < 0) {
+    return InvalidArgumentError("drain_grace must be >= 0");
   }
   return Status::Ok();
 }
@@ -141,8 +144,8 @@ Status Dispatcher::Start() {
   // Prime weights synchronously so the first accepted connection has a
   // routable backend.
   ProbeAll();
-  Result<int> listener = http::Listen(options_.bind_address, options_.port,
-                                      /*backlog=*/128, &port_);
+  Result<int> listener =
+      http::Listen(options_.bind_address, options_.port, &port_);
   if (!listener.ok()) {
     running_.store(false);
     return listener.status();
@@ -185,7 +188,7 @@ void Dispatcher::Stop() {
 
 void Dispatcher::AcceptLoop(size_t thread_index) {
   // A per-thread draw stream; the seed offset keeps threads unrelated.
-  Rng rng(options_.seed + 0x9e3779b97f4a7c15ULL * (1 + thread_index));
+  Rng rng(kPickSeed + 0x9e3779b97f4a7c15ULL * (1 + thread_index));
   pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_fd_, POLLIN, 0}};
   for (;;) {
     if (::poll(fds, 2, -1) < 0) {
@@ -328,11 +331,9 @@ void Dispatcher::ProbeAll() {
       b.ewma_primed = probe_ok;
     } else {
       if (probe_ok) {
-        lat_ewma = options_.latency_alpha * lat_sample +
-                   (1.0 - options_.latency_alpha) * lat_ewma;
+        lat_ewma = kEwmaAlpha * lat_sample + (1.0 - kEwmaAlpha) * lat_ewma;
       }
-      err_ewma = options_.error_alpha * err_sample +
-                 (1.0 - options_.error_alpha) * err_ewma;
+      err_ewma = kEwmaAlpha * err_sample + (1.0 - kEwmaAlpha) * err_ewma;
     }
     b.lat_ewma_ms.store(lat_ewma, std::memory_order_relaxed);
     b.err_ewma.store(err_ewma, std::memory_order_relaxed);
@@ -394,7 +395,7 @@ Status Dispatcher::Drain(size_t backend) {
     }
   }
   const TimeNs deadline =
-      SteadyNow() + options_.drain_grace + options_.drain_deadline;
+      SteadyNow() + options_.drain_grace + kDrainDeadline;
   while (OpenConnections(b) > 0) {
     if (SteadyNow() > deadline) {
       return UnavailableError(b.addr.name +

@@ -103,17 +103,9 @@ struct DispatcherOptions : OptionsBase {
   TimeNs probe_interval = 25 * kMillisecond;
   TimeNs probe_timeout = 250 * kMillisecond;
 
-  // EWMA smoothing for the advisor's latency / error-rate folds.
-  double latency_alpha = 0.3;
-  double error_alpha = 0.3;
-
   // Drain(i): a keep-alive connection idle this long on the draining
-  // backend is closed; then bound on waiting for the rest to close.
+  // backend is closed.
   TimeNs drain_grace = 200 * kMillisecond;
-  TimeNs drain_deadline = 2 * kSecond;
-
-  // Seeds the per-thread power-of-two-choices draws.
-  uint64_t seed = 0x64697370ULL;  // "disp"
 
   // Consulted at the sites documented above. Null = injection off.
   fault::FaultInjector* faults = nullptr;
@@ -174,7 +166,7 @@ class Dispatcher {
   Status Detach(size_t backend) { return Attach(backend, nullptr); }
 
   // Clean removal: kUp -> kDraining -> (every handed-off connection
-  // closed) -> kOut. Blocks for up to drain_grace + drain_deadline.
+  // closed) -> kOut. Blocks for up to drain_grace + two seconds.
   // Returns FailedPrecondition if the backend is not kUp, Unavailable if
   // connections outlived the deadline (the backend stays kDraining).
   Status Drain(size_t backend);

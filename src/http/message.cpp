@@ -131,35 +131,9 @@ HeaderMap::const_iterator HeaderMap::find(std::string_view name) const {
   return entries_.end();
 }
 
-size_t HeaderMap::erase(std::string_view name) {
-  const auto it = find(name);
-  if (it == end()) return 0;
-  entries_.erase(it);
-  return 1;
-}
-
 std::string_view HttpRequest::Path() const {
   const std::string_view t(target);
   return t.substr(0, t.find('?'));
-}
-
-std::optional<std::string> HttpRequest::QueryParam(std::string_view key) const {
-  const size_t q = target.find('?');
-  if (q == std::string::npos) return std::nullopt;
-  std::string_view query(target);
-  query.remove_prefix(q + 1);
-  while (!query.empty()) {
-    size_t amp = query.find('&');
-    std::string_view pair = query.substr(0, amp);
-    const size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return std::string(pair.substr(eq + 1));
-    }
-    if (eq == std::string_view::npos && pair == key) return std::string();
-    if (amp == std::string_view::npos) break;
-    query.remove_prefix(amp + 1);
-  }
-  return std::nullopt;
 }
 
 bool HttpRequest::KeepAlive() const {
@@ -252,20 +226,6 @@ void HttpResponse::SerializeHeaders(std::string& out,
     out.append(length_line);
   }
   out.append("\r\n", 2);
-}
-
-std::string HttpResponse::Serialize() const {
-  std::string out;
-  SerializeHeaders(out);  // reserves the header block exactly
-  if (!body_chunks.empty()) {
-    out.reserve(out.size() + BodySize());
-    for (const auto& chunk : body_chunks) out.append(*chunk);
-    return out;
-  }
-  const std::string& payload = BodyView();
-  out.reserve(out.size() + payload.size());
-  out.append(payload);
-  return out;
 }
 
 namespace {

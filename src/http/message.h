@@ -34,8 +34,6 @@ class HeaderMap {
   const std::string& at(std::string_view name) const;
   const_iterator find(std::string_view name) const;
   size_t count(std::string_view name) const { return find(name) != end(); }
-  // Removes `name`; returns the number of entries removed (0 or 1).
-  size_t erase(std::string_view name);
 
   size_t size() const { return entries_.size(); }
   const_iterator begin() const { return entries_.begin(); }
@@ -58,8 +56,6 @@ struct HttpRequest {
   // Path without the query string; "/day/7" for the target above. A view
   // into `target`, valid while the request is unchanged.
   std::string_view Path() const;
-  // Value of a query parameter, or nullopt.
-  std::optional<std::string> QueryParam(std::string_view key) const;
   bool KeepAlive() const;
 
   std::string Serialize() const;
@@ -96,7 +92,7 @@ struct HttpResponse {
 
   // The entity when a single backing string carries it. A scatter-gather
   // response (body_chunks) has no one span — callers must check
-  // body_chunks first, as BodySize and Serialize do.
+  // body_chunks first, as BodySize does.
   const std::string& BodyView() const {
     return body_ref != nullptr ? *body_ref : body;
   }
@@ -111,10 +107,6 @@ struct HttpResponse {
                          std::string content_type = "text/html");
   static HttpResponse NotFound(std::string message = "not found");
   static HttpResponse ServerError(std::string message = "internal error");
-
-  // Sets Content-Length from the entity and serializes into one exactly
-  // pre-sized string (status line, headers, blank line, body).
-  std::string Serialize() const;
 
   // Serializes everything up to and including the blank line — the flat
   // header block the scatter-gather write path pairs with the body ref.

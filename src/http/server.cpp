@@ -41,8 +41,9 @@ struct OutChunk {
 
 }  // namespace
 
-Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
+Result<int> Listen(const std::string& bind_address, uint16_t port,
                    uint16_t* bound_port) {
+  constexpr int kBacklog = 128;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -56,7 +57,7 @@ Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
   const char* failed = nullptr;
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     failed = "bind";
-  } else if (::listen(fd, backlog) < 0) {
+  } else if (::listen(fd, kBacklog) < 0) {
     failed = "listen";
   }
   if (failed != nullptr) {
@@ -122,9 +123,6 @@ struct HttpServer::Reactor {
 };
 
 Status HttpServer::Options::Validate() const {
-  if (backlog < 1) {
-    return InvalidArgumentError("HttpServer::Options.backlog must be >= 1");
-  }
   if (reactors < 1 || reactors > 64) {
     return InvalidArgumentError(
         "HttpServer::Options.reactors must be in [1, 64]");
@@ -188,16 +186,13 @@ HttpServer::HttpServer(Handler handler, Options options)
 
 HttpServer::~HttpServer() { Stop(); }
 
-size_t HttpServer::reactors() const { return reactors_.size(); }
-
 Status HttpServer::Start() {
   if (running_.exchange(true)) {
     return FailedPreconditionError("server already running");
   }
   EndDrain();
 
-  Result<int> listener = Listen(options_.bind_address, options_.port,
-                                options_.backlog, &port_);
+  Result<int> listener = Listen(options_.bind_address, options_.port, &port_);
   if (!listener.ok()) {
     running_ = false;
     return listener.status();

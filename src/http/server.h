@@ -52,8 +52,9 @@ struct ServerStats {
 };
 
 // A non-blocking TCP listen socket on bind_address:port (port 0 = kernel-
-// assigned; *bound_port receives the port actually bound).
-Result<int> Listen(const std::string& bind_address, uint16_t port, int backlog,
+// assigned; *bound_port receives the port actually bound), with a
+// 128-connection accept backlog.
+Result<int> Listen(const std::string& bind_address, uint16_t port,
                    uint16_t* bound_port);
 
 class HttpServer {
@@ -63,7 +64,6 @@ class HttpServer {
   struct Options : OptionsBase {
     std::string bind_address = "127.0.0.1";
     uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
-    int backlog = 128;
     // Event-loop threads. 1 reproduces the uniprocessor front end; more
     // scale the serving hot path across cores: reactor 0 owns the single
     // listen socket and deals accepted fds to the reactors in round-robin
@@ -142,7 +142,6 @@ class HttpServer {
   // Requests served per reactor, index-ordered — the load-balance view the
   // throughput bench reports.
   std::vector<uint64_t> reactor_requests() const;
-  size_t reactors() const;
 
  private:
   struct Connection;

@@ -47,13 +47,6 @@ struct DependencySource {
   double weight = 1.0;
 };
 
-// Counters exposed for the DUPSCALE bench and monitoring.
-struct GraphStats {
-  size_t nodes = 0;
-  size_t edges = 0;
-  uint64_t version = 0;  // bumped on every mutation
-};
-
 class ObjectDependenceGraph {
  public:
   ObjectDependenceGraph() : ObjectDependenceGraph(metrics::Options{}) {}
@@ -73,10 +66,6 @@ class ObjectDependenceGraph {
   // Adds (or re-weights) the dependence edge from -> to: "a change to `from`
   // affects `to`". Self-edges are rejected.
   Status AddDependence(NodeId from, NodeId to, double weight = 1.0);
-  Status RemoveDependence(NodeId from, NodeId to);
-
-  // Drops every incoming dependence of `of`.
-  void ClearInEdges(NodeId of);
 
   // Replaces the in-edge set of `of` with the named `sources` (among
   // duplicate sources the last weight wins, matching repeated
@@ -95,12 +84,6 @@ class ObjectDependenceGraph {
   std::string_view name(NodeId id) const;
   size_t node_count() const;
   size_t edge_count() const;
-  GraphStats stats() const;
-
-  // Copy of the outgoing edges of `id` (a copy so the caller holds no lock).
-  std::vector<Edge> OutEdges(NodeId id) const;
-  // Copy of the incoming edges of `id` (sources and weights).
-  std::vector<Edge> InEdges(NodeId id) const;
 
   // A *simple* ODG (paper Fig. 2): every underlying-data vertex has no
   // incoming edge, every object vertex has no outgoing edge, and no edge
@@ -118,9 +101,8 @@ class ObjectDependenceGraph {
 
  private:
   // Unlocked internals; callers hold mutex_.
-  // Bumps version_ and mirrors nodes/edges/version into the registry cells.
-  void BumpVersionLocked();
-  bool HasEdgeLocked(NodeId from, NodeId to) const;
+  // Counts one mutation and mirrors nodes/edges into the registry cells.
+  void CountMutationLocked();
   // 1 when `v` breaks the simple shape (see IsSimple), else 0. Mutations
   // subtract it for every vertex they touch before the change and add it
   // back after, keeping non_simple_ exact.
@@ -140,11 +122,9 @@ class ObjectDependenceGraph {
   std::vector<uint64_t> in_fingerprint_;
   size_t edge_count_ = 0;
   size_t non_simple_ = 0;  // vertices for which BreaksSimpleLocked is 1
-  uint64_t version_ = 0;
   bool has_custom_weights_ = false;
 
-  // Registry mirrors of the lock-guarded counters above; stats() reads the
-  // internals (exact), /metrics reads these.
+  // Registry mirrors of the lock-guarded counters above, for /metrics.
   metrics::Gauge* nodes_gauge_;
   metrics::Gauge* edges_gauge_;
   metrics::Counter* mutations_;

@@ -19,8 +19,7 @@ constexpr std::string_view kFragMarkClose = "\x02\x01";
 // and rendering on its own. A cross-thread include cycle (two leaders
 // mutually waiting on each other's fragments) hits this, and the fallback
 // render then reports the cycle through the ordinary stack check; so does a
-// generator slower than this, which splits its herd. A follower's wait is
-// bounded by this constant alone, not by its caller's request deadline.
+// generator slower than this, which splits its herd.
 constexpr std::chrono::seconds kFlightFallback{2};
 
 RendererOptions WithMetrics(const metrics::Options& metrics_options) {

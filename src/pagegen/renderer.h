@@ -116,8 +116,8 @@ class PageRenderer {
   Result<std::shared_ptr<const std::string>> RenderAndCache(
       std::string_view page, bool* joined = nullptr);
 
-  // Render without storing — used for never-cache pages and for measuring
-  // raw generation cost.
+  // Render without storing — used to check cached pages against a fresh
+  // render and to measure raw generation cost.
   Result<std::string> RenderOnly(std::string_view page);
 
   RendererStats stats() const;

@@ -21,12 +21,6 @@ TemplateContext& TemplateContext::Set(std::string_view key, int64_t value) {
   return Set(key, std::to_string(value));
 }
 
-TemplateContext& TemplateContext::Set(std::string_view key, double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return Set(key, std::string(buf));
-}
-
 TemplateContext& TemplateContext::SetList(std::string_view key,
                                           std::vector<TemplateContext> items) {
   slots_.push_back(Slot{std::string(key), {}, std::move(items), true});
@@ -289,21 +283,6 @@ RenderOutput CompiledTemplate::Render(const TemplateContext& context,
   out.body = std::string(buffer.data(), buffer.size());
   scratch = std::move(buffer);
   return out;
-}
-
-size_t CompiledTemplate::node_count() const {
-  size_t n = 0;
-  // Iterative count to avoid exposing Node publicly.
-  std::vector<const std::vector<Node>*> stack{&roots_};
-  while (!stack.empty()) {
-    const auto* nodes = stack.back();
-    stack.pop_back();
-    n += nodes->size();
-    for (const Node& node : *nodes) {
-      if (!node.children.empty()) stack.push_back(&node.children);
-    }
-  }
-  return n;
 }
 
 }  // namespace nagano::pagegen

@@ -40,7 +40,8 @@ class TemplateContext {
 
   TemplateContext& Set(std::string_view key, std::string value);
   TemplateContext& Set(std::string_view key, int64_t value);
-  TemplateContext& Set(std::string_view key, double value);
+  // No double setter: refuse the silent conversion to int64_t.
+  TemplateContext& Set(std::string_view key, double value) = delete;
   TemplateContext& SetList(std::string_view key,
                            std::vector<TemplateContext> items);
 
@@ -81,8 +82,6 @@ class CompiledTemplate {
 
   RenderOutput Render(const TemplateContext& context,
                       const FragmentResolver& fragments = nullptr) const;
-
-  size_t node_count() const;
 
  private:
   friend class TemplateParser;

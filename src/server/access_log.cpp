@@ -41,11 +41,6 @@ void AccessLog::Append(TimeNs at, std::string_view page, ServeClass cls,
   records_.push_back(record);
 }
 
-size_t AccessLog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 std::vector<AccessRecord> AccessLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return records_;
@@ -53,11 +48,6 @@ std::vector<AccessRecord> AccessLog::Snapshot() const {
 
 std::string_view AccessLog::PageName(uint32_t page_id) const {
   return pages_.Name(page_id);
-}
-
-void AccessLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  records_.clear();
 }
 
 LogAnalyzer::LogAnalyzer(const AccessLog& log, TimeNs epoch)
@@ -69,29 +59,11 @@ uint64_t LogAnalyzer::TotalBytes() const {
   return total;
 }
 
-TimeSeries LogAnalyzer::HitsByDay(int days) const {
-  TimeSeries series(static_cast<size_t>(days));
-  for (const auto& r : records_) {
-    if (r.at < epoch_) continue;  // pre-epoch records are out of scope
-    series.Add(static_cast<size_t>((r.at - epoch_) / kDay));
-  }
-  return series;
-}
-
 TimeSeries LogAnalyzer::HitsByHour() const {
   TimeSeries series(24);
   for (const auto& r : records_) {
     if (r.at < epoch_) continue;
     series.Add(static_cast<size_t>(((r.at - epoch_) / kHour) % 24));
-  }
-  return series;
-}
-
-TimeSeries LogAnalyzer::BytesByDay(int days) const {
-  TimeSeries series(static_cast<size_t>(days));
-  for (const auto& r : records_) {
-    if (r.at < epoch_) continue;
-    series.Add(static_cast<size_t>((r.at - epoch_) / kDay), r.bytes);
   }
   return series;
 }
@@ -140,15 +112,6 @@ std::vector<std::pair<std::string, uint64_t>> LogAnalyzer::TopPages(
   });
   if (pages.size() > n) pages.resize(n);
   return pages;
-}
-
-Histogram LogAnalyzer::ResponseSeconds(int region) const {
-  Histogram histogram;
-  for (const auto& r : records_) {
-    if (region >= 0 && r.region != region) continue;
-    histogram.Add(static_cast<double>(r.response_us) / 1e6);
-  }
-  return histogram;
 }
 
 }  // namespace nagano::server

@@ -48,13 +48,10 @@ class AccessLog {
   void Append(TimeNs at, std::string_view page, ServeClass cls, size_t bytes,
               TimeNs response_time, uint16_t region = 0xffff);
 
-  size_t size() const;
   // Snapshot of the records (copy; the analyzer works on snapshots).
   std::vector<AccessRecord> Snapshot() const;
   // The page name for a record's page_id.
   std::string_view PageName(uint32_t page_id) const;
-
-  void Clear();
 
  private:
   mutable std::mutex mutex_;
@@ -75,12 +72,8 @@ class LogAnalyzer {
   uint64_t TotalHits() const { return records_.size(); }
   uint64_t TotalBytes() const;
 
-  // Hits per games day (day 1 = slot 0).
-  TimeSeries HitsByDay(int days) const;
   // Hits per hour-of-day, all days folded together (Fig. 18).
   TimeSeries HitsByHour() const;
-  // Bytes per games day (Fig. 21).
-  TimeSeries BytesByDay(int days) const;
 
   // The busiest single minute: (minute index since epoch, hits) — the
   // Guinness-record measurement.
@@ -92,9 +85,6 @@ class LogAnalyzer {
 
   // Top-N pages by hits: (page name, hits), descending.
   std::vector<std::pair<std::string, uint64_t>> TopPages(size_t n) const;
-
-  // Response-time distribution in seconds, optionally one region only.
-  Histogram ResponseSeconds(int region = -1) const;
 
  private:
   const AccessLog& log_;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "server/access_log.h"
 
@@ -40,45 +38,15 @@ void FillCachedEntity(ServeOutcome& out,
   if (include_body) CopySharedBody(out);
 }
 
-// Seed for the backoff jitter stream (deterministic per server).
-constexpr uint64_t kBackoffSeed = 0x7365727665ULL;  // "serve"
-
 }  // namespace
-
-Status RetryOptions::Validate() const {
-  if (max_attempts == 0) {
-    return InvalidArgumentError("RetryOptions.max_attempts must be >= 1");
-  }
-  if (initial_backoff < 0 || max_backoff < 0) {
-    return InvalidArgumentError("RetryOptions backoffs must be >= 0");
-  }
-  if (multiplier < 1.0) {
-    return InvalidArgumentError("RetryOptions.multiplier must be >= 1");
-  }
-  if (jitter < 0.0 || jitter > 1.0) {
-    return InvalidArgumentError("RetryOptions.jitter must be in [0, 1]");
-  }
-  return Status::Ok();
-}
-
-Status DynamicPageServer::Options::Validate() const {
-  if (Status s = retry.Validate(); !s.ok()) return s;
-  if (default_deadline < 0) {
-    return InvalidArgumentError(
-        "DynamicPageServer::Options.default_deadline must be >= 0");
-  }
-  return Status::Ok();
-}
 
 DynamicPageServer::DynamicPageServer(cache::ObjectCache* cache,
                                      pagegen::PageRenderer* renderer,
                                      Options options)
     : cache_(cache),
       renderer_(renderer),
-      options_((ValidateOrDie(options, "DynamicPageServer::Options"),
-                std::move(options))),
-      clock_(options_.clock ? options_.clock : &RealClock::Instance()),
-      backoff_rng_(kBackoffSeed) {
+      options_(std::move(options)),
+      clock_(options_.clock ? options_.clock : &RealClock::Instance()) {
   assert(cache_ && renderer_);
   const auto scope = metrics::Scope::Resolve(options_.metrics, "serve");
   static_hits_ = scope.GetCounter("nagano_serve_static_hits_total",
@@ -96,9 +64,6 @@ DynamicPageServer::DynamicPageServer(cache::ObjectCache* cache,
       "degraded responses served from the last-known-good cached copy");
   retries_ = scope.GetCounter("nagano_serve_retries_total",
                               "transient generation failures retried");
-  deadline_exceeded_ =
-      scope.GetCounter("nagano_serve_deadline_exceeded_total",
-                       "retry budgets cut short by the request deadline");
 }
 
 void DynamicPageServer::AddStaticPage(std::string path, std::string body) {
@@ -110,24 +75,14 @@ void DynamicPageServer::AddStaticPage(std::string path, std::string body) {
   static_pages_[std::move(path)] = std::move(obj);
 }
 
-bool DynamicPageServer::ShouldCache(std::string_view path) const {
-  for (const auto& prefix : options_.never_cache_prefixes) {
-    if (path.starts_with(prefix)) return false;
-  }
-  return true;
-}
-
 void DynamicPageServer::SetAccessLog(AccessLog* log, const Clock* clock) {
   access_log_ = log;
   log_clock_ = clock ? clock : &RealClock::Instance();
 }
 
-ServeOutcome DynamicPageServer::Serve(std::string_view path, bool include_body,
-                                      TimeNs deadline) {
-  if (deadline == 0 && options_.default_deadline > 0) {
-    deadline = clock_->Now() + options_.default_deadline;
-  }
-  ServeOutcome out = ServeInternal(path, include_body, deadline);
+ServeOutcome DynamicPageServer::Serve(std::string_view path,
+                                      bool include_body) {
+  ServeOutcome out = ServeInternal(path, include_body);
   if (access_log_ != nullptr) {
     access_log_->Append(log_clock_->Now(), path, out.cls, out.bytes,
                         out.cpu_cost);
@@ -135,59 +90,18 @@ ServeOutcome DynamicPageServer::Serve(std::string_view path, bool include_body,
   return out;
 }
 
-Status DynamicPageServer::GenerateWithRetry(
-    TimeNs deadline, uint32_t* retries,
-    const std::function<Status(bool* joined)>& render) {
-  const RetryOptions& retry = options_.retry;
-  TimeNs backoff = retry.initial_backoff;
-  Status last = InternalError("no attempt made");
-  for (uint32_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    bool joined = false;
-    last = render(&joined);
-    if (last.ok()) return last;
-    // kNotFound is a stable answer and anything non-transient is a bug or
-    // a hard failure: retrying either just burns the deadline. A follower
-    // got its leader's failure; the leader's retries speak for the herd.
-    if (!IsTransient(last) || joined) return last;
-    if (attempt + 1 >= retry.max_attempts) break;
-
-    TimeNs pause = backoff;
-    if (retry.jitter > 0.0 && pause > 0) {
-      std::lock_guard<std::mutex> lock(backoff_mutex_);
-      const double scale =
-          1.0 - retry.jitter + 2.0 * retry.jitter * backoff_rng_.NextDouble();
-      pause = static_cast<TimeNs>(static_cast<double>(pause) * scale);
-    }
-    if (deadline != 0 && clock_->Now() + pause >= deadline) {
-      deadline_exceeded_->Increment();
-      break;
-    }
-    if (options_.sleep_on_backoff && pause > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pause));
-    }
-    backoff = std::min<TimeNs>(
-        retry.max_backoff,
-        static_cast<TimeNs>(static_cast<double>(backoff) * retry.multiplier));
-    ++*retries;
-    retries_->Increment();
-  }
-  return last;
-}
-
 ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
                                                bool include_body,
                                                Status error) {
   ServeOutcome out;
   out.error = error;
-  if (options_.serve_stale_on_error) {
-    if (auto stale = cache_->LookupStale(path)) {
-      stale_serves_->Increment();
-      out.cls = ServeClass::kDegradedStale;
-      out.cpu_cost = options_.costs.cached_dynamic;
-      out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
-      FillCachedEntity(out, stale, include_body);
-      return out;
-    }
+  if (auto stale = cache_->LookupStale(path)) {
+    stale_serves_->Increment();
+    out.cls = ServeClass::kDegradedStale;
+    out.cpu_cost = options_.costs.cached_dynamic;
+    out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
+    FillCachedEntity(out, stale, include_body);
+    return out;
   }
   errors_->Increment();
   out.cls = ServeClass::kError;
@@ -196,8 +110,7 @@ ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
 }
 
 ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
-                                              bool include_body,
-                                              TimeNs deadline) {
+                                              bool include_body) {
   ServeOutcome out;
 
   // 1. Static file system.
@@ -215,36 +128,33 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
 
   // 2. Dynamic page cache. A transient lookup error (the cache path is
   // down) is NOT a miss: fall through to generation, which may still work.
-  if (ShouldCache(path)) {
-    auto cached = cache_->TryLookup(path);
-    if (cached.ok()) {
-      cache_hits_->Increment();
-      out.cls = ServeClass::kCacheHit;
-      out.cpu_cost = options_.costs.cached_dynamic;
-      FillCachedEntity(out, cached.value(), include_body);
-      return out;
-    }
+  auto cached = cache_->TryLookup(path);
+  if (cached.ok()) {
+    cache_hits_->Increment();
+    out.cls = ServeClass::kCacheHit;
+    out.cpu_cost = options_.costs.cached_dynamic;
+    FillCachedEntity(out, cached.value(), include_body);
+    return out;
   }
 
-  // 3. Generate (and usually cache) the page, retrying transient failures
-  // within the deadline. A same-key miss herd shares one generator run: the
-  // renderer's per-object flight hands every caller the leader's body.
+  // 3. Generate and cache the page. A same-key miss herd shares one
+  // generator run: the renderer's per-object flight hands every caller the
+  // leader's body. A transient failure is retried at once, up to
+  // kGenerateAttempts runs. kNotFound is a stable answer and anything else
+  // non-transient a hard failure, so neither is retried; nor is a
+  // follower's copy of its leader's failure: the leader's chain is the
+  // herd's only one, so an outage costs at most kGenerateAttempts generator
+  // runs however large the herd.
   if (renderer_->CanGenerate(path)) {
-    const bool cacheable = ShouldCache(path);
-    std::shared_ptr<const std::string> shared;  // cacheable: the herd's body
-    std::string owned;                          // never-cache: ours alone
-    const Status status = GenerateWithRetry(
-        deadline, &out.retries, [&](bool* joined) -> Status {
-          if (cacheable) {
-            auto body = renderer_->RenderAndCache(path, joined);
-            if (body.ok()) shared = std::move(body).value();
-            return body.status();
-          }
-          auto body = renderer_->RenderOnly(path);
-          if (body.ok()) owned = std::move(body).value();
-          return body.status();
-        });
-    if (status.ok()) {
+    bool joined = false;
+    auto body = renderer_->RenderAndCache(path, &joined);
+    while (!body.ok() && IsTransient(body.status()) && !joined &&
+           out.retries + 1 < kGenerateAttempts) {
+      ++out.retries;
+      retries_->Increment();
+      body = renderer_->RenderAndCache(path, &joined);
+    }
+    if (body.ok()) {
       cache_misses_->Increment();
       out.cls = ServeClass::kCacheMissGenerated;
       out.cpu_cost = options_.costs.generate_dynamic;
@@ -252,28 +162,22 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
       // cached object and the whole herd — and the HTTP write path — shares
       // one ref-counted copy. A composed page arrives as per-chunk refs,
       // same as a cache hit.
-      std::shared_ptr<const cache::CachedObject> cached;
-      if (cacheable) cached = cache_->Peek(path);
-      if (cached != nullptr) {
-        FillCachedEntity(out, cached, include_body);
-      } else if (shared != nullptr) {
+      if (auto stored = cache_->Peek(path)) {
+        FillCachedEntity(out, stored, include_body);
+      } else {
         // A concurrent invalidation dropped the entry between store and
         // here: serve the flight's body itself, still by reference.
-        out.bytes = shared->size();
-        out.body_ref = std::move(shared);
+        out.bytes = body.value()->size();
+        out.body_ref = std::move(body).value();
         if (include_body) CopySharedBody(out);
-      } else {
-        // A never-cache page: the rendered body is ours to give away.
-        out.bytes = owned.size();
-        out.body = std::move(owned);
       }
       return out;
     }
-    if (status.code() != ErrorCode::kNotFound) {
+    if (body.status().code() != ErrorCode::kNotFound) {
       // 4. Retries exhausted: elegant degradation — last-known-good copy
       // over a 500.
       const uint32_t retries = out.retries;
-      out = DegradeToStale(path, include_body, status);
+      out = DegradeToStale(path, include_body, body.status());
       out.retries = retries;
       return out;
     }
@@ -294,7 +198,6 @@ ServeStats DynamicPageServer::stats() const {
   s.errors = errors_->value();
   s.stale_serves = stale_serves_->value();
   s.retries = retries_->value();
-  s.deadline_exceeded = deadline_exceeded_->value();
   return s;
 }
 
@@ -374,20 +277,15 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
     }
     return r;
   }
-  // include_body=false: cached sources answer with body_ref/entity_headers
-  // aliased into the cached object (the zero-copy path, misses included);
-  // a generated never-cache page arrives moved into outcome.body. The
-  // per-request budget is the server's own default_deadline.
+  // include_body=false: every page served answers with body_ref (or
+  // body_chunks) and entity_headers aliased into the cached object — the
+  // zero-copy path, misses included.
   ServeOutcome outcome = program_->Serve(path, /*include_body=*/false);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
-    if (outcome.body_ref != nullptr || !outcome.body_chunks.empty()) {
-      r.body_ref = std::move(outcome.body_ref);
-      r.body_chunks = std::move(outcome.body_chunks);
-      r.header_ref = std::move(outcome.entity_headers);
-    } else {
-      r.body = std::move(outcome.body);
-    }
+    r.body_ref = std::move(outcome.body_ref);
+    r.body_chunks = std::move(outcome.body_chunks);
+    r.header_ref = std::move(outcome.entity_headers);
   };
   switch (outcome.cls) {
     case ServeClass::kStatic:

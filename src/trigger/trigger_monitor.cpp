@@ -32,16 +32,6 @@ bool Covers(const db::ChangeCursor& cursor, const db::ChangeCursor& target) {
 
 }  // namespace
 
-std::string_view CachePolicyName(CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kDupUpdateInPlace: return "dup-update-in-place";
-    case CachePolicy::kDupInvalidate: return "dup-invalidate";
-    case CachePolicy::kConservative1996: return "conservative-1996";
-    case CachePolicy::kNone: return "none";
-  }
-  return "unknown";
-}
-
 std::map<std::string, std::vector<std::string>> OlympicConservativePrefixes() {
   // The 1996 site could not tell which pages a scoring change affected, so
   // it invalidated whole page families. Any results/medal/event change

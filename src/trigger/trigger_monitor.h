@@ -53,8 +53,6 @@ enum class CachePolicy {
   kNone,
 };
 
-std::string_view CachePolicyName(CachePolicy policy);
-
 struct TriggerOptions : OptionsBase {
   CachePolicy policy = CachePolicy::kDupUpdateInPlace;
 

@@ -706,15 +706,6 @@ WalStats WriteAheadLog::stats() const {
   return s;
 }
 
-std::vector<std::string> WriteAheadLog::SegmentFiles() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  for (const auto& seg : segments_) {
-    out.push_back(std::filesystem::path(seg.path).filename().string());
-  }
-  return out;
-}
-
 Result<ShardWalSet> OpenShardWals(WalOptions base, size_t shards) {
   if (shards == 0) {
     return InvalidArgumentError("OpenShardWals: shards must be >= 1");

@@ -194,8 +194,6 @@ class WriteAheadLog {
   // Bytes dropped from the tail when Open() found a torn frame.
   uint64_t torn_bytes_dropped() const;
   WalStats stats() const;
-  // Segment file names currently on disk, oldest first (for tests/statusz).
-  std::vector<std::string> SegmentFiles() const;
   const WalOptions& options() const { return options_; }
 
  private:

@@ -22,11 +22,6 @@ double TotalHitsMillions() {
   return std::accumulate(d.begin(), d.end(), 0.0);
 }
 
-int PeakDay() {
-  const auto& d = HitsByDayMillions();
-  return static_cast<int>(std::max_element(d.begin(), d.end()) - d.begin()) + 1;
-}
-
 const std::array<double, 24>& HourlyWeights() {
   static const std::array<double, 24> kWeights = [] {
     // Fig. 18 shape: overnight trough, steep morning ramp, midday plateau,

@@ -30,7 +30,6 @@ constexpr int kGamesDays = 16;
 // Day 14 (Women's Figure Skating Free Skating, the record minute).
 const std::array<double, kGamesDays>& HitsByDayMillions();
 double TotalHitsMillions();  // == 634.7
-int PeakDay();               // == 7 (1-based)
 
 // --- Fig. 18 calibration: relative request rate by hour of day (local) ---
 // Overnight trough, morning ramp, midday plateau, evening peak.

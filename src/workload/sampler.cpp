@@ -42,7 +42,6 @@ PageSampler::PageSampler(const pagegen::OlympicConfig& config,
   db.Read("countries", all,
           [&](const Row& r) { country_codes_.push_back(AsString(r[0])); });
   db.Read("news", all, [&](const Row& r) { news_ids_.push_back(AsInt(r[0])); });
-  num_venues_ = db.RowCount("venues");
 
   athlete_zipf_ = ZipfDistribution(std::max<size_t>(1, athlete_ids_.size()),
                                    options_.zipf_skew);
@@ -97,35 +96,6 @@ std::string PageSampler::Sample(Rng& rng) const {
     return "/" + languages_[alt] + page;
   }
   return page;
-}
-
-bool PageSampler::IsHomePage(const std::string& page) const {
-  std::string_view path(page);
-  for (const auto& lang : languages_) {
-    const std::string prefix = "/" + lang;
-    if (path.starts_with(prefix) && path.size() > prefix.size() &&
-        path[prefix.size()] == '/') {
-      path.remove_prefix(prefix.size());
-      break;
-    }
-  }
-  return path == "/day/" + std::to_string(day_) || path == "/";
-}
-
-size_t PageSampler::TotalPages() const {
-  const size_t per_language =
-      3 +  // "/", "/medals", "/news"
-      2 +  // "/nagano", "/fun"
-      2 * static_cast<size_t>(days_) + event_ids_.size() +
-      athlete_ids_.size() + sport_ids_.size() + country_codes_.size() +
-      news_ids_.size() + num_venues_;
-  size_t total = per_language * languages_.size();
-  const bool fr_listed =
-      std::find(languages_.begin(), languages_.end(), "fr") != languages_.end();
-  if (french_news_ && !fr_listed) {
-    total += 1 + news_ids_.size();  // French news index + articles
-  }
-  return total;
 }
 
 std::string PageSampler::PickDayHome(Rng& rng) const {

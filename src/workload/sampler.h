@@ -58,12 +58,6 @@ class PageSampler {
   // Draws one page name.
   std::string Sample(Rng& rng) const;
 
-  // True if the page is the current day's home page (used by the transfer
-  // model — home fetches pull the full image payload).
-  bool IsHomePage(const std::string& page) const;
-
-  size_t TotalPages() const;
-
  private:
   struct Category {
     double share;
@@ -92,7 +86,6 @@ class PageSampler {
   std::vector<int64_t> sport_ids_;
   std::vector<std::string> country_codes_;
   std::vector<int64_t> news_ids_;
-  size_t num_venues_ = 0;
 
   ZipfDistribution athlete_zipf_;
   ZipfDistribution event_zipf_;

@@ -39,19 +39,11 @@ enum class ScenarioKind : uint8_t {
   kSlowClientFlood,
 };
 
-const char* ScenarioName(ScenarioKind kind);
 
 struct ScenarioRequest {
   TimeNs at = 0;             // offset from scenario start
   std::string page;
   bool slow_client = false;  // from the non-draining flood population
-};
-
-// One scoreboard tick: the instant the hot page's cache entry is
-// invalidated (the harness applies these against the cache under test).
-struct InvalidationTick {
-  TimeNs at = 0;
-  std::string page;
 };
 
 struct ScenarioOptions : OptionsBase {
@@ -69,8 +61,6 @@ struct ScenarioOptions : OptionsBase {
   // to close for the auction, plateau/storm length otherwise).
   TimeNs spike_duration = 30 * kSecond;
   std::string hot_page = "/medals";
-  // kLeaderboardTick: invalidate the hot page this often during the storm.
-  TimeNs invalidation_interval = 2 * kSecond;
   // kSlowClientFlood: flood intensity as a share of the spike rate.
   double slow_client_share = 0.3;
 
@@ -97,10 +87,6 @@ class ScenarioGenerator {
 
   // Peak of RateAt over the scenario (the thinning bound).
   double PeakRate(ScenarioKind kind) const;
-
-  // The scoreboard cadence for kLeaderboardTick: one tick per
-  // invalidation_interval across the storm window.
-  std::vector<InvalidationTick> InvalidationSchedule() const;
 
   const ScenarioOptions& options() const { return options_; }
 

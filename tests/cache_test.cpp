@@ -115,14 +115,6 @@ TEST(CacheTest, BytesTrackContent) {
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
-TEST(CacheTest, Clear) {
-  ObjectCache cache;
-  for (int i = 0; i < 20; ++i) cache.Put("/p" + std::to_string(i), "x");
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
 TEST(CacheTest, UnboundedNeverEvicts) {
   // The Olympic configuration: all dynamic pages fit in memory and "the
   // system never had to apply a cache replacement algorithm".
@@ -333,7 +325,7 @@ TEST(CacheTest, PlanChunkRefsOutliveEviction) {
   cache.Put("frag:f", "FRAG");
   cache.PutPlan("/page", HotPlan(cache));
   const auto refs = BodyChunkRefs(cache.Lookup("/page"));
-  cache.Clear();
+  cache.InvalidatePrefix("");
   std::string joined;
   for (const auto& ref : refs) joined += *ref;
   EXPECT_EQ(joined, "A[FRAG]B");

@@ -32,7 +32,7 @@ namespace {
 
 std::string Key(int i) { return "/page/" + std::to_string(i); }
 
-// --- ObjectCache: readers racing Put / UpdateInPlace / Invalidate -----------
+// --- ObjectCache: readers racing Put / Invalidate ---------------------------
 
 TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
   cache::ObjectCache cache;
@@ -71,7 +71,7 @@ TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
   std::thread updater([&] {
     for (int r = 0; r < kWriterRounds; ++r) {
       for (int i = 1; i < kKeys; i += 2) {
-        cache.UpdateInPlace(Key(i), "upd-" + std::to_string(r));
+        cache.Put(Key(i), "upd-" + std::to_string(r));
       }
     }
   });

@@ -210,7 +210,9 @@ TEST(DbShardTest, PerShardSeqnosDenseAcrossCheckpointAndRecover) {
     UpsertN(db, 1, 40);
     ASSERT_TRUE(db.Checkpoint().ok());
     UpsertN(db, 41, 60);  // post-checkpoint tail, spread across shards
-    ASSERT_TRUE(db.Delete("events", Value(int64_t(3))).ok());
+    WriteBatch erase;
+    erase.Delete("events", Value(int64_t(3)));
+    ASSERT_TRUE(db.Commit(std::move(erase)).ok());
     ASSERT_TRUE(db.Sync().ok());
     reference = Snapshot(db);
     applied_before = db.AppliedCursor();
@@ -283,7 +285,9 @@ TEST(DbShardTest, ParallelReplayIsByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(db.Checkpoint().ok());
     UpsertN(db, 31, 80);
     for (int i = 2; i <= 80; i += 7) {
-      ASSERT_TRUE(db.Delete("events", Value(int64_t(i))).ok());
+      WriteBatch erase;
+      erase.Delete("events", Value(int64_t(i)));
+      ASSERT_TRUE(db.Commit(std::move(erase)).ok());
     }
     reference = Snapshot(db);
   }

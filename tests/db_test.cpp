@@ -101,16 +101,6 @@ TEST(DbTest, HasTableAndNames) {
   EXPECT_EQ(db.TableNames(), (std::vector<std::string>{"alpha", "beta"}));
 }
 
-TEST(DbTest, ColumnIndex) {
-  Database db = MakeDb();
-  CreateEventsTable(db);
-  EXPECT_EQ(db.ColumnIndex("events", "name").value(), 1u);
-  EXPECT_EQ(db.ColumnIndex("events", "ghost").status().code(),
-            ErrorCode::kNotFound);
-  EXPECT_EQ(db.ColumnIndex("ghost", "name").status().code(),
-            ErrorCode::kNotFound);
-}
-
 TEST(DbTest, UpsertAndGet) {
   Database db = MakeDb();
   CreateEventsTable(db);
@@ -163,10 +153,11 @@ TEST(DbTest, DeleteRemovesRow) {
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("a")), Value(1.0)})
                   .ok());
-  EXPECT_TRUE(db.Delete("events", Value(int64_t(1))).ok());
+  WriteBatch erase;
+  erase.Delete("events", Value(int64_t(1)));
+  EXPECT_TRUE(db.Commit(erase).ok());
   EXPECT_EQ(db.RowCount("events"), 0u);
-  EXPECT_EQ(db.Delete("events", Value(int64_t(1))).code(),
-            ErrorCode::kNotFound);
+  EXPECT_EQ(db.Commit(erase).code(), ErrorCode::kNotFound);
 }
 
 TEST(DbTest, ScanWithPredicate) {
@@ -263,7 +254,11 @@ TEST(DbIndexTest, IndexMaintainedAcrossMutations) {
   EXPECT_EQ(CopyRows(db, "events", 
                      RowFilter::Equals("name", Value(std::string("b")))).size(), 1u);
 
-  ASSERT_TRUE(db.Delete("events", Value(int64_t(2))).ok());
+  WriteBatch erase;
+
+  erase.Delete("events", Value(int64_t(2)));
+
+  ASSERT_TRUE(db.Commit(std::move(erase)).ok());
   EXPECT_TRUE(CopyRows(db, "events", 
                      RowFilter::Equals("name", Value(std::string("a")))).empty());
 }
@@ -298,7 +293,9 @@ TEST(DbIndexTest, LookupMatchesScanUnderRandomOps) {
                              Value(0.0)})
                       .ok());
     } else {
-      (void)db.Delete("events", Value(key));
+      WriteBatch erase;
+      erase.Delete("events", Value(key));
+      (void)db.Commit(std::move(erase));
     }
     const std::string group = "g" + std::to_string(rng.NextBelow(5));
     const auto indexed =
@@ -328,7 +325,9 @@ TEST(DbIndexTest, ReplicatedApplyMaintainsReplicaIndexes) {
   ASSERT_TRUE(master.Upsert("events", {Value(int64_t(1)),
                                        Value(std::string("b")), Value(0.0)})
                   .ok());
-  ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
+  WriteBatch erase;
+  erase.Delete("events", Value(int64_t(1)));
+  ASSERT_TRUE(master.Commit(std::move(erase)).ok());
   for (const auto& change : ChangesAfter(master, 0)) {
     ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }
@@ -407,7 +406,9 @@ TEST(DbChangeLogTest, UpdateVsInsertOp) {
   ASSERT_TRUE(db.Upsert("events", {Value(int64_t(1)),
                                    Value(std::string("b")), Value(0.0)})
                   .ok());
-  ASSERT_TRUE(db.Delete("events", Value(int64_t(1))).ok());
+  WriteBatch erase;
+  erase.Delete("events", Value(int64_t(1)));
+  ASSERT_TRUE(db.Commit(std::move(erase)).ok());
   const auto changes = ChangesAfter(db, 0);
   ASSERT_EQ(changes.size(), 3u);
   EXPECT_EQ(changes[0].op, ChangeOp::kInsert);
@@ -585,10 +586,12 @@ TEST(DbWakeupTest, RingsForUpsertDeleteAndReplicatedApply) {
                                        Value(std::string("a")), Value(0.0)})
                   .ok());
   EXPECT_EQ(master_rings, 1);
-  ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
+  WriteBatch erase;
+  erase.Delete("events", Value(int64_t(1)));
+  ASSERT_TRUE(master.Commit(erase).ok());
   EXPECT_EQ(master_rings, 2);
   // A failed commit changes nothing and rings nothing.
-  EXPECT_FALSE(master.Delete("events", Value(int64_t(1))).ok());
+  EXPECT_FALSE(master.Commit(erase).ok());
   EXPECT_EQ(master_rings, 2);
 
   for (const ChangeRecord& change : ChangesAfter(master, 0)) {
@@ -738,7 +741,9 @@ TEST(DbReplicateTest, ReplicatedDeleteApplies) {
                   .Upsert("events", {Value(int64_t(1)),
                                      Value(std::string("e")), Value(0.0)})
                   .ok());
-  ASSERT_TRUE(master.Delete("events", Value(int64_t(1))).ok());
+  WriteBatch erase;
+  erase.Delete("events", Value(int64_t(1)));
+  ASSERT_TRUE(master.Commit(std::move(erase)).ok());
   for (const auto& change : ChangesAfter(master, 0)) {
     ASSERT_TRUE(replica.ApplyReplicated({&change, 1}).ok());
   }

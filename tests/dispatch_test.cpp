@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,12 +29,29 @@ using http::HttpRequest;
 using http::HttpResponse;
 using http::HttpServer;
 
-std::string MakeWalTempDir() {
-  char tmpl[] = "/tmp/nagano-dispatch-wal-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string() : std::string(dir);
-}
+// A fresh /tmp directory for a cluster's WAL streams, removed with its
+// contents when the test ends. Declare it before the cluster, so the
+// cluster closes its streams first.
+class WalTempDir {
+ public:
+  WalTempDir() {
+    char tmpl[] = "/tmp/nagano-dispatch-wal-XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    if (dir != nullptr) path_ = dir;
+  }
+  ~WalTempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  WalTempDir(const WalTempDir&) = delete;
+  WalTempDir& operator=(const WalTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // A raw echo-ish backend: every path answers with the backend's name
 // ("hello from <name>"), /healthz with "ok"; both after an optional
@@ -536,9 +554,9 @@ ClusterOptions SmallClusterOptions(const std::string& wal_root) {
 }
 
 TEST(DispatcherClusterTest, RollingUpgradeServesByteIdenticalPages) {
-  const std::string wal_root = MakeWalTempDir();
-  ASSERT_FALSE(wal_root.empty());
-  DispatcherCluster cluster(SmallClusterOptions(wal_root));
+  const WalTempDir wal_root;
+  ASSERT_FALSE(wal_root.path().empty());
+  DispatcherCluster cluster(SmallClusterOptions(wal_root.path()));
   ASSERT_TRUE(cluster.Start().ok());
 
   // Commit a few results everywhere, then settle: every backend now serves
@@ -609,10 +627,10 @@ TEST(DispatcherClusterTest, RollingUpgradeServesByteIdenticalPages) {
 // /healthz answers are served by reference too, so a cluster serving only
 // cache hits materializes no response body anywhere.
 TEST(DispatcherClusterTest, ProbedHitOnlyClusterCopiesNoBodies) {
-  const std::string wal_root = MakeWalTempDir();
-  ASSERT_FALSE(wal_root.empty());
+  const WalTempDir wal_root;
+  ASSERT_FALSE(wal_root.path().empty());
   metrics::MetricRegistry registry;
-  ClusterOptions options = SmallClusterOptions(wal_root);
+  ClusterOptions options = SmallClusterOptions(wal_root.path());
   options.backends = 2;
   options.metrics.registry = &registry;
   DispatcherCluster cluster(options);
@@ -647,9 +665,9 @@ TEST(DispatcherClusterTest, ProbedHitOnlyClusterCopiesNoBodies) {
 }
 
 TEST(DispatcherClusterTest, FeedRefusedWhileNodeIsDown) {
-  const std::string wal_root = MakeWalTempDir();
-  ASSERT_FALSE(wal_root.empty());
-  ClusterOptions options = SmallClusterOptions(wal_root);
+  const WalTempDir wal_root;
+  ASSERT_FALSE(wal_root.path().empty());
+  ClusterOptions options = SmallClusterOptions(wal_root.path());
   options.backends = 2;
   DispatcherCluster cluster(options);
   ASSERT_TRUE(cluster.Start().ok());

@@ -152,7 +152,9 @@ TEST(ServingSiteTest, PrefetchedObjectsStayResident) {
   ASSERT_TRUE(prefetched.ok());
   site.StartTrigger();
   workload::ResultFeed feed(&site.db(), workload::FeedOptions{}, 3);
-  ASSERT_TRUE(feed.RunDay(1).ok());
+  for (const auto& update : feed.BuildDaySchedule(1)) {
+    ASSERT_TRUE(feed.Apply(update).ok());
+  }
   site.Quiesce();
   site.StopTrigger();
   EXPECT_EQ(site.cache().size(), prefetched.value());

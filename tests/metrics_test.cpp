@@ -24,7 +24,7 @@ TEST(MetricRegistryTest, GetOrCreateReturnsSameCell) {
   Counter* a = registry.GetCounter("nagano_test_total", {{"site", "x"}});
   Counter* b = registry.GetCounter("nagano_test_total", {{"site", "x"}});
   EXPECT_EQ(a, b);
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.Snapshot().size(), 1u);
 }
 
 TEST(MetricRegistryTest, DifferentLabelsAreDifferentCells) {

@@ -363,7 +363,9 @@ TEST_F(OlympicTest, ChangeMapperNewsRow) {
 
 TEST_F(OlympicTest, ChangeMapperDeleteFallsBackToWildcard) {
   ASSERT_TRUE(OlympicSite::PublishNews(&db_, 100, 2, "t", "b", 1).ok());
-  ASSERT_TRUE(db_.Delete("news", db::Value(int64_t(100))).ok());
+  db::WriteBatch erase;
+  erase.Delete("news", db::Value(int64_t(100)));
+  ASSERT_TRUE(db_.Commit(std::move(erase)).ok());
   const auto changes = ChangesAfter(db_.LastSeqno() - 1);
   const auto nodes = OlympicSite::MapChangeToDataNodes(changes.back(), db_);
   EXPECT_NE(std::find(nodes.begin(), nodes.end(), "news:*"), nodes.end());

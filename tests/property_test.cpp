@@ -75,8 +75,8 @@ TEST_P(CacheModelTest, MatchesReferenceMap) {
         }
       }
       EXPECT_EQ(cache.InvalidatePrefix(prefix), removed) << prefix;
-    } else {  // clear
-      cache.Clear();
+    } else {  // invalidate everything
+      EXPECT_EQ(cache.InvalidatePrefix(""), model.size());
       model.clear();
     }
     ASSERT_EQ(cache.size(), model.size()) << "step " << step;
@@ -261,7 +261,7 @@ TEST(OdgConcurrencyTest, TraversalsSafeUnderConcurrentMutation) {
     Rng rng(1);
     while (!stop.load(std::memory_order_relaxed)) {
       const odg::NodeId page = pages[rng.NextBelow(pages.size())];
-      graph.ClearInEdges(page);
+      graph.SetInEdges(page, {});
       for (int k = 0; k < 4; ++k) {
         (void)graph.AddDependence(data[rng.NextBelow(data.size())], page,
                                   1.0 + double(rng.NextBelow(5)));

@@ -104,7 +104,10 @@ TEST_F(RendererTest, WeightedDependenciesReachGraph) {
   });
   ASSERT_TRUE(renderer_.RenderAndCache("/event/1").ok());
   const auto page = graph_.Find("/event/1");
-  const auto in = graph_.InEdges(page);
+  const auto in = graph_.WithSnapshot(
+      [page](const auto&, const auto& in_edges, const auto&) {
+        return in_edges[page];
+      });
   ASSERT_EQ(in.size(), 2u);
   double results_weight = 0, news_weight = 0;
   for (const auto& edge : in) {

@@ -18,8 +18,12 @@ class ServerProgramTest : public ::testing::Test {
       ++renders_;
       return Result<std::string>("dynamic body v" + std::to_string(renders_));
     });
-    renderer_.RegisterPrefix("/user/", [](const pagegen::RenderRequest& req) {
-      return Result<std::string>("personal " + std::string(req.page));
+    // Fails with a transient error on its first flaky_failures_ calls.
+    renderer_.RegisterExact("/flaky", [this](const pagegen::RenderRequest&) {
+      if (++flaky_calls_ <= flaky_failures_) {
+        return Result<std::string>(UnavailableError("backend down"));
+      }
+      return Result<std::string>("flaky body");
     });
   }
 
@@ -27,6 +31,8 @@ class ServerProgramTest : public ::testing::Test {
   cache::ObjectCache cache_;
   pagegen::PageRenderer renderer_{&graph_, &cache_};
   int renders_ = 0;
+  int flaky_calls_ = 0;
+  int flaky_failures_ = 0;
 };
 
 TEST_F(ServerProgramTest, StaticPageServed) {
@@ -77,15 +83,19 @@ TEST_F(ServerProgramTest, NotFound) {
   EXPECT_EQ(program.stats().not_found, 1u);
 }
 
-TEST_F(ServerProgramTest, NeverCachePrefixBypassesCache) {
-  DynamicPageServer::Options options;
-  options.never_cache_prefixes = {"/user/"};
-  DynamicPageServer program(&cache_, &renderer_, options);
-  const auto first = program.Serve("/user/alice");
-  const auto second = program.Serve("/user/alice");
-  EXPECT_EQ(first.cls, ServeClass::kCacheMissGenerated);
-  EXPECT_EQ(second.cls, ServeClass::kCacheMissGenerated);
-  EXPECT_FALSE(cache_.Contains("/user/alice"));
+// A transient failure is retried at once; the last allowed attempt still
+// turns the miss into a cached page.
+TEST_F(ServerProgramTest, TransientFailureRetriedUpToAttemptConstant) {
+  constexpr int kAttempts = DynamicPageServer::kGenerateAttempts;
+  flaky_failures_ = kAttempts - 1;
+  DynamicPageServer program(&cache_, &renderer_);
+  const auto out = program.Serve("/flaky");
+  EXPECT_EQ(out.cls, ServeClass::kCacheMissGenerated);
+  EXPECT_EQ(out.body, "flaky body");
+  EXPECT_EQ(out.retries, static_cast<uint32_t>(kAttempts - 1));
+  EXPECT_EQ(flaky_calls_, kAttempts);
+  EXPECT_TRUE(cache_.Contains("/flaky"));
+  EXPECT_EQ(program.stats().retries, static_cast<uint64_t>(kAttempts - 1));
 }
 
 TEST_F(ServerProgramTest, SkipBodyOnSimPath) {

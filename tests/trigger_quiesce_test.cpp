@@ -46,9 +46,11 @@ struct FeedDayOutcome {
 };
 
 // Replays the deterministic day-1 feed (seed 42) against a fresh site and
-// verifies the §6 invariant at quiescence. Returns nullopt after recording
-// a test failure.
-std::optional<FeedDayOutcome> RunFeedDay(size_t worker_threads) {
+// verifies the §6 invariant at quiescence. With `quiesce_each` the site is
+// quiesced after every update, so the trigger never coalesces two updates
+// into one batch. Returns nullopt after recording a test failure.
+std::optional<FeedDayOutcome> RunFeedDay(size_t worker_threads,
+                                         bool quiesce_each = false) {
   auto site_or = ServingSite::Create(SmallSite(worker_threads));
   if (!site_or.ok()) {
     ADD_FAILURE() << site_or.status().ToString();
@@ -68,6 +70,7 @@ std::optional<FeedDayOutcome> RunFeedDay(size_t worker_threads) {
       ADD_FAILURE() << "feed update failed";
       return std::nullopt;
     }
+    if (quiesce_each) site.Quiesce();
   }
   const uint64_t committed = site.db().LastSeqno();
   site.Quiesce();
@@ -119,6 +122,22 @@ TEST(QuiesceDeterminismTest, FinalCacheContentsByteIdenticalAcrossWorkerCounts) 
   ASSERT_TRUE(one && two && eight);
   EXPECT_EQ(one->entries, two->entries);
   EXPECT_EQ(one->entries, eight->entries);
+  EXPECT_EQ(one->content_digest, two->content_digest);
+  EXPECT_EQ(one->content_digest, eight->content_digest);
+}
+
+// Without per-update quiescence the trigger's tail may read several whole
+// updates at once and render each affected object once for all of them, so
+// objects_updated depends on thread timing. Quiesced after every update it
+// is a function of the feed alone: equal at every worker count.
+TEST(QuiesceDeterminismTest, RenderCountEqualAcrossWorkerCountsPerUpdate) {
+  const auto one = RunFeedDay(1, /*quiesce_each=*/true);
+  const auto two = RunFeedDay(2, /*quiesce_each=*/true);
+  const auto eight = RunFeedDay(8, /*quiesce_each=*/true);
+  ASSERT_TRUE(one && two && eight);
+  EXPECT_GT(one->objects_updated, 0u);
+  EXPECT_EQ(one->objects_updated, two->objects_updated);
+  EXPECT_EQ(one->objects_updated, eight->objects_updated);
   EXPECT_EQ(one->content_digest, two->content_digest);
   EXPECT_EQ(one->content_digest, eight->content_digest);
 }

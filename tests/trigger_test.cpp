@@ -196,7 +196,7 @@ TEST_F(TriggerTest, UncachedPagesNotRegenerated) {
 
   // Render once to establish ODG edges, then empty the cache.
   ASSERT_TRUE(renderer_.RenderAndCache("/event/1").ok());
-  cache_.Clear();
+  cache_.InvalidatePrefix("");
 
   monitor->Start();
   ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 99.0).ok());
@@ -481,15 +481,6 @@ TEST(TriggerGapTest, TruncatedChangesDropTheCache) {
   }
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
-}
-
-TEST(TriggerPolicyTest, PolicyNames) {
-  EXPECT_EQ(CachePolicyName(CachePolicy::kDupUpdateInPlace),
-            "dup-update-in-place");
-  EXPECT_EQ(CachePolicyName(CachePolicy::kDupInvalidate), "dup-invalidate");
-  EXPECT_EQ(CachePolicyName(CachePolicy::kConservative1996),
-            "conservative-1996");
-  EXPECT_EQ(CachePolicyName(CachePolicy::kNone), "none");
 }
 
 TEST(TriggerPolicyTest, ConservativePrefixCoverage) {
