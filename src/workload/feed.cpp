@@ -109,13 +109,4 @@ Status ResultFeed::Apply(const FeedUpdate& update) {
   return InternalError("unknown feed update kind");
 }
 
-Result<size_t> ResultFeed::RunDay(int day) {
-  size_t applied = 0;
-  for (const FeedUpdate& update : BuildDaySchedule(day)) {
-    if (Status s = Apply(update); !s.ok()) return s;
-    ++applied;
-  }
-  return applied;
-}
-
 }  // namespace nagano::workload

@@ -58,10 +58,6 @@ class ResultFeed {
   // Applies one update to the database (master side).
   Status Apply(const FeedUpdate& update);
 
-  // Convenience: build and apply a whole day's schedule immediately.
-  // Returns the number of updates applied.
-  Result<size_t> RunDay(int day);
-
   int64_t next_article_id() const { return next_article_id_; }
 
  private:
