@@ -12,10 +12,19 @@
 //
 // Method: full-size synthetic site, prefetched; replay a day of the result
 // feed measuring (a) wall-clock commit -> cache-consistent latency per
-// update, (b) the DUP fan-out of event completions, and (c) re-render
-// throughput of the parallel update-in-place pipeline at worker_threads
-// 1 / 2 / 8 on the same feed (final cache contents must be byte-identical
-// regardless of worker count). Emits BENCH_update_latency.json.
+// update, (b) the DUP fan-out of event completions, (c) the whole day
+// replayed twice with one quiesce at the end, whose final caches must be
+// byte-identical, and (d) the bytes re-rendered per commit with and
+// without fragment composition.
+//
+//   update_latency                    # full run; exits non-zero if the two
+//                                     # replays' caches differ
+//   update_latency --json=<path>      # also writes the JSON artifact there
+//   update_latency --quick            # the fanout-bytes gate alone
+//
+// The JSON goes only to the path --json names; nothing is written to the
+// working directory. The committed baseline is BENCH_update_latency.json at
+// the repository root.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -58,11 +67,8 @@ uint64_t Fnv1a(const std::string& data, uint64_t hash) {
   return hash;
 }
 
-struct ScalingRun {
-  size_t workers = 0;
+struct ReplayRun {
   double replay_s = 0.0;
-  uint64_t renders = 0;        // update-in-place regenerations applied
-  double renders_per_s = 0.0;
   trigger::TriggerStats stats;
   size_t entries = 0;
   uint64_t digest = 0;  // FNV-1a over the key-sorted final cache contents
@@ -229,13 +235,11 @@ std::optional<double> RunFanoutComparison(bool quick, std::string& json_out) {
   return ratio;
 }
 
-// Replays the same deterministic feed day against a fresh prefetched site
-// with the given render-worker count, quiescing once at the end, and
-// digests the final cache so runs can be compared for byte-identity.
-std::optional<ScalingRun> RunScaling(size_t workers) {
-  core::SiteOptions options = FullSite();
-  options.trigger.worker_threads = workers;
-  auto site_or = core::ServingSite::Create(std::move(options));
+// Replays the same deterministic feed day against a fresh prefetched site,
+// quiescing once at the end, and digests the final cache so runs can be
+// compared for byte-identity.
+std::optional<ReplayRun> ReplayDay() {
+  auto site_or = core::ServingSite::Create(FullSite());
   if (!site_or.ok()) return std::nullopt;
   auto& site = *site_or.value();
   if (!site.PrefetchAll().ok()) return std::nullopt;
@@ -253,13 +257,9 @@ std::optional<ScalingRun> RunScaling(size_t workers) {
   const auto end = std::chrono::steady_clock::now();
   site.StopTrigger();
 
-  ScalingRun run;
-  run.workers = workers;
+  ReplayRun run;
   run.replay_s = std::chrono::duration<double>(end - start).count();
   run.stats = site.trigger_monitor().stats();
-  run.renders = run.stats.objects_updated;
-  run.renders_per_s =
-      run.replay_s > 0 ? static_cast<double>(run.renders) / run.replay_s : 0.0;
   uint64_t digest = 14695981039346656037ull;
   for (const auto& [key, object] : site.cache().Snapshot()) {
     digest = Fnv1a(key, digest);
@@ -277,8 +277,17 @@ int main(int argc, char** argv) {
   // small site — the ci.sh `fragments` leg runs this and fails the build
   // when composition stops cutting per-commit fanout bytes by >= 10x.
   bool quick = false;
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") quick = true;
+    const std::string_view arg(argv[i]);
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg.starts_with("--json=")) {
+      json_path = std::string(arg.substr(7));
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick] [--json=<path>]\n", argv[0]);
+      return 2;
+    }
   }
   if (quick) {
     bench::Header("FRESH", "fragment fanout regression gate (--quick)");
@@ -372,16 +381,13 @@ int main(int argc, char** argv) {
              static_cast<unsigned long long>(tstats.objects_updated),
              static_cast<unsigned long long>(tstats.objects_invalidated));
 
-  bench::Section("pipeline stage counters (per-update quiesce, 1 worker)");
-  bench::Row("batches=%llu coalesced=%llu render_jobs=%llu attempted=%llu "
-             "skipped=%llu",
+  bench::Section("pipeline stage counters (per-update quiesce)");
+  bench::Row("batches=%llu coalesced=%llu attempted=%llu skipped=%llu",
              static_cast<unsigned long long>(tstats.batches),
              static_cast<unsigned long long>(tstats.changes_coalesced),
-             static_cast<unsigned long long>(tstats.render_jobs),
              static_cast<unsigned long long>(tstats.renders_attempted),
              static_cast<unsigned long long>(tstats.objects_skipped));
   bench::Row("batch apply: %s ms", tstats.batch_apply_ms.Summary().c_str());
-  bench::Row("batch levels: %s", tstats.batch_levels.Summary().c_str());
 
   bench::Section("paper comparison");
   bench::Compare("max update latency (60 s bound)", 60'000.0,
@@ -394,49 +400,27 @@ int main(int argc, char** argv) {
   bench::CompareText("one event changes >100 objects", "yes",
                      event_fanout.max() >= 100.0 ? "yes" : "no");
 
-  // --- parallel pipeline scaling: same feed day, workers 1 / 2 / 8 --------
-  bench::Section("parallel re-render pipeline (full day, quiesce once)");
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  bench::Row("hardware threads available: %u%s", cores,
-             cores == 1 ? "  (single-CPU host: parallel workers cannot beat "
-                          "sequential; this run bounds scheduling overhead)"
-                        : "");
-  std::vector<ScalingRun> runs;
-  for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
-    // Best of two replays: the replay is seconds long, so a single OS
-    // scheduling hiccup otherwise masquerades as a pipeline slowdown.
-    std::optional<ScalingRun> run;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      auto r = RunScaling(workers);
-      if (r && (!run || r->replay_s < run->replay_s)) run = r;
-    }
+  // --- determinism: the same feed day replayed twice ----------------------
+  bench::Section("full-day replay (quiesce once), twice");
+  std::vector<ReplayRun> runs;
+  for (int replay = 0; replay < 2; ++replay) {
+    auto run = ReplayDay();
     if (!run) {
-      std::fprintf(stderr, "scaling run (workers=%zu) failed\n", workers);
+      std::fprintf(stderr, "day replay failed\n");
       return 1;
     }
-    bench::Row("workers=%zu  %7.2f s  %8llu renders  %9.0f renders/s  "
-               "jobs=%llu coalesced=%llu levels(mean)=%.1f",
-               run->workers, run->replay_s,
-               static_cast<unsigned long long>(run->renders),
-               run->renders_per_s,
-               static_cast<unsigned long long>(run->stats.render_jobs),
+    bench::Row("replay %d  %7.3f s  %6llu objects updated  %4llu batches  "
+               "%4llu coalesced  %zu entries  digest %016llx",
+               replay + 1, run->replay_s,
+               static_cast<unsigned long long>(run->stats.objects_updated),
+               static_cast<unsigned long long>(run->stats.batches),
                static_cast<unsigned long long>(run->stats.changes_coalesced),
-               run->stats.batch_levels.mean());
+               run->entries, static_cast<unsigned long long>(run->digest));
     runs.push_back(*run);
   }
-  const ScalingRun& base = runs.front();
-  const ScalingRun& wide = runs.back();
-  const double speedup =
-      base.renders_per_s > 0 ? wide.renders_per_s / base.renders_per_s : 0.0;
-  const bool identical = std::all_of(
-      runs.begin(), runs.end(), [&](const ScalingRun& r) {
-        return r.digest == base.digest && r.entries == base.entries;
-      });
-  bench::Compare("re-render speedup, 8 vs 1 workers", 3.0, speedup,
-                 cores >= 4 ? "x (target >= 3x)"
-                            : "x (target >= 3x needs >= 4 cores; see row "
-                              "above for this host)");
-  bench::CompareText("final cache byte-identical across runs", "yes",
+  const bool identical = runs[0].digest == runs[1].digest &&
+                         runs[0].entries == runs[1].entries;
+  bench::CompareText("final cache byte-identical across replays", "yes",
                      identical ? "yes" : "no");
 
   // --- fragment composition: fanout bytes per commit ----------------------
@@ -463,38 +447,41 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Machine-readable artifact consumed by EXPERIMENTS.md.
-  std::ofstream json("BENCH_update_latency.json");
-  json << "{\n"
-       << "  \"bench\": \"update_latency\",\n"
-       << "  \"hardware_threads\": " << cores << ",\n"
-       << "  \"latency_ms\": {\"p50\": " << latency_ms.Percentile(0.5)
-       << ", \"p99\": " << latency_ms.Percentile(0.99)
-       << ", \"max\": " << latency_ms.max() << "},\n"
-       << "  \"fanout\": {\"mean\": " << event_fanout.mean()
-       << ", \"max\": " << event_fanout.max() << "},\n"
-       << "  \"scaling\": [\n";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const ScalingRun& r = runs[i];
-    json << "    {\"workers\": " << r.workers << ", \"replay_s\": "
-         << r.replay_s << ", \"renders\": " << r.renders
-         << ", \"renders_per_s\": " << r.renders_per_s
-         << ", \"render_jobs\": " << r.stats.render_jobs
-         << ", \"changes_coalesced\": " << r.stats.changes_coalesced
-         << ", \"batches\": " << r.stats.batches
-         << ", \"levels_mean\": " << r.stats.batch_levels.mean()
-         << ", \"entries\": " << r.entries
-         << ", \"digest\": \"" << std::hex << r.digest << std::dec << "\"}"
-         << (i + 1 < runs.size() ? "," : "") << "\n";
+  if (!json_path.empty()) {
+    // Machine-readable artifact consumed by EXPERIMENTS.md.
+    std::ofstream json(json_path);
+    json << "{\n"
+         << "  \"bench\": \"update_latency\",\n"
+         << "  \"hardware_threads\": "
+         << std::max(1u, std::thread::hardware_concurrency()) << ",\n"
+         << "  \"latency_ms\": {\"p50\": " << latency_ms.Percentile(0.5)
+         << ", \"p99\": " << latency_ms.Percentile(0.99)
+         << ", \"max\": " << latency_ms.max() << "},\n"
+         << "  \"fanout\": {\"mean\": " << event_fanout.mean()
+         << ", \"max\": " << event_fanout.max() << "},\n"
+         << "  \"replays\": [\n";
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const ReplayRun& r = runs[i];
+      json << "    {\"replay_s\": " << r.replay_s
+           << ", \"objects_updated\": " << r.stats.objects_updated
+           << ", \"changes_coalesced\": " << r.stats.changes_coalesced
+           << ", \"batches\": " << r.stats.batches
+           << ", \"entries\": " << r.entries << ", \"digest\": \"" << std::hex
+           << r.digest << std::dec << "\"}"
+           << (i + 1 < runs.size() ? "," : "") << "\n";
+    }
+    json << "  ],\n"
+         << fanout_json
+         << gate_json
+         << "  \"identical_contents\": " << (identical ? "true" : "false")
+         << "\n}\n";
+    json.close();
+    if (!json) {
+      std::fprintf(stderr, "could not write %s\n", json_path.c_str());
+      return 1;
+    }
+    bench::Row("wrote %s", json_path.c_str());
   }
-  json << "  ],\n"
-       << fanout_json
-       << gate_json
-       << "  \"speedup_8v1\": " << speedup << ",\n"
-       << "  \"identical_contents\": " << (identical ? "true" : "false")
-       << "\n}\n";
-  json.close();
-  bench::Row("wrote BENCH_update_latency.json");
 
   if (!identical) return 1;
   return 0;

@@ -43,7 +43,7 @@ namespace nagano::metrics {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 // Monotonically increasing counter, sharded across cache lines so that
-// concurrent writers (render workers, the epoll loop, serving threads) never
+// concurrent writers (the trigger, the epoll loop, serving threads) never
 // contend. value() is a lock-free relaxed sum — monotone but not a linearized
 // point snapshot, which is all monitoring needs.
 class Counter {

@@ -1,5 +1,4 @@
-// Bounded/unbounded MPMC blocking queue. Backbone of the trigger monitor's
-// work distribution and the thread pool.
+// Bounded/unbounded MPMC blocking queue. Backbone of the thread pool.
 #pragma once
 
 #include <condition_variable>
@@ -48,8 +47,8 @@ class BlockingQueue {
   }
 
   // Non-blocking. Still drains remaining items after Close() — consumers
-  // relying on drain-then-join shutdown (ThreadPool, the trigger monitor
-  // dispatcher) keep popping until the queue is actually empty.
+  // relying on drain-then-join shutdown (ThreadPool) keep popping until
+  // the queue is actually empty.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mutex_);
     if (items_.empty()) return std::nullopt;

@@ -1,6 +1,5 @@
-// Fixed-size worker pool. The trigger monitor renders affected pages on
-// this pool — the paper's "updates performed on different processors from
-// the ones serving pages".
+// Fixed-size worker pool. Database recovery reads and replays its shards'
+// WAL streams on it in parallel.
 #pragma once
 
 #include <atomic>
@@ -35,7 +34,6 @@ class ThreadPool {
   // threads; called by the destructor.
   void Shutdown();
 
-  size_t num_threads() const { return workers_.size(); }
   uint64_t tasks_completed() const {
     return completed_.load(std::memory_order_relaxed);
   }

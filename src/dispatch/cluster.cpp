@@ -48,7 +48,6 @@ wal::WalOptions DispatcherCluster::WalOptionsFor(const Node& node) const {
 core::SiteOptions DispatcherCluster::SiteOptionsFor(const Node& node) const {
   core::SiteOptions site_options;
   site_options.olympic = options_.olympic;
-  site_options.trigger.worker_threads = 1;
   site_options.faults = options_.faults;
   site_options.metrics.registry = registry_;
   site_options.metrics.instance = instance_ + "/" + node.name;

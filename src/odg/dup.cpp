@@ -39,7 +39,6 @@ struct ClosureScratch {
   // members[member_begin[c] .. member_begin[c + 1]), slots ascending.
   std::vector<uint32_t> member_begin, members;
   std::vector<double> obs;
-  std::vector<uint32_t> comp_level;
 
   // Starts a call over a graph of `n` vertices; the graph may have grown
   // since the last call.
@@ -159,11 +158,9 @@ DupResult DupEngine::ComputeAffected(const ObjectDependenceGraph& graph,
       if (1.0 > options.obsolescence_threshold) {
         for (const NodeId v : result.obsolete) {
           if (sc.changed[sc.slot[v]] || !IsCacheable(kinds[v])) continue;
-          // Bipartite: every affected object is a sink — one stage.
-          result.affected.push_back(AffectedObject{v, 1.0, 0});
+          result.affected.push_back(AffectedObject{v, 1.0});
         }
       }
-      result.num_levels = result.affected.empty() ? 0 : 1;
       return result;
     }
 
@@ -209,21 +206,9 @@ DupResult DupEngine::ComputeAffected(const ObjectDependenceGraph& graph,
 
     // Tarjan emits components in reverse topological order; iterating
     // component index descending processes dependency sources first.
-    // Obsolescence and the longest-path stage of each component are
-    // computed together; members of a component share both.
+    // Members of a component share its obsolescence.
     sc.obs.assign(k, 0.0);
-    sc.comp_level.assign(num_comps, 0);
     for (uint32_t ci = num_comps; ci-- > 0;) {
-      uint32_t stage = 0;
-      for (const uint32_t s : members(ci)) {
-        for (const Edge& e : in[sc.verts[s]]) {
-          if (!sc.Contains(e.to)) continue;
-          const uint32_t from = sc.comp[sc.slot[e.to]];
-          if (from != ci) stage = std::max(stage, sc.comp_level[from] + 1);
-        }
-      }
-      sc.comp_level[ci] = stage;
-
       double score = 0.0;
       for (const uint32_t s : members(ci)) {
         if (sc.changed[s]) {
@@ -254,26 +239,9 @@ DupResult DupEngine::ComputeAffected(const ObjectDependenceGraph& graph,
         const NodeId v = sc.verts[s];
         if (sc.changed[s] || !IsCacheable(kinds[v])) continue;
         if (sc.obs[s] > options.obsolescence_threshold) {
-          result.affected.push_back(
-              AffectedObject{v, sc.obs[s], sc.comp_level[ci]});
+          result.affected.push_back(AffectedObject{v, sc.obs[s]});
         }
       }
-    }
-    // Compact the emitted levels to a dense 0..k range: intermediate
-    // underlying-data hops inflate the raw longest-path values, and each
-    // distinct level costs the re-render pipeline a barrier.
-    if (!result.affected.empty()) {
-      std::vector<uint32_t> seen;
-      seen.reserve(result.affected.size());
-      for (const auto& a : result.affected) seen.push_back(a.level);
-      std::sort(seen.begin(), seen.end());
-      seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-      for (auto& a : result.affected) {
-        a.level = static_cast<uint32_t>(
-            std::lower_bound(seen.begin(), seen.end(), a.level) -
-            seen.begin());
-      }
-      result.num_levels = static_cast<uint32_t>(seen.size());
     }
     return result;
   });

@@ -34,14 +34,6 @@ namespace nagano::odg {
 struct AffectedObject {
   NodeId id = kInvalidNode;
   double obsolescence = 0.0;
-  // Topological stage within the propagation closure: 0 for objects with no
-  // dependence on any other vertex of the closure, else 1 + the maximum
-  // level of the closure vertices feeding it. Any dependence path strictly
-  // increases the level, so objects sharing a level are mutually
-  // independent and safe to regenerate concurrently; processing levels in
-  // ascending order respects every ODG constraint (fragments before the
-  // pages embedding them). Members of one SCC share a level.
-  uint32_t level = 0;
 };
 
 struct DupResult {
@@ -62,10 +54,6 @@ struct DupResult {
   // plan embeds; any obsolete non-fragment input means the page's static
   // skeleton may have changed and a full re-render is required.
   std::vector<NodeId> obsolete;
-
-  // 1 + the largest AffectedObject::level (0 when nothing is affected).
-  // The parallel re-render pipeline runs this many barrier-separated stages.
-  uint32_t num_levels = 0;
 
   bool used_simple_path = false;
 };

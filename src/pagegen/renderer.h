@@ -171,15 +171,15 @@ class PageRenderer {
   std::unordered_map<std::string, std::shared_ptr<RenderFlight>> flights_;
 
   // Registration happens at site construction; every render takes the
-  // shared side, so the trigger monitor's parallel re-render workers never
-  // serialize on generator lookup.
+  // shared side, so the trigger's re-renders and the serving threads'
+  // demand renders never serialize on generator lookup.
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, PageGenerator, std::less<>> exact_;
   std::map<std::string, PageGenerator, std::less<>> prefixes_;
 
   // Registry-owned sharded counters — bumped on every render, and shared
-  // locking would re-serialize the parallel re-render workers. stats() is a
-  // thin snapshot view over these cells.
+  // locking would re-serialize concurrent renders. stats() is a thin
+  // snapshot view over these cells.
   metrics::Counter* pages_rendered_;
   metrics::Counter* fragment_cache_hits_;
   metrics::Counter* generator_errors_;

@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 
 namespace nagano::trigger {
 namespace {
-
-// Levels with at most this many affected objects render inline on the
-// trigger thread instead of round-tripping through the pool: for tiny
-// levels the submit/wake/barrier overhead exceeds the render work itself,
-// which is what dragged the measured parallel "speedup" below 1.0 on small
-// hosts.
-constexpr size_t kInlineRenderCutover = 32;
 
 // The tail re-reads the log at least this often even when no wake-up
 // arrives, so a lost wake-up or a failed read only delays a change, far
@@ -51,8 +43,8 @@ std::map<std::string, std::vector<std::string>> OlympicConservativePrefixes() {
 }
 
 Status TriggerOptions::Validate() const {
-  if (worker_threads == 0) {
-    return InvalidArgumentError("TriggerOptions.worker_threads must be >= 1");
+  if (worker_threads != 1) {
+    return InvalidArgumentError("TriggerOptions.worker_threads must be 1");
   }
   if (batch_max == 0) {
     return InvalidArgumentError("TriggerOptions.batch_max must be >= 1");
@@ -106,8 +98,6 @@ TriggerMonitor::TriggerMonitor(db::Database* db,
   changes_coalesced_ =
       scope.GetCounter("nagano_trigger_changes_coalesced_total",
                        "changes that rode along in a multi-change batch");
-  render_jobs_ = scope.GetCounter("nagano_trigger_render_jobs_total",
-                                  "render jobs dispatched to the pool");
   renders_attempted_ = scope.GetCounter(
       "nagano_trigger_renders_attempted_total", "regenerations tried");
   notifications_dropped_ =
@@ -126,9 +116,6 @@ TriggerMonitor::TriggerMonitor(db::Database* db,
   batch_apply_ms_ = scope.GetHistogram(
       "nagano_trigger_batch_apply_ms",
       "regenerate + distribute wall time per batch (ms)");
-  batch_levels_ =
-      scope.GetHistogram("nagano_trigger_batch_levels",
-                         "topological stages per update-in-place batch");
   propagation_latency_ms_ = scope.GetHistogram(
       "nagano_dup_propagation_latency_ms",
       "commit to cache-visible latency per affected object (ms)");
@@ -148,9 +135,6 @@ void TriggerMonitor::Start() {
     stop_at_.reset();
     tailing_ = true;
   }
-  if (options_.worker_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
   db_->SetCommitWakeup([this] { OnCommitWakeup(); });
   tail_ = std::thread([this] { TailLoop(); });
 }
@@ -158,8 +142,7 @@ void TriggerMonitor::Start() {
 void TriggerMonitor::Stop() {
   if (!running_.exchange(false)) return;
   // Drain-then-join: the tail applies everything committed before this
-  // point, then exits. The pool shuts down only after the tail has joined
-  // (it is the sole submitter), so no render job is dropped.
+  // point, then exits.
   db_->SetCommitWakeup(nullptr);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -167,7 +150,6 @@ void TriggerMonitor::Stop() {
   }
   wake_cv_.notify_one();
   tail_.join();
-  pool_.reset();
 }
 
 void TriggerMonitor::OnCommitWakeup() {
@@ -320,16 +302,17 @@ void TriggerMonitor::ProcessBatch(const std::vector<db::ChangeRecord>& batch) {
 
 void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
                                         TimeNs oldest_commit) {
-  // dup.affected carries a topological level per object: objects sharing a
-  // level have no dependence path between them, so each level regenerates
-  // in parallel; levels run in ascending order with a barrier between them
-  // so a page always splices the already-refreshed fragments of earlier
-  // levels. Partitioning is deterministic — within a level objects are
-  // NodeId-sorted and carved into one contiguous chunk per worker — so a
-  // feed day produces the same render schedule at any worker count.
-  enum class Outcome { kUpdated, kSkipped, kFailed };
-  std::atomic<uint64_t> updated{0}, failures{0}, skipped{0}, attempted{0};
-  std::atomic<uint64_t> patched{0}, bytes_rerendered{0};
+  // dup.affected is in dependency order: a fragment precedes every page
+  // embedding it, so a page always splices already-refreshed fragments.
+  uint64_t updated = 0, failures = 0, skipped = 0, attempted = 0;
+  uint64_t patched = 0, bytes_rerendered = 0;
+  // The object's fresh body (or patched plan) is now what readers see:
+  // stamp commit -> cache-visible.
+  const auto visible = [&] {
+    ++updated;
+    propagation_latency_ms_->Observe(
+        std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
+  };
 
   // dup.obsolete is NodeId-sorted, so closure membership is a binary search.
   auto in_closure = [&](odg::NodeId id) {
@@ -362,14 +345,17 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     });
   };
 
-  auto regenerate = [&](const odg::AffectedObject& obj) -> Outcome {
+  for (const odg::AffectedObject& obj : dup.affected) {
     const std::string_view name = graph_->name(obj.id);
     // Only refresh objects that are actually cached; uncached pages will
     // be generated (with fresh data) on their next request.
     const auto cached = cache_->Peek(name);
-    if (cached == nullptr) return Outcome::kSkipped;
+    if (cached == nullptr) {
+      ++skipped;
+      continue;
+    }
 
-    // Fragment-first fast path: the level barrier already refreshed every
+    // Fragment-first fast path: dependency order already refreshed every
     // closure fragment this page embeds, so the plan re-pins just those and
     // recomputes its entity headers — no generator run, ~zero fanout bytes.
     // A closure fragment that was skipped (not cached) fails the patch, so
@@ -378,76 +364,28 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
       std::vector<size_t> chunks;
       if (patch_chunks(obj.id, *cached, chunks) &&
           cache_->PatchPlan(name, cached, chunks) != 0) {
-        patched.fetch_add(1, std::memory_order_relaxed);
-        propagation_latency_ms_->Observe(
-            std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
-        return Outcome::kUpdated;
-      }
-    }
-
-    attempted.fetch_add(1, std::memory_order_relaxed);
-    auto body = renderer_->RenderAndCache(name);
-    if (!body.ok()) return Outcome::kFailed;
-    bytes_rerendered.fetch_add(body.value()->size(), std::memory_order_relaxed);
-    // The fresh body is now what readers see: stamp commit -> cache-visible.
-    propagation_latency_ms_->Observe(
-        std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
-    return Outcome::kUpdated;
-  };
-  auto tally = [&](Outcome outcome) {
-    if (outcome == Outcome::kUpdated) {
-      updated.fetch_add(1, std::memory_order_relaxed);
-    } else if (outcome == Outcome::kFailed) {
-      failures.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      skipped.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  uint64_t jobs = 0;
-  if (pool_ == nullptr) {
-    for (const auto& obj : dup.affected) tally(regenerate(obj));
-  } else {
-    std::vector<std::vector<const odg::AffectedObject*>> levels(dup.num_levels);
-    for (const auto& obj : dup.affected) levels[obj.level].push_back(&obj);
-    // Clamp parallelism to the machine: a pool wider than the core count
-    // cannot render faster, it only shrinks chunks and adds dispatch churn.
-    const size_t hw =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    const size_t workers = std::min(pool_->num_threads(), hw);
-    for (auto& level : levels) {
-      std::sort(level.begin(), level.end(),
-                [](const odg::AffectedObject* a, const odg::AffectedObject* b) {
-                  return a->id < b->id;
-                });
-      if (workers <= 1 || level.size() <= 1 ||
-          level.size() <= kInlineRenderCutover) {
-        // Not worth a pool round-trip.
-        for (const auto* obj : level) tally(regenerate(*obj));
+        ++patched;
+        visible();
         continue;
       }
-      const size_t chunk = (level.size() + workers - 1) / workers;
-      for (size_t begin = 0; begin < level.size(); begin += chunk) {
-        const size_t end = std::min(begin + chunk, level.size());
-        auto job = [&, begin, end, &level_ref = level] {
-          for (size_t i = begin; i < end; ++i) tally(regenerate(*level_ref[i]));
-        };
-        ++jobs;
-        if (!pool_->Submit(job)) job();  // pool shut down: run inline
-      }
-      pool_->Wait();  // barrier: next level may embed this level's output
     }
-  }
 
-  objects_updated_->Increment(updated.load());
-  render_failures_->Increment(failures.load());
-  objects_skipped_->Increment(skipped.load());
-  renders_attempted_->Increment(attempted.load());
-  render_jobs_->Increment(jobs);
-  plans_patched_->Increment(patched.load());
-  rerendered_bytes_->Increment(bytes_rerendered.load());
-  fanout_bytes_->Observe(static_cast<double>(bytes_rerendered.load()));
-  batch_levels_->Observe(static_cast<double>(dup.num_levels));
+    ++attempted;
+    auto body = renderer_->RenderAndCache(name);
+    if (!body.ok()) {
+      ++failures;
+      continue;
+    }
+    bytes_rerendered += body.value()->size();
+    visible();
+  }
+  objects_updated_->Increment(updated);
+  render_failures_->Increment(failures);
+  objects_skipped_->Increment(skipped);
+  renders_attempted_->Increment(attempted);
+  plans_patched_->Increment(patched);
+  rerendered_bytes_->Increment(bytes_rerendered);
+  fanout_bytes_->Observe(static_cast<double>(bytes_rerendered));
 }
 
 void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
@@ -498,7 +436,6 @@ TriggerStats TriggerMonitor::stats() const {
   s.plans_patched = plans_patched_->value();
   s.rerendered_bytes = rerendered_bytes_->value();
   s.changes_coalesced = changes_coalesced_->value();
-  s.render_jobs = render_jobs_->value();
   s.renders_attempted = renders_attempted_->value();
   s.notifications_dropped = notifications_dropped_->value();
   s.duplicates_injected = duplicates_injected_->value();
@@ -506,7 +443,6 @@ TriggerStats TriggerMonitor::stats() const {
   s.fanout = fanout_->snapshot();
   s.fanout_bytes = fanout_bytes_->snapshot();
   s.batch_apply_ms = batch_apply_ms_->snapshot();
-  s.batch_levels = batch_levels_->snapshot();
   s.propagation_latency_ms = propagation_latency_ms_->snapshot();
   return s;
 }

@@ -16,7 +16,7 @@
 //                        prefixes per changed table (a large superset);
 //   kNone              — no maintenance (staleness baseline).
 //
-// All regeneration happens on the monitor's own threads — the paper ran
+// All regeneration happens on the monitor's own tail thread — the paper ran
 // updates "on different processors from the ones serving pages" so update
 // bursts would not hurt response times.
 #pragma once
@@ -25,7 +25,6 @@
 #include <condition_variable>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -38,7 +37,6 @@
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "db/database.h"
 #include "odg/dup.h"
 #include "odg/graph.h"
@@ -56,14 +54,8 @@ enum class CachePolicy {
 struct TriggerOptions : OptionsBase {
   CachePolicy policy = CachePolicy::kDupUpdateInPlace;
 
-  // Render workers for the update-in-place policy. 1 = fully sequential.
-  // With more, the affected set is partitioned by DUP topological level:
-  // objects sharing a level are mutually independent and regenerate in
-  // parallel (one contiguous, NodeId-ordered chunk per worker); levels run
-  // in ascending order with a barrier between them, so fragments are always
-  // fresh before the pages embedding them re-render. Small levels render
-  // inline on the trigger thread, and effective parallelism is clamped to
-  // the machine's hardware concurrency.
+  // Must be 1; Validate() rejects any other value. The tail thread renders
+  // every update itself. The field stays only because perfbench assigns it.
   size_t worker_threads = 1;
 
   // Read up to this many change records per DUP run, rounded up to the end
@@ -116,15 +108,13 @@ struct TriggerStats {
   // --- fault-path counters ------------------------------------------------
   uint64_t notifications_dropped = 0;  // injected drops (lost wake-ups)
   uint64_t duplicates_injected = 0;    // injected extra wake-ups
-  // --- parallel-pipeline stage counters -----------------------------------
+  // --- pipeline stage counters --------------------------------------------
   uint64_t changes_coalesced = 0;    // changes that rode along in a multi-change batch
-  uint64_t render_jobs = 0;          // per-worker render jobs dispatched to the pool
   uint64_t renders_attempted = 0;    // regenerations tried (updated + failed)
   Histogram update_latency_ms;       // commit -> cache consistent, per batch
   Histogram fanout;                  // affected objects per batch
   Histogram fanout_bytes;            // bytes re-rendered per batch/commit
   Histogram batch_apply_ms;          // regenerate + distribute time per batch
-  Histogram batch_levels;            // topological stages per update-in-place batch
   // Commit -> cache-visible, per affected object (registry name
   // nagano_dup_propagation_latency_ms). Finer-grained than
   // update_latency_ms: each object is stamped the moment its fresh body
@@ -203,8 +193,6 @@ class TriggerMonitor {
   fault::FaultInjector* faults_;
   std::string instance_;  // fault-injection site name (== metrics label)
 
-  // Only when worker_threads > 1; lives from Start() to Stop().
-  std::unique_ptr<ThreadPool> pool_;
   std::thread tail_;
   std::atomic<bool> running_{false};
 
@@ -231,7 +219,6 @@ class TriggerMonitor {
   metrics::Counter* plans_patched_;
   metrics::Counter* rerendered_bytes_;
   metrics::Counter* changes_coalesced_;
-  metrics::Counter* render_jobs_;
   metrics::Counter* renders_attempted_;
   metrics::Counter* notifications_dropped_;
   metrics::Counter* duplicates_injected_;
@@ -239,7 +226,6 @@ class TriggerMonitor {
   metrics::Histogram* fanout_;
   metrics::Histogram* fanout_bytes_;
   metrics::Histogram* batch_apply_ms_;
-  metrics::Histogram* batch_levels_;
   // Commit -> cache-visible latency per affected object, the paper's ≤60 s
   // freshness bound made measurable.
   metrics::Histogram* propagation_latency_ms_;

@@ -209,7 +209,6 @@ TEST(TriggerShutdownTest, StopDrainsQueuedChangesAndQuiesceReturns) {
 
   trigger::TriggerOptions options;
   options.policy = trigger::CachePolicy::kDupUpdateInPlace;
-  options.worker_threads = 4;
   trigger::TriggerMonitor monitor(
       &db, &graph, &cache, &renderer,
       [&db](const db::ChangeRecord& change) {

@@ -250,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DupSimpleAgreementTest,
 // ReferenceDup is the whole-graph formulation of DUP: every array sized to
 // the graph, Tarjan rooted at every reachable vertex in NodeId order. The
 // closure-scoped engine must reproduce its output exactly — same affected
-// order, obsolescence, levels and closure.
+// order, obsolescence, closure and visited count.
 
 DupResult ReferenceDup(const ObjectDependenceGraph& graph,
                        const std::vector<NodeId>& changed) {
@@ -319,17 +319,8 @@ DupResult ReferenceDup(const ObjectDependenceGraph& graph,
       if (reachable[v]) members[comp[v]].push_back(v);
     }
     std::vector<double> obs(n, 0.0);
-    std::vector<uint32_t> comp_level(next_comp, 0);
     for (uint32_t ci = next_comp; ci-- > 0;) {
-      uint32_t stage = 0;
       double score = 0.0;
-      for (const NodeId v : members[ci]) {
-        for (const Edge& e : in[v]) {
-          if (reachable[e.to] && comp[e.to] != ci) {
-            stage = std::max(stage, comp_level[comp[e.to]] + 1);
-          }
-        }
-      }
       for (const NodeId v : members[ci]) {
         if (is_changed[v]) {
           score = 1.0;
@@ -346,7 +337,6 @@ DupResult ReferenceDup(const ObjectDependenceGraph& graph,
           score = std::max(score, std::min(1.0, changed_in / total_in));
         }
       }
-      comp_level[ci] = stage;
       for (const NodeId v : members[ci]) obs[v] = score;
     }
     for (uint32_t ci = next_comp; ci-- > 0;) {
@@ -354,20 +344,10 @@ DupResult ReferenceDup(const ObjectDependenceGraph& graph,
         const bool cacheable =
             kinds[v] == NodeKind::kObject || kinds[v] == NodeKind::kBoth;
         if (!is_changed[v] && cacheable && obs[v] > 0.0) {
-          result.affected.push_back(
-              AffectedObject{v, obs[v], comp_level[comp[v]]});
+          result.affected.push_back(AffectedObject{v, obs[v]});
         }
       }
     }
-    std::vector<uint32_t> seen;
-    for (const auto& a : result.affected) seen.push_back(a.level);
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    for (auto& a : result.affected) {
-      a.level = static_cast<uint32_t>(
-          std::lower_bound(seen.begin(), seen.end(), a.level) - seen.begin());
-    }
-    result.num_levels = static_cast<uint32_t>(seen.size());
     return result;
   });
 }
@@ -379,12 +359,9 @@ void ExpectSameDup(const DupResult& want, const DupResult& got,
     EXPECT_EQ(got.affected[i].id, want.affected[i].id) << where << " #" << i;
     EXPECT_EQ(got.affected[i].obsolescence, want.affected[i].obsolescence)
         << where << " #" << i;
-    EXPECT_EQ(got.affected[i].level, want.affected[i].level)
-        << where << " #" << i;
   }
   EXPECT_EQ(got.obsolete, want.obsolete) << where;
   EXPECT_EQ(got.visited, want.visited) << where;
-  EXPECT_EQ(got.num_levels, want.num_levels) << where;
 }
 
 // Adds `count` vertices of random kinds and random weighted edges (cycles
@@ -480,7 +457,8 @@ TEST_P(DupDifferentialTest, ConcurrentCallersAgree) {
                     got.affected.size() == expected[i].affected.size();
         for (size_t a = 0; same && a < got.affected.size(); ++a) {
           same = got.affected[a].id == expected[i].affected[a].id &&
-                 got.affected[a].level == expected[i].affected[a].level;
+                 got.affected[a].obsolescence ==
+                     expected[i].affected[a].obsolescence;
         }
         if (!same) ++mismatches[size_t(t)];
       }

@@ -230,11 +230,10 @@ TEST_F(TriggerTest, InvalidatedPageSkippedNotStored) {
   EXPECT_EQ(cache_.Peek("/event/1"), nullptr);
 }
 
-TEST_F(TriggerTest, ParallelWorkersProduceSameResult) {
+TEST_F(TriggerTest, EventCompletionsLeaveEveryPageFresh) {
   Prefetch();
   TriggerOptions options;
   options.policy = CachePolicy::kDupUpdateInPlace;
-  options.worker_threads = 4;
   auto monitor = MakeMonitor(options);
   monitor->Start();
 
@@ -256,6 +255,14 @@ TEST_F(TriggerTest, ParallelWorkersProduceSameResult) {
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(cached->Materialize(), fresh.value()) << page;
   }
+}
+
+TEST(TriggerOptionsTest, RejectsMoreThanOneWorker) {
+  // The tail thread renders every update itself; 1 is the only value.
+  TriggerOptions options;
+  EXPECT_TRUE(options.Validate().ok());
+  options.worker_threads = 2;
+  EXPECT_EQ(options.Validate().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST_F(TriggerTest, StopIsIdempotent) {
